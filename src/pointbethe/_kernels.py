@@ -1,22 +1,17 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot numeric kernels in numpy.
 
-Three inner loops dominate runtime at scale: factorization-identity
+Four inner loops dominate runtime at scale: factorization-identity
 residual panels (coupling scans evaluate them at every grid point),
-wavefunction evaluation over position grids, and filling the full
-coefficient table over all N! momentum permutations.  Each kernel has a
-pure-numpy implementation (suffix ``_numpy``) and, when numba is usable, a
-compiled one (suffix ``_numba``); the public unsuffixed names dispatch to
-the selected backend.
-
-Set the environment variable ``POINTBETHE_NO_NUMBA=1`` to force the numpy
-path.  The numpy path is also selected automatically when numba cannot be
-imported.  ``BACKEND`` records the choice.
+wavefunction evaluation over position grids, the one-step operator Y_i(u)
+and filling the full coefficient table over all N! momentum permutations.
 
 Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
 * ``lehmer_to_index[(F,)]``: lexicographic Lehmer code -> rank index.
 * ``tmaps[(N-1, F)]``, ``asc[(N-1, F)]``: right-multiplication index map
   and ascent flags per transposition site.
+* ``last_site[(F,)]``: last letter of each canonical word, -1 for the
+  identity.
 * amplitude pair tables ``srp, srm, stp, stm[(N, N)]``: entry (a, b) is
   the amplitude at u = k[a] - k[b].
 * Panel kernels return np.inf for residuals whose amplitudes hit the
@@ -25,44 +20,23 @@ Layout contracts (all indices 0-based):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .scattering import amplitudes
+from .permutations import SymmetricGroupTables
+from .scattering import amplitude_arrays, amplitudes
 
-_env = os.environ.get("POINTBETHE_NO_NUMBA", "").strip().lower()
-_FORCE_NUMPY = _env in ("1", "true", "yes", "on")
+BACKEND = "numpy"
 
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled by POINTBETHE_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-_POLE_GUARD = 1e-12
+# Rejection samplers give up, with a ValueError, after this many draws per
+# requested sample.
+MAX_DRAWS_PER_SAMPLE = 1000
 
 # The thirteen factorization identities.  Each row is bilinear or trilinear
 # in the amplitude evaluations at u, -u, v and u+v; they are written out
-# explicitly in both backends to keep the kernels flat.
+# explicitly to keep the kernel flat.
 
 
-def _amps_vec(c, lam, gamma, eta, u):
-    """Vectorized closed-form amplitudes; returns (s_t, s_r, ok)."""
-    den = 1j * lam * u * u - (gamma * gamma + eta * eta + c * lam + 1.0) * u - 1j * c
-    ok = np.abs(den) > _POLE_GUARD * np.maximum(1.0, u * u)
-    safe = np.where(ok, den, 1.0)
-    s_t = (gamma * gamma + eta * eta - 2j * eta + c * lam - 1.0) * u / safe
-    s_r = (1j * lam * u * u + 2.0 * gamma * u + 1j * c) / safe
-    return s_t, s_r, ok
-
-
-def factorization_panel_numpy(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Max |residual| of each identity over the (u, v) panel, per grid row."""
     params_grid = np.atleast_2d(np.asarray(params_grid, dtype=np.float64))
     us = np.asarray(us, dtype=np.float64)
@@ -70,14 +44,14 @@ def factorization_panel_numpy(params_grid: np.ndarray, us: np.ndarray, vs: np.nd
     ws = us + vs
     out = np.empty((params_grid.shape[0], 13), dtype=np.float64)
     for g, (c, lam, gamma, eta) in enumerate(params_grid):
-        stp_u, srp_u, o1 = _amps_vec(c, lam, gamma, eta, us)
-        stp_mu, srp_mu, o2 = _amps_vec(c, lam, gamma, eta, -us)
-        stp_v, srp_v, o3 = _amps_vec(c, lam, gamma, eta, vs)
-        stp_w, srp_w, o4 = _amps_vec(c, lam, gamma, eta, ws)
-        stm_u, srm_u, o5 = _amps_vec(c, lam, -gamma, -eta, us)
-        stm_mu, srm_mu, o6 = _amps_vec(c, lam, -gamma, -eta, -us)
-        stm_v, srm_v, o7 = _amps_vec(c, lam, -gamma, -eta, vs)
-        stm_w, srm_w, o8 = _amps_vec(c, lam, -gamma, -eta, ws)
+        stp_u, srp_u, o1 = amplitude_arrays(c, lam, gamma, eta, us)
+        stp_mu, srp_mu, o2 = amplitude_arrays(c, lam, gamma, eta, -us)
+        stp_v, srp_v, o3 = amplitude_arrays(c, lam, gamma, eta, vs)
+        stp_w, srp_w, o4 = amplitude_arrays(c, lam, gamma, eta, ws)
+        stm_u, srm_u, o5 = amplitude_arrays(c, lam, -gamma, -eta, us)
+        stm_mu, srm_mu, o6 = amplitude_arrays(c, lam, -gamma, -eta, -us)
+        stm_v, srm_v, o7 = amplitude_arrays(c, lam, -gamma, -eta, vs)
+        stm_w, srm_w, o8 = amplitude_arrays(c, lam, -gamma, -eta, ws)
         if not all(np.all(o) for o in (o1, o2, o3, o4, o5, o6, o7, o8)):
             out[g] = np.inf
             continue
@@ -101,7 +75,7 @@ def factorization_panel_numpy(params_grid: np.ndarray, us: np.ndarray, vs: np.nd
     return out
 
 
-def eval_grid_numpy(points, k, table, images, lehmer_to_index) -> np.ndarray:
+def eval_grid(points, k, table, images, lehmer_to_index) -> np.ndarray:
     """Bethe-ansatz wavefunction on a batch of generic (tie-free) points."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = points.shape[1]
@@ -119,141 +93,47 @@ def eval_grid_numpy(points, k, table, images, lehmer_to_index) -> np.ndarray:
     return np.einsum("mf,mf->m", table[:, qidx].T, np.exp(1j * phases))
 
 
-def propagate_table_numpy(a_identity, decomp_flat, decomp_offsets, tmaps, asc,
-                          srp, srm, stp, stm) -> np.ndarray:
-    """Fill A_P for every P by stepping along its transposition word."""
-    f = a_identity.shape[0]
-    n = srp.shape[0]
-    out = np.empty((f, f), dtype=np.complex128)
-    for p in range(f):
-        a = a_identity.astype(np.complex128, copy=True)
-        run = np.arange(n)
-        for s in decomp_flat[decomp_offsets[p]:decomp_offsets[p + 1]]:
-            ka, kb = run[s], run[s + 1]
-            diag = np.where(asc[s], srp[ka, kb], srm[ka, kb])
-            off = np.where(asc[s], stm[ka, kb], stp[ka, kb])
-            a = diag * a + off * a[tmaps[s]]
-            run[s], run[s + 1] = run[s + 1], run[s]
-        out[p] = a
+def step_parts(tables: SymmetricGroupTables, s: int, sr_plus, sr_minus, st_plus, st_minus):
+    """Sparse form of Y at 0-based site s: (diagonal, off-diagonal, column map).
+
+    Row Q holds ``diag[q]`` at column Q and ``off[q]`` at column
+    ``tmap[q]`` = rank index of Q T_{s+1}: S_R^+ and S_T^- where
+    Q(s+1) < Q(s+2), S_R^- and S_T^+ elsewhere.
+    """
+    asc = tables.asc[s]
+    return np.where(asc, sr_plus, sr_minus), np.where(asc, st_minus, st_plus), tables.tmaps[s]
+
+
+def yang_apply(parts, target: np.ndarray) -> np.ndarray:
+    """Left-multiply the sparse Y given by ``parts`` onto a vector or matrix.
+
+    O(N!) per vector column, against O(N!^2) for the dense form.
+    """
+    diag, off, tmap = parts
+    if target.ndim == 2:
+        diag, off = diag[:, np.newaxis], off[:, np.newaxis]
+    return diag * target + off * target[tmap]
+
+
+def propagate_table(a_identity, tables: SymmetricGroupTables,
+                    srp, srm, stp, stm) -> np.ndarray:
+    """Fill A_P for every P, each row one Y step from its parent row.
+
+    The canonical words of ``decompose`` are prefix-closed: dropping the
+    last letter i of the word for P leaves the word for its parent
+    P T_i, whose rank is smaller.  So one pass in rank order finds every
+    parent row ready, and each row goes through exactly the operations
+    of stepping along its whole word.
+    """
+    out = np.empty((tables.order, tables.order), dtype=np.complex128)
+    out[0] = a_identity
+    for p in range(1, tables.order):
+        s = tables.last_site[p]
+        parent = tables.tmaps[s, p]
+        ka, kb = tables.images[parent, s], tables.images[parent, s + 1]
+        parts = step_parts(tables, s, srp[ka, kb], srm[ka, kb], stp[ka, kb], stm[ka, kb])
+        out[p] = yang_apply(parts, out[parent])
     return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _amps_nb(c, lam, gamma, eta, u):
-        den = 1j * lam * u * u - (gamma * gamma + eta * eta + c * lam + 1.0) * u - 1j * c
-        if abs(den) <= _POLE_GUARD * max(1.0, u * u):
-            return 0.0j, 0.0j, False
-        s_t = (gamma * gamma + eta * eta - 2j * eta + c * lam - 1.0) * u / den
-        s_r = (1j * lam * u * u + 2.0 * gamma * u + 1j * c) / den
-        return s_t, s_r, True
-
-    @njit(cache=True)
-    def factorization_panel_numba(params_grid, us, vs):
-        n_grid = params_grid.shape[0]
-        n_s = us.shape[0]
-        out = np.zeros((n_grid, 13), dtype=np.float64)
-        for g in range(n_grid):
-            c, lam, gamma, eta = (params_grid[g, 0], params_grid[g, 1],
-                                  params_grid[g, 2], params_grid[g, 3])
-            for s in range(n_s):
-                u = us[s]
-                v = vs[s]
-                w = u + v
-                ok = True
-                stp_u, srp_u, o1 = _amps_nb(c, lam, gamma, eta, u)
-                stp_mu, srp_mu, o2 = _amps_nb(c, lam, gamma, eta, -u)
-                stp_v, srp_v, o3 = _amps_nb(c, lam, gamma, eta, v)
-                stp_w, srp_w, o4 = _amps_nb(c, lam, gamma, eta, w)
-                stm_u, srm_u, o5 = _amps_nb(c, lam, -gamma, -eta, u)
-                stm_mu, srm_mu, o6 = _amps_nb(c, lam, -gamma, -eta, -u)
-                stm_v, srm_v, o7 = _amps_nb(c, lam, -gamma, -eta, v)
-                stm_w, srm_w, o8 = _amps_nb(c, lam, -gamma, -eta, w)
-                ok = o1 and o2 and o3 and o4 and o5 and o6 and o7 and o8
-                if not ok:
-                    for e in range(13):
-                        out[g, e] = np.inf
-                    break
-                rows = (
-                    srp_u * srp_mu + stm_u * stp_mu - 1.0,
-                    srm_u * srm_mu + stp_u * stm_mu - 1.0,
-                    srp_u * stm_mu + stm_u * srm_mu,
-                    srm_u * stp_mu + stp_u * srp_mu,
-                    srm_v * srp_w * srm_u - srp_u * srm_w * srp_v,
-                    srp_v * stp_w * stm_u - stp_u * stm_w * srp_v,
-                    srm_v * stm_w * stp_u - stm_u * stp_w * srm_v,
-                    srp_v * srp_w * stm_u + stm_v * srp_w * srm_u - srp_u * stm_w * srp_v,
-                    srm_v * srp_w * stp_u + stp_v * srp_w * srp_u - srp_u * stp_w * srp_v,
-                    srm_v * srm_w * stp_u + stp_v * srm_w * srp_u - srm_u * stp_w * srm_v,
-                    srp_v * srm_w * stm_u + stm_v * srp_w * srm_u - srm_u * stm_w * srp_v,
-                    srp_v * srm_w * stm_u + stm_v * srm_w * srm_u - srm_u * stm_w * srm_v,
-                    srm_v * srp_w * stp_u + stp_v * srm_w * srp_u - srp_u * stp_w * srm_v,
-                )
-                for e in range(13):
-                    r = abs(rows[e])
-                    if r > out[g, e]:
-                        out[g, e] = r
-        return out
-
-    @njit(cache=True)
-    def eval_grid_numba(points, k, table, images, lehmer_to_index):
-        m_pts, n = points.shape
-        f = images.shape[0]
-        out = np.zeros(m_pts, dtype=np.complex128)
-        order = np.zeros(n, dtype=np.int64)
-        for m in range(m_pts):
-            order[:] = np.argsort(points[m])
-            code = 0
-            for j in range(n):
-                smaller = 0
-                for l in range(j + 1, n):
-                    if order[l] < order[j]:
-                        smaller += 1
-                code = code * (n - j) + smaller
-            q = lehmer_to_index[code]
-            acc = 0.0j
-            for p in range(f):
-                phase = 0.0
-                for j in range(n):
-                    phase += k[images[p, j]] * points[m, order[j]]
-                acc += table[p, q] * np.exp(1j * phase)
-            out[m] = acc
-        return out
-
-    @njit(cache=True)
-    def propagate_table_numba(a_identity, decomp_flat, decomp_offsets, tmaps, asc,
-                              srp, srm, stp, stm):
-        f = a_identity.shape[0]
-        n = srp.shape[0]
-        out = np.empty((f, f), dtype=np.complex128)
-        a = np.empty(f, dtype=np.complex128)
-        b = np.empty(f, dtype=np.complex128)
-        run = np.empty(n, dtype=np.int64)
-        for p in range(f):
-            a[:] = a_identity
-            for j in range(n):
-                run[j] = j
-            for t in range(decomp_offsets[p], decomp_offsets[p + 1]):
-                s = decomp_flat[t]
-                ka, kb = run[s], run[s + 1]
-                for q in range(f):
-                    if asc[s, q]:
-                        b[q] = srp[ka, kb] * a[q] + stm[ka, kb] * a[tmaps[s, q]]
-                    else:
-                        b[q] = srm[ka, kb] * a[q] + stp[ka, kb] * a[tmaps[s, q]]
-                a, b = b, a
-                run[s], run[s + 1] = run[s + 1], run[s]
-            out[p] = a
-        return out
-
-    factorization_panel = factorization_panel_numba
-    eval_grid = eval_grid_numba
-    propagate_table = propagate_table_numba
-else:
-    factorization_panel = factorization_panel_numpy
-    eval_grid = eval_grid_numpy
-    propagate_table = propagate_table_numpy
 
 
 def pair_amplitude_tables(params, k):
@@ -284,12 +164,19 @@ def sample_panel(seed: int, count: int = 100, box: float = 5.0, min_sep: float =
     """Reproducible (u, v) panel in [-box, box]^2 avoiding pole bands.
 
     Rejects draws with |u|, |v| or |u+v| below min_sep so the identity
-    residuals stay well-conditioned for every coupling choice.
+    residuals stay well-conditioned for every coupling choice.  Raises
+    ValueError after MAX_DRAWS_PER_SAMPLE * count draws.
     """
     rng = np.random.default_rng(seed)
     out = np.empty((count, 2), dtype=np.float64)
-    got = 0
+    got = draws = 0
     while got < count:
+        if draws == MAX_DRAWS_PER_SAMPLE * count:
+            raise ValueError(
+                f"sample_panel: {draws} draws in [-box, box]^2 with box={box} gave only "
+                f"{got} of {count} points with |u|, |v|, |u+v| >= min_sep={min_sep}"
+            )
+        draws += 1
         u, v = rng.uniform(-box, box, 2)
         if min(abs(u), abs(v), abs(u + v)) < min_sep:
             continue

@@ -73,26 +73,14 @@ def yang_parts(params: CouplingParameters, n: int, i: int, u: float):
     """Sparse form of Y_i(u): (diagonal, off-diagonal, column map).
 
     Row Q holds ``diag[q]`` at column Q and ``off[q]`` at column
-    ``tmap[q]`` = rank index of Q T_i; all other entries vanish.  Applying
-    Y from the left is O(N!) per vector column, against O(N!^2) for the
-    dense form.
+    ``tmap[q]`` = rank index of Q T_i; all other entries vanish.  Apply it
+    with ``_kernels.yang_apply``.
     """
     if not 1 <= i < n:
         raise ValueError(f"site {i} out of range for N={n}")
-    tables = symmetric_group(n)
     amp = amplitudes(params, u)
-    asc = tables.asc[i - 1]
-    diag = np.where(asc, amp.s_r_plus, amp.s_r_minus)
-    off = np.where(asc, amp.s_t_minus, amp.s_t_plus)
-    return diag, off, tables.tmaps[i - 1]
-
-
-def yang_apply(parts, target: np.ndarray) -> np.ndarray:
-    """Left-multiply the sparse Y given by ``parts`` onto a vector or matrix."""
-    diag, off, tmap = parts
-    if target.ndim == 1:
-        return diag * target + off * target[tmap]
-    return diag[:, np.newaxis] * target + off[:, np.newaxis] * target[tmap]
+    return _kernels.step_parts(symmetric_group(n), i - 1, amp.s_r_plus, amp.s_r_minus,
+                               amp.s_t_plus, amp.s_t_minus)
 
 
 def build_yang_matrix(params: CouplingParameters, n: int, i: int, u: float) -> YangMatrix:
@@ -149,13 +137,6 @@ def _check_propagation_allowed(params: CouplingParameters, n: int, tol: float) -
         )
 
 
-def _apply_step(a, tables, site0, srp, srm, stp, stm, ka, kb):
-    asc = tables.asc[site0]
-    diag = np.where(asc, srp[ka, kb], srm[ka, kb])
-    off = np.where(asc, stm[ka, kb], stp[ka, kb])
-    return diag * a + off * a[tables.tmaps[site0]]
-
-
 def propagate(params: CouplingParameters, k, a_identity, p: Permutation,
               word: list[int] | None = None, tol: float = INTEGRABILITY_TOL) -> np.ndarray:
     """Coefficient vector A_P from A_I by stepping along a word for P.
@@ -181,8 +162,10 @@ def propagate(params: CouplingParameters, k, a_identity, p: Permutation,
     a = a.copy()
     for i in word:
         s = i - 1
-        a = _apply_step(a, tables, s, srp, srm, stp, stm, run[s], run[s + 1])
-        run[s], run[s + 1] = run[s + 1], run[s]
+        ka, kb = run[s], run[s + 1]
+        parts = _kernels.step_parts(tables, s, srp[ka, kb], srm[ka, kb], stp[ka, kb], stm[ka, kb])
+        a = _kernels.yang_apply(parts, a)
+        run[s], run[s + 1] = kb, ka
     if tuple(run + 1) != p.images:
         raise ValueError(f"word {word} does not multiply out to {p.images}")
     return a
@@ -214,7 +197,10 @@ class BetheState:
 
 def bethe_state(params: CouplingParameters, k, a_identity,
                 tol: float = INTEGRABILITY_TOL) -> BetheState:
-    """Build the full table by propagating A_I to every P in rank order."""
+    """Build the full table by propagating A_I to every P in rank order.
+
+    Every row equals ``propagate`` along the canonical word of its P.
+    """
     k = validate_momenta(k)
     n = k.size
     _check_propagation_allowed(params, n, tol)
@@ -223,11 +209,7 @@ def bethe_state(params: CouplingParameters, k, a_identity,
     if a.shape != (tables.order,):
         raise ValueError(f"coefficient vector must have length {tables.order}")
     srp, srm, stp, stm = _kernels.pair_amplitude_tables(params, k)
-    table = _kernels.propagate_table(
-        np.ascontiguousarray(a),
-        tables.decomp_flat, tables.decomp_offsets,
-        tables.tmaps, tables.asc, srp, srm, stp, stm,
-    )
+    table = _kernels.propagate_table(a, tables, srp, srm, stp, stm)
     return BetheState(params=params, k=k, table=table)
 
 
@@ -235,23 +217,26 @@ def state_relation_residual(state: BetheState) -> float:
     """Max violation of the pairwise coefficient relations over the table.
 
     Zero (to roundoff) for any table produced by ``bethe_state``;
-    sensitive to corruption of any single entry.
+    sensitive to corruption of any single entry.  Written out from the two
+    relations rather than through ``_kernels.yang_apply``, so a fault in
+    the shared step cannot cancel out of the check.
     """
     tables = state.tables
     srp, srm, stp, stm = _kernels.pair_amplitude_tables(state.params, state.k)
+    table = state.table
     worst = 0.0
-    for i in range(1, state.n):
-        s = i - 1
+    for s in range(state.n - 1):
         asc = tables.asc[s]
         tmap = tables.tmaps[s]
-        for p_idx, p in enumerate(tables.perms):
-            pt_idx = tables.index[p.right_t(i).images]
-            ka, kb = p(i) - 1, p(i + 1) - 1
-            a_p = state.table[p_idx]
-            a_pt = state.table[pt_idx]
-            r1 = a_pt[asc] - srp[ka, kb] * a_p[asc] - stm[ka, kb] * a_p[tmap[asc]]
-            r2 = a_pt[tmap[asc]] - srm[ka, kb] * a_p[tmap[asc]] - stp[ka, kb] * a_p[asc]
-            worst = max(worst, np.abs(r1).max(), np.abs(r2).max())
+        # i = s + 1; row P: the momentum pair P(i), P(i+1) and the row of P T_i
+        ka, kb = tables.images[:, s], tables.images[:, s + 1]
+        a_pt = table[tmap]
+        # column Q with Q(i) < Q(i+1): A_{PT}(Q) = S_R^+ A_P(Q) + S_T^- A_P(Q T_i);
+        # otherwise A_{PT}(Q) = S_R^- A_P(Q) + S_T^+ A_P(Q T_i)
+        s_r = np.where(asc, srp[ka, kb][:, np.newaxis], srm[ka, kb][:, np.newaxis])
+        s_t = np.where(asc, stm[ka, kb][:, np.newaxis], stp[ka, kb][:, np.newaxis])
+        residual = (a_pt - s_r * table) - s_t * table[:, tmap]
+        worst = max(worst, np.abs(residual).max())
     return worst
 
 

@@ -28,7 +28,8 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .bethe import build_yang_matrix, yang_apply, yang_parts
+from ._kernels import yang_apply
+from .bethe import build_yang_matrix, yang_parts
 from .couplings import CouplingParameters, integrable_family
 from .errors import PoleAtU
 from .permutations import symmetric_group

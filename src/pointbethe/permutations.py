@@ -180,6 +180,9 @@ class SymmetricGroupTables:
     ``asc[i-1][q]`` is True when Q(i) < Q(i+1).  ``lehmer_to_index`` maps
     the lexicographic Lehmer code of a one-line form to its rank index,
     which gives kernels O(N^2) wedge lookup without hashing.
+    ``last_site[q]`` is i-1 for the last letter i of ``decompose(Q)``; the
+    canonical words are prefix-closed, so Q*T_i has the word of Q minus
+    that letter and a smaller rank.
     """
 
     n: int
@@ -192,8 +195,7 @@ class SymmetricGroupTables:
     signs: np.ndarray           # (order,) int64
     inversion_counts: np.ndarray  # (order,) int64
     lehmer_to_index: np.ndarray   # (order,) int64
-    decomp_flat: np.ndarray       # concatenated 0-based transposition words
-    decomp_offsets: np.ndarray    # (order+1,) int64
+    last_site: np.ndarray         # (order,) int64, -1 for the identity
 
 
 def _lehmer_code(images0: np.ndarray) -> int:
@@ -229,15 +231,12 @@ def symmetric_group(n: int) -> SymmetricGroupTables:
     for q in range(order):
         lehmer[_lehmer_code(images[q])] = q
 
-    words = [decompose(p) for p in perms]
-    offsets = np.zeros(order + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([len(w) for w in words])
-    flat = np.array([i - 1 for w in words for i in w], dtype=np.int64)
+    last_site = np.array([(decompose(p) or [0])[-1] - 1 for p in perms], dtype=np.int64)
 
     return SymmetricGroupTables(
         n=n, order=order, perms=perms, images=images, index=index,
         tmaps=tmaps, asc=asc, signs=signs, inversion_counts=inv_counts,
-        lehmer_to_index=lehmer, decomp_flat=flat, decomp_offsets=offsets,
+        lehmer_to_index=lehmer, last_site=last_site,
     )
 
 

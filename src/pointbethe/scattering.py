@@ -42,13 +42,34 @@ class AmplitudeSet:
     u: float
 
 
-def _closed_form(c: float, lam: float, gamma: float, eta: float, u: float):
+def _closed_form(c, lam, gamma, eta, u):
+    """Numerators of S_T and S_R and the denominator D(u).
+
+    The one home of the amplitude formula; works on Python scalars and on
+    numpy arrays of u alike.
+    """
     den = 1j * lam * u * u - (gamma * gamma + eta * eta + c * lam + 1.0) * u - 1j * c
+    num_t = (gamma * gamma + eta * eta - 2j * eta + c * lam - 1.0) * u
+    num_r = 1j * lam * u * u + 2.0 * gamma * u + 1j * c
+    return num_t, num_r, den
+
+
+def _amplitude_pair(c: float, lam: float, gamma: float, eta: float, u: float):
+    num_t, num_r, den = _closed_form(c, lam, gamma, eta, u)
     if abs(den) <= POLE_GUARD * max(1.0, u * u):
         raise PoleAtU(f"amplitude denominator {den:.3e} at u={u}")
-    s_t = (gamma * gamma + eta * eta - 2j * eta + c * lam - 1.0) * u / den
-    s_r = (1j * lam * u * u + 2.0 * gamma * u + 1j * c) / den
-    return s_t, s_r
+    return num_t / den, num_r / den
+
+
+def amplitude_arrays(c: float, lam: float, gamma: float, eta: float, u: np.ndarray):
+    """(S_T, S_R, ok) over an array of u; ``ok`` is False inside the pole guard.
+
+    Entries where ``ok`` is False hold finite filler, not amplitudes.
+    """
+    num_t, num_r, den = _closed_form(c, lam, gamma, eta, u)
+    ok = np.abs(den) > POLE_GUARD * np.maximum(1.0, u * u)
+    safe = np.where(ok, den, 1.0)
+    return num_t / safe, num_r / safe, ok
 
 
 def amplitudes(params: CouplingParameters, u: float) -> AmplitudeSet:
@@ -57,8 +78,8 @@ def amplitudes(params: CouplingParameters, u: float) -> AmplitudeSet:
     Raises PoleAtU when the denominator falls inside the guard band.
     """
     c, lam, gamma, eta = params.astuple()
-    s_t_plus, s_r_plus = _closed_form(c, lam, gamma, eta, u)
-    s_t_minus, s_r_minus = _closed_form(c, lam, -gamma, -eta, u)
+    s_t_plus, s_r_plus = _amplitude_pair(c, lam, gamma, eta, u)
+    s_t_minus, s_r_minus = _amplitude_pair(c, lam, -gamma, -eta, u)
     return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus, float(u))
 
 

@@ -89,8 +89,20 @@ def evaluate(state: BetheState, x) -> complex:
 
 
 def evaluate_grid(state: BetheState, points) -> np.ndarray:
-    """Batched evaluation at generic (tie-free) points via the hot kernel."""
+    """Batched evaluation at generic (tie-free) points via the hot kernel.
+
+    Raises ValueError for non-finite coordinates and OnBoundary for a point
+    with two coordinates within COINCIDENCE_TOL; ``evaluate`` handles those.
+    """
     points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != state.n:
+        raise ValueError(f"need points of shape (M, {state.n}), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("evaluate_grid: points hold non-finite coordinates")
+    ties = (np.diff(np.sort(points, axis=1), axis=1) <= COINCIDENCE_TOL).any(axis=1)
+    if ties.any():
+        raise OnBoundary(f"evaluate_grid: point {points[ties.argmax()]} has coordinates "
+                         f"within {COINCIDENCE_TOL}")
     tables = state.tables
     return _kernels.eval_grid(points, state.k, state.table,
                               tables.images, tables.lehmer_to_index)
@@ -99,9 +111,19 @@ def evaluate_grid(state: BetheState, points) -> np.ndarray:
 def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
                      count: int = 50, box: float = 3.0, min_gap: float = 0.2) -> list[np.ndarray]:
     """Random points on the hyperplane x_j = x_kk with other coordinates
-    generic (kept min_gap away from the common value and each other)."""
+    generic (kept min_gap away from the common value and each other).
+
+    Raises ValueError after MAX_DRAWS_PER_SAMPLE * count draws.
+    """
     out = []
+    draws = 0
     while len(out) < count:
+        if draws == _kernels.MAX_DRAWS_PER_SAMPLE * count:
+            raise ValueError(
+                f"boundary_samples: {draws} draws in [-box, box]^{n} with box={box} gave "
+                f"only {len(out)} of {count} points with gaps above min_gap={min_gap}"
+            )
+        draws += 1
         x = rng.uniform(-box, box, n)
         x[kk - 1] = x[j - 1]
         gaps = [abs(x[a] - x[b]) for a in range(n) for b in range(a + 1, n)
@@ -213,6 +235,8 @@ def determinant_bethe_state(k, c: float, statistics: Statistics) -> BetheState:
     k = validate_momenta(k)
     if statistics not in ("boson", "fermion"):
         raise ValueError(f"unknown statistics {statistics!r}")
+    if c == 0:
+        raise ValueError("determinant_bethe_state: c = 0 has no lambda = 1/c")
     tables = symmetric_group(k.size)
     coeff = determinant_coefficients(k, c)
     sigma = np.ones(tables.order) if statistics == "boson" else tables.signs.astype(float)

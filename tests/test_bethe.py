@@ -10,7 +10,7 @@ from pointbethe.bethe import (bethe_state, build_s_diagonals_periodic,
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import NotIntegrable
 from pointbethe.permutations import (Permutation, identity, regular_rep,
-                                     symmetric_group, transposition, unrank)
+                                     symmetric_group, transposition)
 from pointbethe.scattering import amplitudes
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.3)
@@ -149,15 +149,20 @@ def test_propagate_refuses_noninteg_for_three_particles():
     assert out.shape == (2,)
 
 
-def test_bethe_state_rows_match_per_permutation_propagation():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=6) + 1j * rng.normal(size=6)
-    state = bethe_state(FAMILY1, K3, a)
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bethe_state_rows_match_per_permutation_propagation(params, n):
+    # the rank-order fill performs, row for row, the same floating-point
+    # steps as walking each canonical word from the identity
+    rng = np.random.default_rng(2 + n)
+    k = random_k(n, rng)
+    f = math.factorial(n)
+    a = rng.normal(size=f) + 1j * rng.normal(size=f)
+    state = bethe_state(params, k, a)
     assert np.array_equal(state.table[0], a)
-    for j in (2, 4, 6):
-        p = unrank(3, j)
-        assert np.abs(state.table[j - 1] - propagate(FAMILY1, K3, a, p)).max() <= 1e-13
-    assert state.energy == pytest.approx(float(np.sum(K3**2)))
+    for j, p in enumerate(symmetric_group(n).perms):
+        assert np.array_equal(state.table[j], propagate(params, k, a, p))
+    assert state.energy == pytest.approx(float(np.sum(k**2)))
 
 
 def test_state_relations_hold_and_detect_corruption():

@@ -1,74 +1,9 @@
-"""Backend equivalence: the numba kernels must match the numpy fallbacks."""
-
-import math
+"""Numpy kernels: pole marking, pair-table layout and bounded sampling."""
 
 import numpy as np
-import pytest
 
 from pointbethe import _kernels
-from pointbethe.bethe import bethe_state
 from pointbethe.couplings import CouplingParameters
-from pointbethe.permutations import symmetric_group
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                 reason="numba backend disabled or unavailable")
-
-
-def _panel_inputs():
-    rng = np.random.default_rng(0)
-    grid = rng.uniform(-3, 3, (24, 4))
-    grid[0] = (2.0, 0.0, 0.0, 1.5)
-    grid[1] = (2.0, 0.5, 0.0, 0.0)
-    panel = _kernels.sample_panel(1, 40)
-    return grid, panel[:, 0].copy(), panel[:, 1].copy()
-
-
-def _state_inputs(n=4):
-    params = CouplingParameters(1.8, 0.0, 0.0, -0.6)
-    k = np.array([1.9, 0.8, -0.3, -1.5])[:n]
-    rng = np.random.default_rng(2)
-    f = math.factorial(n)
-    a = rng.normal(size=f) + 1j * rng.normal(size=f)
-    return params, k, a
-
-
-def test_backend_flag_is_exposed():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    assert _kernels.HAVE_NUMBA == (_kernels.BACKEND == "numba")
-
-
-@needs_numba
-def test_panel_backends_agree():
-    grid, us, vs = _panel_inputs()
-    a = _kernels.factorization_panel_numpy(grid, us, vs)
-    b = _kernels.factorization_panel_numba(grid, us, vs)
-    assert np.allclose(a, b, atol=1e-13)
-
-
-@needs_numba
-def test_eval_grid_backends_agree():
-    params, k, a = _state_inputs()
-    state = bethe_state(params, k, a)
-    tables = symmetric_group(len(k))
-    rng = np.random.default_rng(3)
-    points = rng.uniform(-3, 3, (200, len(k)))
-    va = _kernels.eval_grid_numpy(points, k, state.table, tables.images,
-                                  tables.lehmer_to_index)
-    vb = _kernels.eval_grid_numba(points, k, state.table, tables.images,
-                                  tables.lehmer_to_index)
-    assert np.allclose(va, vb, atol=1e-12)
-
-
-@needs_numba
-def test_propagate_table_backends_agree():
-    params, k, a = _state_inputs()
-    tables = symmetric_group(len(k))
-    srp, srm, stp, stm = _kernels.pair_amplitude_tables(params, k)
-    args = (a, tables.decomp_flat, tables.decomp_offsets, tables.tmaps,
-            tables.asc, srp, srm, stp, stm)
-    ta = _kernels.propagate_table_numpy(*args)
-    tb = _kernels.propagate_table_numba(*args)
-    assert np.allclose(ta, tb, atol=1e-13)
 
 
 def test_panel_marks_poles_with_inf():
@@ -88,3 +23,16 @@ def test_pair_amplitude_tables_layout():
     assert stp[2, 0] == amp.s_t_plus
     assert stm[2, 0] == amp.s_t_minus
     assert srp[1, 1] == 0.0
+
+
+def test_sample_panel_gives_up_on_an_empty_domain(run_python):
+    # |u| <= box < min_sep rejects every draw
+    proc = run_python(
+        "from pointbethe._kernels import sample_panel\n"
+        "try:\n"
+        "    sample_panel(0, 10, box=0.2)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "box=0.2" in proc.stdout and "min_sep=0.25" in proc.stdout

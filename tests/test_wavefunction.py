@@ -69,6 +69,38 @@ def test_evaluate_grid_matches_pointwise():
         assert v == pytest.approx(evaluate(state, x))
 
 
+def test_evaluate_grid_refuses_coincident_coordinates():
+    # here the wedge kernel would silently return one wedge's limit where
+    # evaluate averages the two
+    state = toy_state(CouplingParameters(2.0, 0.0, 0.0, 1.0))
+    points = np.array([[1.0, -0.5, 0.2], [0.3, 0.3, -1.0]])
+    with pytest.raises(OnBoundary):
+        evaluate_grid(state, points)
+    with pytest.raises(OnBoundary):
+        evaluate_grid(state, np.array([[0.3, 0.3 + 1e-13, -1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_grid_refuses_non_finite_coordinates(bad):
+    state = toy_state()
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_grid(state, np.array([[0.1, bad, 1.2]]))
+
+
+def test_boundary_samples_give_up_on_an_empty_domain(run_python):
+    # five other coordinates in [-0.3, 0.3] cannot keep pairwise gaps of 0.2
+    proc = run_python(
+        "import numpy as np\n"
+        "from pointbethe.wavefunction import boundary_samples\n"
+        "try:\n"
+        "    boundary_samples(6, 1, 2, np.random.default_rng(0), count=5, box=0.3)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "box=0.3" in proc.stdout and "min_gap=0.2" in proc.stdout
+
+
 @pytest.mark.parametrize("params", [FAMILY1, FAMILY2])
 @pytest.mark.parametrize("n", [2, 3])
 def test_boundary_conditions_hold(params, n):
@@ -175,6 +207,11 @@ def test_extend_by_statistics_symmetry():
     assert extend_by_statistics(psi, "fermion", np.array([0.4, 0.4, 1.0])) == 0.0
     with pytest.raises(ValueError):
         extend_by_statistics(psi, "anyon", x)
+
+
+def test_determinant_state_needs_nonzero_c():
+    with pytest.raises(ValueError, match="c = 0"):
+        determinant_bethe_state(K3, 0.0, "boson")
 
 
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
