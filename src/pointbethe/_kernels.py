@@ -2,12 +2,16 @@
 
 Four inner loops dominate runtime at scale: factorization-identity
 residual panels (coupling scans evaluate them at every grid point),
-wavefunction evaluation over position grids, the one-step operator Y_i(u)
+plane-wave sums over position batches, the one-step operator Y_i(u)
 and filling the full coefficient table over all N! momentum permutations.
+
+``plane_waves`` is the one place that forms the waves exp(i k_P . x_Q);
+``eval_grid``, ``wavefunction.evaluate`` and ``boundary_residual`` use it.
 
 Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
-* ``lehmer_to_index[(F,)]``: lexicographic Lehmer code -> rank index.
+* ``lehmer_to_index[(F,)]``: lexicographic Lehmer code -> rank index,
+  read through ``permutations.rank_of``.
 * ``tmaps[(N-1, F)]``, ``asc[(N-1, F)]``: right-multiplication index map
   and ascent flags per transposition site.
 * ``last_site[(F,)]``: last letter of each canonical word, -1 for the
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .permutations import SymmetricGroupTables
+from .permutations import SymmetricGroupTables, rank_of
 from .scattering import amplitude_arrays, amplitudes
 
 BACKEND = "numpy"
@@ -75,22 +79,23 @@ def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray)
     return out
 
 
+def plane_waves(k, images, xq) -> np.ndarray:
+    """exp(i sum_j k[P(j)] xq[m, j]) for every row m of xq and row P of images.
+
+    Returns shape (M, F).  The phases are summed elementwise, not by a
+    matrix product, so a row gives the same bits alone or in any batch.
+    """
+    phases = (k[images][np.newaxis] * xq[:, np.newaxis]).sum(axis=-1)
+    return np.exp(1j * phases)
+
+
 def eval_grid(points, k, table, images, lehmer_to_index) -> np.ndarray:
     """Bethe-ansatz wavefunction on a batch of generic (tie-free) points."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n = points.shape[1]
     order = np.argsort(points, axis=1, kind="stable")  # wedge images per point
-    # Lehmer code per point
-    code = np.zeros(points.shape[0], dtype=np.int64)
-    for j in range(n):
-        smaller = np.zeros(points.shape[0], dtype=np.int64)
-        for m in range(j + 1, n):
-            smaller += order[:, m] < order[:, j]
-        code = code * (n - j) + smaller
-    qidx = lehmer_to_index[code]
-    x_sorted = np.take_along_axis(points, order, axis=1)  # (M, N)
-    phases = x_sorted @ k[images].T  # (M, F): sum_j k[P(j)] * x[Q(j)]
-    return np.einsum("mf,mf->m", table[:, qidx].T, np.exp(1j * phases))
+    xq = np.take_along_axis(points, order, axis=1)
+    waves = plane_waves(k, images, xq)
+    return (table.T[rank_of(lehmer_to_index, order)] * waves).sum(axis=1)
 
 
 def step_parts(tables: SymmetricGroupTables, s: int, sr_plus, sr_minus, st_plus, st_minus):

@@ -286,9 +286,9 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
             if not tables.asc[s, q_idx]:
                 continue
             qt_idx = tables.tmaps[s, q_idx]
-            for p_idx, p in enumerate(tables.perms):
-                pt_idx = tables.index[p.right_t(i).images]
-                u = k[p(i) - 1] - k[p(i + 1) - 1]
+            for p_idx in range(f):
+                pt_idx = tables.tmaps[s, p_idx]
+                u = k[tables.images[p_idx, s]] - k[tables.images[p_idx, s + 1]]
                 iu = 1j * u
                 g = (1j * gamma + eta) * u
                 lu = 1j * lam * u

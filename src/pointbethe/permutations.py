@@ -135,20 +135,19 @@ def unrank(n: int, j: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def rank(q: Permutation) -> int:
-    """1-based rank of q, inverse of unrank."""
+def _cycle_digits(q: Permutation):
+    """(m, nn) for m = N..2: the cycle C_nn that places entry m, peeled in turn."""
     images = list(q.images)
-    out = 0
     for m in range(q.n, 1, -1):
         nn = m - images[m - 1]
-        out += nn * math.factorial(m - 1)
-        cyc = _cycle_to(m, nn)
-        inv = [0] * m
-        for i, v in enumerate(cyc):
-            inv[v - 1] = i + 1
-        images[:m] = [inv[v - 1] for v in images[:m]]
-        assert images[m - 1] == m
-    return out + 1
+        yield m, nn
+        # left-multiply by the inverse of C_nn: entry m moves back to slot m
+        images[:m] = [m if v == m - nn else v - (v > m - nn) for v in images[:m]]
+
+
+def rank(q: Permutation) -> int:
+    """1-based rank of q, inverse of unrank."""
+    return 1 + sum(nn * math.factorial(m - 1) for m, nn in _cycle_digits(q))
 
 
 def decompose(q: Permutation) -> list[int]:
@@ -158,17 +157,7 @@ def decompose(q: Permutation) -> list[int]:
     that places the last entry, then recurse on the S_{N-1} remainder.
     The word multiplies out left to right under ``compose``.
     """
-    images = list(q.images)
-    word: list[int] = []
-    for m in range(q.n, 1, -1):
-        nn = m - images[m - 1]
-        word.extend(range(m - nn, m))
-        cyc = _cycle_to(m, nn)
-        inv = [0] * m
-        for i, v in enumerate(cyc):
-            inv[v - 1] = i + 1
-        images[:m] = [inv[v - 1] for v in images[:m]]
-    return word
+    return [i for m, nn in _cycle_digits(q) for i in range(m - nn, m)]
 
 
 @dataclass(frozen=True)
@@ -178,8 +167,8 @@ class SymmetricGroupTables:
     Everything is indexed by 0-based rank (rank(Q) - 1).  ``images`` holds
     0-based one-line forms.  ``tmaps[i-1][q]`` is the rank index of Q*T_i.
     ``asc[i-1][q]`` is True when Q(i) < Q(i+1).  ``lehmer_to_index`` maps
-    the lexicographic Lehmer code of a one-line form to its rank index,
-    which gives kernels O(N^2) wedge lookup without hashing.
+    the lexicographic Lehmer code of a one-line form to its rank index;
+    ``rank_of`` looks whole batches of orderings up through it.
     ``last_site[q]`` is i-1 for the last letter i of ``decompose(Q)``; the
     canonical words are prefix-closed, so Q*T_i has the word of Q minus
     that letter and a smaller rank.
@@ -189,7 +178,6 @@ class SymmetricGroupTables:
     order: int
     perms: tuple[Permutation, ...]
     images: np.ndarray          # (order, n) int64, 0-based values
-    index: dict[tuple[int, ...], int]
     tmaps: np.ndarray           # (n-1, order) int64
     asc: np.ndarray             # (n-1, order) bool
     signs: np.ndarray           # (order,) int64
@@ -198,13 +186,16 @@ class SymmetricGroupTables:
     last_site: np.ndarray         # (order,) int64, -1 for the identity
 
 
-def _lehmer_code(images0: np.ndarray) -> int:
-    n = len(images0)
-    code = 0
+def rank_of(lehmer_to_index: np.ndarray, orders0) -> np.ndarray:
+    """Rank indices of 0-based orderings along the last axis, O(N^2) each;
+    the package's one lookup from orderings to ranks."""
+    orders0 = np.asarray(orders0)
+    n = orders0.shape[-1]
+    code = np.zeros(orders0.shape[:-1], dtype=np.int64)  # lexicographic Lehmer code
     for j in range(n):
-        smaller = int(np.sum(images0[j + 1 :] < images0[j]))
+        smaller = (orders0[..., j + 1:] < orders0[..., j, np.newaxis]).sum(axis=-1)
         code = code * (n - j) + smaller
-    return code
+    return lehmer_to_index[code]
 
 
 @lru_cache(maxsize=None)
@@ -214,27 +205,25 @@ def symmetric_group(n: int) -> SymmetricGroupTables:
         raise ValueError("n must be >= 1")
     order = math.factorial(n)
     perms = tuple(unrank(n, j) for j in range(1, order + 1))
-    index = {p.images: q for q, p in enumerate(perms)}
     images = np.array([[v - 1 for v in p.images] for p in perms], dtype=np.int64)
 
-    tmaps = np.zeros((n - 1, order), dtype=np.int64)
-    asc = np.zeros((n - 1, order), dtype=bool)
-    for i in range(1, n):
-        for q, p in enumerate(perms):
-            tmaps[i - 1, q] = index[p.right_t(i).images]
-            asc[i - 1, q] = p(i) < p(i + 1)
+    # through the identity lookup rank_of returns the Lehmer codes themselves
+    lehmer = np.empty(order, dtype=np.int64)
+    lehmer[rank_of(np.arange(order), images)] = np.arange(order)
 
-    signs = np.array([p.sign for p in perms], dtype=np.int64)
+    # swapped[s] holds every one-line form with positions s, s+1 exchanged
+    swapped = np.repeat(images[np.newaxis], n - 1, axis=0)
+    for s in range(n - 1):
+        swapped[s][:, [s, s + 1]] = images[:, [s + 1, s]]
+    tmaps = rank_of(lehmer, swapped)
+    asc = np.ascontiguousarray((images[:, :-1] < images[:, 1:]).T)
+
     inv_counts = np.array([inversions(p) for p in perms], dtype=np.int64)
-
-    lehmer = np.zeros(order, dtype=np.int64)
-    for q in range(order):
-        lehmer[_lehmer_code(images[q])] = q
-
+    signs = 1 - 2 * (inv_counts % 2)
     last_site = np.array([(decompose(p) or [0])[-1] - 1 for p in perms], dtype=np.int64)
 
     return SymmetricGroupTables(
-        n=n, order=order, perms=perms, images=images, index=index,
+        n=n, order=order, perms=perms, images=images,
         tmaps=tmaps, asc=asc, signs=signs, inversion_counts=inv_counts,
         lehmer_to_index=lehmer, last_site=last_site,
     )
@@ -248,6 +237,7 @@ def regular_rep(r: Permutation) -> np.ndarray:
     """
     tables = symmetric_group(r.n)
     mat = np.zeros((tables.order, tables.order), dtype=np.int64)
-    for q, p in enumerate(tables.perms):
-        mat[q, tables.index[compose(p, r).images]] = 1
+    # row Q of images[:, r - 1] is the one-line form of Q*r
+    cols = rank_of(tables.lehmer_to_index, tables.images[:, np.array(r.images) - 1])
+    mat[np.arange(tables.order), cols] = 1
     return mat

@@ -33,9 +33,10 @@ from . import _kernels
 from .bethe import BetheState, validate_momenta
 from .couplings import CouplingParameters, gauge_data
 from .errors import NotGaugeFamily, OnBoundary, WrongWedge
-from .permutations import Permutation, symmetric_group
+from .permutations import Permutation, rank_of, symmetric_group
 
 COINCIDENCE_TOL = 1e-12
+FD_STEP = 1e-4  # default step of schrodinger_fd_residual
 
 Statistics = Literal["boson", "fermion"]
 
@@ -50,15 +51,14 @@ class Wedge:
 def locate_wedge(x, tol: float = COINCIDENCE_TOL) -> Wedge:
     """Wedge containing x; raises OnBoundary when two coordinates coincide."""
     x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    if np.any(np.diff(xs) <= tol):
+    if closest_gap(x) <= tol:
         raise OnBoundary(f"coordinates {x} coincide within {tol}")
+    order = np.argsort(x, kind="stable")
     return Wedge(ordering=Permutation(tuple(int(v) + 1 for v in order)))
 
 
-def _tie_orderings(x: np.ndarray, tol: float):
-    """All sorting orders compatible with x, one per wedge touching x."""
+def _tie_orderings(x: np.ndarray, tol: float) -> np.ndarray:
+    """All sorting orders compatible with x, one row per wedge touching x."""
     order = np.argsort(x, kind="stable")
     groups: list[list[int]] = [[int(order[0])]]
     for idx in order[1:]:
@@ -67,15 +67,13 @@ def _tie_orderings(x: np.ndarray, tol: float):
         else:
             groups.append([int(idx)])
     per_group = [itertools.permutations(g) for g in groups]
-    return [sum((list(g) for g in combo), []) for combo in itertools.product(*per_group)]
+    return np.array([sum((list(g) for g in combo), [])
+                     for combo in itertools.product(*per_group)])
 
 
-def _eval_in_wedge(state: BetheState, x: np.ndarray, order0: list[int]) -> complex:
-    tables = state.tables
-    q_idx = tables.index[tuple(v + 1 for v in order0)]
-    xq = x[order0]
-    phases = (state.k[tables.images] * xq[np.newaxis, :]).sum(axis=1)
-    return complex(np.sum(state.table[:, q_idx] * np.exp(1j * phases)))
+def closest_gap(points) -> np.ndarray:
+    """Smallest distance between two coordinates of each point (inf for N = 1)."""
+    return np.diff(np.sort(points, axis=-1), axis=-1).min(axis=-1, initial=np.inf)
 
 
 def evaluate(state: BetheState, x) -> complex:
@@ -83,9 +81,11 @@ def evaluate(state: BetheState, x) -> complex:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (state.n,):
         raise ValueError(f"need {state.n} coordinates, got shape {x.shape}")
-    orderings = _tie_orderings(x, COINCIDENCE_TOL)
-    vals = [_eval_in_wedge(state, x, o) for o in orderings]
-    return complex(np.mean(vals))
+    orders = _tie_orderings(x, COINCIDENCE_TOL)
+    tables = state.tables
+    waves = _kernels.plane_waves(state.k, tables.images, x[orders])
+    columns = state.table.T[rank_of(tables.lehmer_to_index, orders)]
+    return complex(np.mean((columns * waves).sum(axis=1)))
 
 
 def evaluate_grid(state: BetheState, points) -> np.ndarray:
@@ -99,7 +99,7 @@ def evaluate_grid(state: BetheState, points) -> np.ndarray:
         raise ValueError(f"need points of shape (M, {state.n}), got {points.shape}")
     if not np.isfinite(points).all():
         raise ValueError("evaluate_grid: points hold non-finite coordinates")
-    ties = (np.diff(np.sort(points, axis=1), axis=1) <= COINCIDENCE_TOL).any(axis=1)
+    ties = closest_gap(points) <= COINCIDENCE_TOL
     if ties.any():
         raise OnBoundary(f"evaluate_grid: point {points[ties.argmax()]} has coordinates "
                          f"within {COINCIDENCE_TOL}")
@@ -117,6 +117,7 @@ def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
     """
     out = []
     draws = 0
+    keep = [a for a in range(n) if a != kk - 1]  # x_kk repeats x_j
     while len(out) < count:
         if draws == _kernels.MAX_DRAWS_PER_SAMPLE * count:
             raise ValueError(
@@ -126,9 +127,7 @@ def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
         draws += 1
         x = rng.uniform(-box, box, n)
         x[kk - 1] = x[j - 1]
-        gaps = [abs(x[a] - x[b]) for a in range(n) for b in range(a + 1, n)
-                if (a + 1, b + 1) != (j, kk)]
-        if not gaps or min(gaps) > min_gap:
+        if closest_gap(x[keep]) > min_gap:
             out.append(x)
     return out
 
@@ -139,53 +138,53 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     Each sample must lie on x_j = x_kk with the remaining coordinates away
     from the common value.  Limits from the two adjacent wedges and their
     relative derivatives are evaluated analytically and combined with the
-    averaged-value regularization.
+    averaged-value regularization, for all samples at once.
     """
-    if not 1 <= j < kk <= state.n:
+    n = state.n
+    if not 1 <= j < kk <= n:
         raise ValueError(f"need 1 <= j < k <= N, got ({j}, {kk})")
+    x = np.asarray(samples, dtype=np.float64).reshape(len(samples), n)
+    off = ~np.isfinite(x).all(axis=1) | (np.abs(x[:, j - 1] - x[:, kk - 1]) > COINCIDENCE_TOL)
+    if off.any():
+        raise ValueError(f"sample {x[off.argmax()]} is not a finite point on x_{j} = x_{kk}")
+    # with x_kk dropped, any remaining tie is a third collision or a second plane
+    ties = closest_gap(np.delete(x, kk - 1, axis=1)) <= COINCIDENCE_TOL
+    if ties.any():
+        raise OnBoundary(f"sample {x[ties.argmax()]} sits on a second coincidence plane")
+
     c, lam, gamma, eta = state.params.astuple()
     tables = state.tables
-    k = state.k
-    r1_max = r2_max = 0.0
-    for x in samples:
-        x = np.asarray(x, dtype=np.float64)
-        if abs(x[j - 1] - x[kk - 1]) > COINCIDENCE_TOL:
-            raise ValueError(f"sample {x} is not on the boundary x_{j} = x_{kk}")
-        others = [a for a in range(1, state.n + 1) if a not in (j, kk)]
-        t = x[j - 1]
-        if any(abs(x[a - 1] - t) <= COINCIDENCE_TOL for a in others):
-            raise OnBoundary(f"third coordinate collides with the pair in {x}")
-        for a in others:
-            for b in others:
-                if a < b and abs(x[a - 1] - x[b - 1]) <= COINCIDENCE_TOL:
-                    raise OnBoundary(f"sample {x} sits on a second coincidence plane")
-        others.sort(key=lambda a: x[a - 1])
-        pos = sum(1 for a in others if x[a - 1] < t)
-        ordering = others[:pos] + [j, kk] + others[pos:]
-        i = pos + 1  # 1-based slot of particle j inside the ordering
-        q_idx = tables.index[tuple(ordering)]
-        qt_idx = tables.tmaps[i - 1][q_idx]
+    # wedge Q just below the plane: x_kk pinned to x_j, so the stable sort
+    # puts j directly before kk; slot i of j is the site of the crossing
+    pinned = x.copy()
+    pinned[:, kk - 1] = x[:, j - 1]
+    order = np.argsort(pinned, axis=1, kind="stable")
+    site = (order == j - 1).argmax(axis=1)  # i - 1
+    q_idx = rank_of(tables.lehmer_to_index, order)
+    qt_idx = tables.tmaps[site, q_idx]
 
-        xq = x[np.array(ordering) - 1]
-        phases = (k[tables.images] * xq[np.newaxis, :]).sum(axis=1)
-        waves = np.exp(1j * phases)
-        # relative momentum factor i(k_{P(i)} - k_{P(i+1)}) per row P
-        du = 1j * (k[tables.images[:, i - 1]] - k[tables.images[:, i]])
+    waves = _kernels.plane_waves(state.k, tables.images, np.take_along_axis(x, order, axis=1))
+    # relative momentum factor i(k_{P(i)} - k_{P(i+1)}) per sample and row P
+    k_p = state.k[tables.images]
+    du = 1j * (k_p[:, site] - k_p[:, site + 1]).T
 
-        # below the boundary (x_j = x_kk - 0+) the state is the wedge-Q sum;
-        # above it the wedge-QT_i sum; at coincidence the exponents agree
-        v_minus = np.sum(state.table[:, q_idx] * waves)
-        d_minus = np.sum(state.table[:, q_idx] * waves * du)
-        v_plus = np.sum(state.table[:, qt_idx] * waves)
-        d_plus = np.sum(state.table[:, qt_idx] * waves * (-du))
+    # below the boundary (x_j = x_kk - 0+) the state is the wedge-Q sum;
+    # above it the wedge-QT_i sum; at coincidence the exponents agree
+    below = state.table.T[q_idx] * waves
+    above = state.table.T[qt_idx] * waves
+    v_minus = below.sum(axis=1)
+    d_minus = (below * du).sum(axis=1)
+    v_plus = above.sum(axis=1)
+    d_plus = (above * (-du)).sum(axis=1)
 
-        v_avg = 0.5 * (v_plus + v_minus)
-        d_avg = 0.5 * (d_plus + d_minus)
-        r1 = (d_plus - d_minus) - 2 * c * v_avg + 2 * (gamma - 1j * eta) * d_avg
-        r2 = (v_plus - v_minus) - 2 * lam * d_avg - 2 * (gamma + 1j * eta) * v_avg
-        r1_max = max(r1_max, abs(r1))
-        r2_max = max(r2_max, abs(r2))
-    return r1_max, r2_max
+    v_avg = 0.5 * (v_plus + v_minus)
+    d_avg = 0.5 * (d_plus + d_minus)
+    r1 = (d_plus - d_minus) - 2 * c * v_avg + 2 * (gamma - 1j * eta) * d_avg
+    r2 = (v_plus - v_minus) - 2 * lam * d_avg - 2 * (gamma + 1j * eta) * v_avg
+    # hypot gives the bits of the scalar abs(); np.abs on complex arrays
+    # can differ from it in the last place
+    return (float(np.hypot(r1.real, r1.imag).max(initial=0.0)),
+            float(np.hypot(r2.real, r2.imag).max(initial=0.0)))
 
 
 def determinant_coefficients(k, c: float) -> np.ndarray:
@@ -268,20 +267,6 @@ def extend_by_statistics(psi_identity: Callable[[np.ndarray], complex],
     return complex(sigma * psi_identity(x[order0]))
 
 
-def _inversion_phase_exponent(x: np.ndarray) -> float:
-    """Sum over pairs j < k of the unit step of x_j - x_k, with step(0) = 1/2."""
-    n = x.size
-    total = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = x[a] - x[b]
-            if abs(d) <= COINCIDENCE_TOL:
-                total += 0.5
-            elif d > 0:
-                total += 1.0
-    return total
-
-
 def gauge_map(state: BetheState, x) -> complex:
     """Step-phase image of psi(x), mapping (c, 0, 0, eta) to the delta gas.
 
@@ -291,8 +276,12 @@ def gauge_map(state: BetheState, x) -> complex:
     """
     gd = gauge_data(state.params)  # raises NotGaugeFamily outside the family
     x = np.asarray(x, dtype=np.float64)
-    phase = np.exp(-1j * gd.alpha * _inversion_phase_exponent(x))
-    return complex(evaluate(state, x) * phase)
+    tables = state.tables
+    # the step sum is inv(Q) inside wedge Q; averaged over the wedges that
+    # touch x, each tied pair contributes step(0) = 1/2
+    orders = _tie_orderings(x, COINCIDENCE_TOL)
+    steps = tables.inversion_counts[rank_of(tables.lehmer_to_index, orders)].mean()
+    return complex(evaluate(state, x) * np.exp(-1j * gd.alpha * steps))
 
 
 def gauge_transformed_state(state: BetheState) -> BetheState:
@@ -311,13 +300,17 @@ def gauge_transformed_state(state: BetheState) -> BetheState:
     )
 
 
-def schrodinger_fd_residual(state: BetheState, x, h: float = 1e-4) -> float:
-    """|FD Laplacian psi + E psi| at an interior point (O(h^2) check)."""
+def schrodinger_fd_residual(state: BetheState, x, h: float = FD_STEP) -> float:
+    """|FD Laplacian psi + E psi| at an interior point (O(h^2) check).
+
+    Raises OnBoundary when two coordinates are within h: the stencil would
+    then reach across a coincidence plane, where psi has a derivative jump.
+    """
     x = np.asarray(x, dtype=np.float64)
-    lap = 0.0 + 0.0j
-    center = evaluate(state, x)
-    for jj in range(state.n):
-        step = np.zeros_like(x)
-        step[jj] = h
-        lap += (evaluate(state, x + step) - 2 * center + evaluate(state, x - step)) / h**2
+    if closest_gap(x) <= h:
+        raise OnBoundary(f"coordinates of {x} lie within the finite-difference step h={h}")
+    steps = h * np.eye(state.n)
+    vals = evaluate_grid(state, np.vstack([x, x + steps, x - steps]))
+    center, plus, minus = vals[0], vals[1:state.n + 1], vals[state.n + 1:]
+    lap = np.sum((plus - 2 * center + minus) / h**2)
     return abs(lap + state.energy * center)

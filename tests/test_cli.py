@@ -41,11 +41,18 @@ def test_scan_classifies_lambda_sweep(tmp_path):
                        "not_integrable", "family2"]
 
 
-def test_scan_reports_are_byte_identical(tmp_path):
-    args = ["scan", "--c", "1,2", "--lambda", "0,0.5", "--eta", "0,1", "--seed", "7"]
+@pytest.mark.parametrize("args", [
+    ["scan", "--c", "1,2", "--lambda", "0,0.5", "--eta", "0,1"],
+    ["eigen", "--c", "2", "--eta", "1", "--N", "3"],
+    ["gauge", "--c", "2", "--eta", "1", "--N", "3"],
+    ["coeffs", "--c", "1.5", "--lambda", str(1 / 1.5), "--N", "3"],
+    ["yb-check", "--c", "2", "--eta", "1", "--N", "3"],
+], ids=lambda args: args[0])
+def test_reports_are_byte_identical(tmp_path, args):
+    args = args + ["--seed", "7"]
     _, r1 = run_cli(args, tmp_path, "a.txt")
     _, r2 = run_cli(args, tmp_path, "b.txt")
-    assert r1 == r2
+    assert r1 and r1 == r2
 
 
 def test_scatter_grid_from_k_flag(tmp_path):
@@ -151,3 +158,13 @@ def test_config_file_bad_line(tmp_path):
 def test_config_requires_single_values_for_scalar_commands(tmp_path):
     status, _ = run_cli(["scatter", "--c", "1,2"], tmp_path)
     assert status == EXIT_CONFIG
+
+
+def test_eigen_finite_difference_skips_points_near_a_boundary(tmp_path):
+    # seed 686 draws a grid point among the first five whose closest pair
+    # is 5.2e-5 apart, inside the h = 1e-4 stencil; it used to report ~1.7e8
+    status, report = run_cli(["eigen", "--c", "2", "--eta", "1.3",
+                              "--k", "1.4,-0.2,0.7", "--seed", "686"], tmp_path)
+    assert status == EXIT_OK
+    fd_line = next(l for l in report.splitlines() if l.startswith("free-equation"))
+    assert float(fd_line.rsplit(" ", 1)[1]) <= 1e-5

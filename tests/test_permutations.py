@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointbethe.permutations import (Permutation, compare, compose, decompose,
-                                     identity, rank, regular_rep,
+                                     identity, rank, rank_of, regular_rep,
                                      symmetric_group, transposition, unrank)
+from pointbethe.wavefunction import locate_wedge
 
 # the rank order of S_3, largest permutation first
 S3_ORDER = [(1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 1, 2), (2, 3, 1), (3, 2, 1)]
@@ -172,10 +175,9 @@ def test_tables_consistency():
     tables = symmetric_group(4)
     assert tables.order == 24
     for q, p in enumerate(tables.perms):
-        assert tables.index[p.images] == q
         assert tables.lehmer_to_index[_lehmer(p.images)] == q
         for i in range(1, 4):
-            assert tables.tmaps[i - 1, q] == tables.index[p.right_t(i).images]
+            assert tables.tmaps[i - 1, q] == rank(p.right_t(i)) - 1
             assert tables.asc[i - 1, q] == (p(i) < p(i + 1))
 
 
@@ -186,3 +188,29 @@ def _lehmer(images):
     for j in range(n):
         code = code * (n - j) + sum(1 for m in range(j + 1, n) if vals[m] < vals[j])
     return code
+
+
+# the first symmetric_group(6) build can outlast hypothesis's per-example deadline
+@settings(deadline=None)
+@given(st.integers(1, 6))
+def test_rank_of_images_is_the_rank_order(n):
+    tables = symmetric_group(n)
+    assert (rank_of(tables.lehmer_to_index, tables.images) == np.arange(tables.order)).all()
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6, unique=True))
+def test_rank_of_argsort_matches_locate_wedge(xs):
+    x = np.array(xs)
+    tables = symmetric_group(x.size)
+    got = rank_of(tables.lehmer_to_index, np.argsort(x, kind="stable"))
+    assert got == rank(locate_wedge(x, tol=0.0).ordering) - 1
+
+
+@given(st.data())
+def test_rank_unrank_bijection(data):
+    n = data.draw(st.integers(1, 6))
+    j = data.draw(st.integers(1, math.factorial(n)))
+    assert rank(unrank(n, j)) == j
+    p = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+    assert unrank(n, rank(p)) == p

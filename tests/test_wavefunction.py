@@ -66,7 +66,7 @@ def test_evaluate_grid_matches_pointwise():
     points = rng.uniform(-3, 3, (40, 3))
     vals = evaluate_grid(state, points)
     for x, v in zip(points, vals):
-        assert v == pytest.approx(evaluate(state, x))
+        assert v == pytest.approx(evaluate(state, x), rel=1e-12, abs=0)
 
 
 def test_evaluate_grid_refuses_coincident_coordinates():
@@ -145,12 +145,24 @@ def test_boundary_residual_detects_corruption():
     assert max(r1, r2) >= 1e-4
 
 
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2])
+def test_boundary_residual_batch_matches_single_samples(params):
+    state = toy_state(params, np.array([1.9, 0.8, -0.3, -1.5]), seed=12)
+    rng = np.random.default_rng(12)
+    for j, kk in ((1, 2), (1, 4), (2, 3)):
+        samples = boundary_samples(4, j, kk, rng, count=20)
+        singles = [boundary_residual(state, j, kk, [x]) for x in samples]
+        assert boundary_residual(state, j, kk, samples) == tuple(map(max, zip(*singles)))
+
+
 def test_boundary_residual_input_checks():
     state = toy_state()
     with pytest.raises(ValueError):
         boundary_residual(state, 2, 1, [])
     with pytest.raises(ValueError):
         boundary_residual(state, 1, 2, [np.array([0.1, 0.2, 0.3])])
+    with pytest.raises(ValueError, match="finite"):
+        boundary_residual(state, 1, 2, [np.array([np.nan, np.nan, 0.3])])
     with pytest.raises(OnBoundary):
         boundary_residual(state, 1, 2, [np.array([0.1, 0.1, 0.1])])
 
@@ -334,3 +346,13 @@ def test_schrodinger_residual_second_order():
         res = schrodinger_fd_residual(state, x, h=h)
         # fourth-derivative bound on the central-difference truncation error
         assert res <= 10 * state.n * h**2 * k_max**4 * scale
+
+
+def test_schrodinger_residual_refuses_a_stencil_across_a_boundary():
+    # at a 3e-5 gap the h = 1e-4 stencil straddles x1 = x2 and returned ~1e8
+    a = np.zeros(6, complex)
+    a[0] = 1.0
+    state = bethe_state(FAMILY1, K3, a)
+    assert schrodinger_fd_residual(state, np.array([0.3, 0.301, -1.0])) <= 1e-6
+    with pytest.raises(OnBoundary):
+        schrodinger_fd_residual(state, np.array([0.3, 0.3 + 3e-5, -1.0]))
