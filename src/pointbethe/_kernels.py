@@ -5,6 +5,12 @@ residual panels (coupling scans evaluate them at every grid point),
 plane-wave sums over position batches, the one-step operator Y_i(u)
 and filling the full coefficient table over all N! momentum permutations.
 
+``factorization_panel`` broadcasts blocks of coupling-grid rows against
+the whole (u, v) panel at once; a block holds at most PANEL_BLOCK_ENTRIES
+rows x samples, so memory stays flat in the grid size, and each of the
+thirteen identities is reduced to its per-row maximum as soon as it is
+formed.  Results are bit-identical to evaluating one row at a time.
+
 ``plane_waves`` is the one place that forms the waves exp(i k_P . x_Q);
 ``eval_grid``, ``wavefunction.evaluate`` and ``boundary_residual`` use it.
 
@@ -35,47 +41,62 @@ BACKEND = "numpy"
 # requested sample.
 MAX_DRAWS_PER_SAMPLE = 1000
 
-# The thirteen factorization identities.  Each row is bilinear or trilinear
-# in the amplitude evaluations at u, -u, v and u+v; they are written out
-# explicitly to keep the kernel flat.
+# A panel call broadcasts a block of grid rows against the whole (u, v)
+# sample panel: couplings as (B, 1) columns, samples as (M,) rows.  Blocks
+# hold at most PANEL_BLOCK_ENTRIES grid-row x sample entries (at least one
+# row), which caps each complex (B, M) temporary at 64 kB, and the sixteen
+# amplitude arrays of a block at 1 MB, whatever the grid size.
+PANEL_BLOCK_ENTRIES = 4096
+
+
+def _identities(a):
+    """The thirteen factorization identities, one (B, M) residual at a time.
+
+    Each is bilinear or trilinear in the amplitude evaluations at u, -u, v
+    and u+v; they are written out explicitly to keep the kernel flat, and
+    yielded one by one so the caller can reduce each before the next is
+    formed.
+    """
+    (stp_u, srp_u, stp_mu, srp_mu, stp_v, srp_v, stp_w, srp_w,
+     stm_u, srm_u, stm_mu, srm_mu, stm_v, srm_v, stm_w, srm_w) = a
+    yield srp_u * srp_mu + stm_u * stp_mu - 1.0
+    yield srm_u * srm_mu + stp_u * stm_mu - 1.0
+    yield srp_u * stm_mu + stm_u * srm_mu
+    yield srm_u * stp_mu + stp_u * srp_mu
+    yield srm_v * srp_w * srm_u - srp_u * srm_w * srp_v
+    yield srp_v * stp_w * stm_u - stp_u * stm_w * srp_v
+    yield srm_v * stm_w * stp_u - stm_u * stp_w * srm_v
+    yield srp_v * srp_w * stm_u + stm_v * srp_w * srm_u - srp_u * stm_w * srp_v
+    yield srm_v * srp_w * stp_u + stp_v * srp_w * srp_u - srp_u * stp_w * srp_v
+    yield srm_v * srm_w * stp_u + stp_v * srm_w * srp_u - srm_u * stp_w * srm_v
+    yield srp_v * srm_w * stm_u + stm_v * srp_w * srm_u - srm_u * stm_w * srp_v
+    yield srp_v * srm_w * stm_u + stm_v * srm_w * srm_u - srm_u * stm_w * srm_v
+    yield srm_v * srp_w * stp_u + stp_v * srm_w * srp_u - srp_u * stp_w * srm_v
 
 
 def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Max |residual| of each identity over the (u, v) panel, per grid row."""
+    """Max |residual| of each identity over the (u, v) panel, per grid row.
+
+    Rows whose amplitudes hit the pole guard anywhere on the panel are inf.
+    """
     params_grid = np.atleast_2d(np.asarray(params_grid, dtype=np.float64))
-    us = np.asarray(us, dtype=np.float64)
-    vs = np.asarray(vs, dtype=np.float64)
-    ws = us + vs
+    us = np.atleast_1d(np.asarray(us, dtype=np.float64))
+    vs = np.atleast_1d(np.asarray(vs, dtype=np.float64))
+    samples = (us, -us, vs, us + vs)
     out = np.empty((params_grid.shape[0], 13), dtype=np.float64)
-    for g, (c, lam, gamma, eta) in enumerate(params_grid):
-        stp_u, srp_u, o1 = amplitude_arrays(c, lam, gamma, eta, us)
-        stp_mu, srp_mu, o2 = amplitude_arrays(c, lam, gamma, eta, -us)
-        stp_v, srp_v, o3 = amplitude_arrays(c, lam, gamma, eta, vs)
-        stp_w, srp_w, o4 = amplitude_arrays(c, lam, gamma, eta, ws)
-        stm_u, srm_u, o5 = amplitude_arrays(c, lam, -gamma, -eta, us)
-        stm_mu, srm_mu, o6 = amplitude_arrays(c, lam, -gamma, -eta, -us)
-        stm_v, srm_v, o7 = amplitude_arrays(c, lam, -gamma, -eta, vs)
-        stm_w, srm_w, o8 = amplitude_arrays(c, lam, -gamma, -eta, ws)
-        if not all(np.all(o) for o in (o1, o2, o3, o4, o5, o6, o7, o8)):
-            out[g] = np.inf
-            continue
-        rows = (
-            srp_u * srp_mu + stm_u * stp_mu - 1.0,
-            srm_u * srm_mu + stp_u * stm_mu - 1.0,
-            srp_u * stm_mu + stm_u * srm_mu,
-            srm_u * stp_mu + stp_u * srp_mu,
-            srm_v * srp_w * srm_u - srp_u * srm_w * srp_v,
-            srp_v * stp_w * stm_u - stp_u * stm_w * srp_v,
-            srm_v * stm_w * stp_u - stm_u * stp_w * srm_v,
-            srp_v * srp_w * stm_u + stm_v * srp_w * srm_u - srp_u * stm_w * srp_v,
-            srm_v * srp_w * stp_u + stp_v * srp_w * srp_u - srp_u * stp_w * srp_v,
-            srm_v * srm_w * stp_u + stp_v * srm_w * srp_u - srm_u * stp_w * srm_v,
-            srp_v * srm_w * stm_u + stm_v * srp_w * srm_u - srm_u * stm_w * srp_v,
-            srp_v * srm_w * stm_u + stm_v * srm_w * srm_u - srm_u * stm_w * srm_v,
-            srm_v * srp_w * stp_u + stp_v * srm_w * srp_u - srp_u * stp_w * srm_v,
-        )
-        for e, r in enumerate(rows):
-            out[g, e] = np.abs(r).max()
+    step = max(1, PANEL_BLOCK_ENTRIES // max(1, len(us)))
+    for start in range(0, params_grid.shape[0], step):
+        c, lam, gamma, eta = params_grid[start:start + step, :, np.newaxis].transpose(1, 0, 2)
+        amps, ok = [], True
+        for sign in (1.0, -1.0):
+            for x in samples:
+                s_t, s_r, good = amplitude_arrays(c, lam, sign * gamma, sign * eta, x)
+                amps += (s_t, s_r)
+                ok = ok & good
+        block = out[start:start + step]
+        for e, r in enumerate(_identities(amps)):
+            block[:, e] = np.abs(r).max(axis=1)
+        block[~ok.all(axis=1)] = np.inf
     return out
 
 

@@ -76,11 +76,23 @@ def closest_gap(points) -> np.ndarray:
     return np.diff(np.sort(points, axis=-1), axis=-1).min(axis=-1, initial=np.inf)
 
 
-def evaluate(state: BetheState, x) -> complex:
-    """psi(x); on coincidence hyperplanes, the average of wedge limits."""
+def _single_point(state: BetheState, x) -> np.ndarray:
+    """x as a float array of N finite coordinates; ValueError otherwise."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (state.n,):
         raise ValueError(f"need {state.n} coordinates, got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"x = {x} has non-finite coordinates at 0-based indices {bad.tolist()}")
+    return x
+
+
+def evaluate(state: BetheState, x) -> complex:
+    """psi(x); on coincidence hyperplanes, the average of wedge limits.
+
+    Raises ValueError unless x holds N finite coordinates.
+    """
+    x = _single_point(state, x)
     orders = _tie_orderings(x, COINCIDENCE_TOL)
     tables = state.tables
     waves = _kernels.plane_waves(state.k, tables.images, x[orders])
@@ -272,10 +284,10 @@ def gauge_map(state: BetheState, x) -> complex:
 
     Multiplies the state value by exp(-i alpha sum_{j<k} step(x_j - x_k))
     where exp(i alpha) = (1 + i eta)/(1 - i eta).  Raises NotGaugeFamily
-    unless lam = gamma = 0.
+    unless lam = gamma = 0, and ValueError unless x holds N finite coordinates.
     """
     gd = gauge_data(state.params)  # raises NotGaugeFamily outside the family
-    x = np.asarray(x, dtype=np.float64)
+    x = _single_point(state, x)
     tables = state.tables
     # the step sum is inv(Q) inside wedge Q; averaged over the wedges that
     # touch x, each tied pair contributes step(0) = 1/2

@@ -87,6 +87,14 @@ def test_evaluate_grid_refuses_non_finite_coordinates(bad):
         evaluate_grid(state, np.array([[0.1, bad, 1.2]]))
 
 
+@pytest.mark.parametrize("func", [evaluate, gauge_map])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_single_point_evaluators_refuse_non_finite_coordinates(func, bad):
+    state = toy_state(CouplingParameters(2.0, 0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match=r"non-finite coordinates at 0-based indices \[1\]"):
+        func(state, [0.1, bad, 0.5])
+
+
 def test_boundary_samples_give_up_on_an_empty_domain(run_python):
     # five other coordinates in [-0.3, 0.3] cannot keep pairwise gaps of 0.2
     proc = run_python(
