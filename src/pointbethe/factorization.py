@@ -16,7 +16,8 @@ violation of these rational identities with overwhelming probability.
 classification against the thresholded residuals.  The matrix-level
 relations for the N!-dimensional operators Y_i and the reduction of their
 6x6 invariant blocks to the three-particle matrices are checked by
-``yang_baxter_matrix_check`` and ``block_reduction_check``.
+``yang_baxter_matrix_check`` and ``block_reduction_check``, both on
+identities packed onto the orbits of the transpositions involved.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import yang_apply
-from .bethe import build_yang_matrix, yang_parts
+from .bethe import yang_parts
 from .couplings import CouplingParameters, integrable_family
 from .errors import PoleAtU
-from .permutations import symmetric_group
+from .permutations import rank_of, symmetric_group
 
 N_EQUATIONS = 13
 PASS_TOL = 1e-8    # below: point counts as satisfying the identities
@@ -189,39 +190,53 @@ class YangBaxterReport:
         return max(self.unitarity, self.braid, self.commute)
 
 
+def _orbit_identity(tables, positions):
+    """The identity packed onto the orbits of the transpositions at the
+    0-based ``positions``, and its column labels: orbit members differ only
+    in the S_m rank ``labels[Q]`` of their pattern there, and row Q of the
+    (N!, m!) result is 1 at column ``labels[Q]`` (m = len(positions))."""
+    group = symmetric_group(len(positions))
+    labels = rank_of(group.lehmer_to_index, tables.images[:, positions])
+    eye = np.zeros((tables.order, group.order), dtype=np.complex128)
+    eye[np.arange(tables.order), labels] = 1.0
+    return eye, labels
+
+
 def yang_baxter_matrix_check(params: CouplingParameters, n: int,
                              samples) -> YangBaxterReport:
     """Residuals of the N!-dimensional Yang-Baxter relations over samples.
 
-    Products are evaluated through the two-entry-per-row structure of the
-    one-step operators (left application costs O(N!^2) per product instead
-    of a dense O(N!^3) multiply), which keeps N = 6 affordable.
+    The Y_i of a relation map the orbits of its transpositions to themselves,
+    so its products are formed on the identity packed onto those orbits, at
+    most (N!, 24): the nonzero entries of the dense products, bit for bit.
     """
     if not 2 <= n <= 6:
         raise ValueError("matrix check supported for 2 <= N <= 6")
     samples = [(float(u), float(v)) for u, v in samples]
-    eye = np.eye(symmetric_group(n).order)
+    tables = symmetric_group(n)
 
     def y(i, w):
         return yang_parts(params, n, i, w)
 
-    def dense(parts):
-        return yang_apply(parts, eye.astype(np.complex128))
-
     unitarity = braid = commute = 0.0
-    for u, v in samples:
-        for i in range(1, n):
-            prod = yang_apply(y(i, -u), dense(y(i, u)))
+    for i in range(1, n):
+        eye = _orbit_identity(tables, [i - 1, i])[0]
+        for u, v in samples:
+            prod = yang_apply(y(i, -u), yang_apply(y(i, u), eye))
             unitarity = max(unitarity, float(np.abs(prod - eye).max()))
-        for i in range(1, n - 1):
-            lhs = yang_apply(y(i, v), yang_apply(y(i + 1, u + v), dense(y(i, u))))
-            rhs = yang_apply(y(i + 1, u), yang_apply(y(i, u + v), dense(y(i + 1, v))))
+    for i in range(1, n - 1):
+        eye = _orbit_identity(tables, [i - 1, i, i + 1])[0]
+        for u, v in samples:
+            lhs = yang_apply(y(i, v), yang_apply(y(i + 1, u + v), yang_apply(y(i, u), eye)))
+            rhs = yang_apply(y(i + 1, u), yang_apply(y(i, u + v), yang_apply(y(i + 1, v), eye)))
             braid = max(braid, float(np.abs(lhs - rhs).max()))
-        for i in range(1, n):
-            for j in range(i + 2, n):
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            eye = _orbit_identity(tables, [i - 1, i, j - 1, j])[0]
+            for u, v in samples:
                 a, b = y(i, u), y(j, v)
-                commute = max(commute, float(np.abs(yang_apply(a, dense(b))
-                                                    - yang_apply(b, dense(a))).max()))
+                commute = max(commute, float(np.abs(yang_apply(a, yang_apply(b, eye))
+                                                    - yang_apply(b, yang_apply(a, eye))).max()))
     return YangBaxterReport(n_particles=n, unitarity=unitarity, braid=braid,
                             commute=commute, samples=samples)
 
@@ -235,33 +250,17 @@ def block_reduction_check(params: CouplingParameters, n: int, i: int,
     has six elements; listed from its largest element Q' in the order
     Q', Q'T_i, Q'T_{i+1}, Q'T_{i+1}T_i, Q'T_iT_{i+1}, Q'T_iT_{i+1}T_i the
     restriction of Y_i (resp. Y_{i+1}) to the orbit must reproduce the
-    N = 3 matrix at site 1 (resp. 2) entry for entry.
+    N = 3 matrix at site 1 (resp. 2) entry for entry.  That order is the
+    order of the orbit labels, so packed row Q must equal N = 3 row labels[Q].
     """
     if n < 4:
         raise ValueError("block reduction needs N >= 4")
     if not 1 <= i <= n - 2:
         raise ValueError(f"need 1 <= i <= N-2, got i={i}, N={n}")
-    tables = symmetric_group(n)
-    tmap_i = tables.tmaps[i - 1]
-    tmap_i1 = tables.tmaps[i]
-    y_i = build_yang_matrix(params, n, i, u).matrix
-    y_i1 = build_yang_matrix(params, n, i + 1, v).matrix
-    ref_1 = build_yang_matrix(params, 3, 1, u).matrix
-    ref_2 = build_yang_matrix(params, 3, 2, v).matrix
-
+    eye, labels = _orbit_identity(symmetric_group(n), [i - 1, i, i + 1])
     deviation = 0.0
-    seen = np.zeros(tables.order, dtype=bool)
-    for q in range(tables.order):
-        if seen[q]:
-            continue
-        orbit = {q, tmap_i[q], tmap_i1[q], tmap_i[tmap_i1[q]],
-                 tmap_i1[tmap_i[q]], tmap_i[tmap_i1[tmap_i[q]]]}
-        for m in orbit:
-            seen[m] = True
-        qp = min(orbit)  # smallest rank index == largest permutation
-        chain = [qp, tmap_i[qp], tmap_i1[qp], tmap_i[tmap_i1[qp]],
-                 tmap_i1[tmap_i[qp]], tmap_i[tmap_i1[tmap_i[qp]]]]
-        sel = np.array(chain)
-        deviation = max(deviation, float(np.abs(y_i[np.ix_(sel, sel)] - ref_1).max()))
-        deviation = max(deviation, float(np.abs(y_i1[np.ix_(sel, sel)] - ref_2).max()))
+    for site, ref_site, w in ((i, 1, u), (i + 1, 2, v)):
+        block = yang_apply(yang_parts(params, n, site, w), eye)
+        ref = yang_apply(yang_parts(params, 3, ref_site, w), np.eye(6, dtype=np.complex128))
+        deviation = max(deviation, float(np.abs(block - ref[labels]).max()))
     return deviation

@@ -49,8 +49,8 @@ class Wedge:
 
 
 def locate_wedge(x, tol: float = COINCIDENCE_TOL) -> Wedge:
-    """Wedge containing x; raises OnBoundary when two coordinates coincide."""
-    x = np.asarray(x, dtype=np.float64)
+    """Wedge containing x; OnBoundary on a tie, ValueError on a non-finite coordinate."""
+    x = _single_point(x)
     if closest_gap(x) <= tol:
         raise OnBoundary(f"coordinates {x} coincide within {tol}")
     order = np.argsort(x, kind="stable")
@@ -76,11 +76,12 @@ def closest_gap(points) -> np.ndarray:
     return np.diff(np.sort(points, axis=-1), axis=-1).min(axis=-1, initial=np.inf)
 
 
-def _single_point(state: BetheState, x) -> np.ndarray:
-    """x as a float array of N finite coordinates; ValueError otherwise."""
+def _single_point(x, n: int | None = None) -> np.ndarray:
+    """x as a float array of finite coordinates, n of them if n is given;
+    ValueError naming the bad shape or the non-finite coordinates."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (state.n,):
-        raise ValueError(f"need {state.n} coordinates, got shape {x.shape}")
+    if n is not None and x.shape != (n,):
+        raise ValueError(f"need {n} coordinates, got shape {x.shape}")
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise ValueError(f"x = {x} has non-finite coordinates at 0-based indices {bad.tolist()}")
@@ -92,7 +93,7 @@ def evaluate(state: BetheState, x) -> complex:
 
     Raises ValueError unless x holds N finite coordinates.
     """
-    x = _single_point(state, x)
+    x = _single_point(x, state.n)
     orders = _tie_orderings(x, COINCIDENCE_TOL)
     tables = state.tables
     waves = _kernels.plane_waves(state.k, tables.images, x[orders])
@@ -222,12 +223,10 @@ def determinant_eigenfunction(k, c: float, x) -> complex:
 
     Evaluates the pair-operator product applied to det[exp(i k_m x_n)]
     through its closed-form permutation expansion, with the normalization
-    constant fixed to 1.  Requires x strictly inside x_1 < ... < x_N.
+    constant fixed to 1.  Requires finite x strictly inside x_1 < ... < x_N.
     """
     k = validate_momenta(k)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != k.shape:
-        raise ValueError("x and k must have the same length")
+    x = _single_point(x, k.size)
     if np.any(np.diff(x) <= 0):
         raise WrongWedge(f"{x} is not strictly increasing")
     tables = symmetric_group(k.size)
@@ -262,7 +261,8 @@ def extend_by_statistics(psi_identity: Callable[[np.ndarray], complex],
 
     psi(x) = sigma(Q) psi_identity(sorted x) with sigma = 1 for bosons and
     sgn(Q) for fermions.  At coincidence points bosons continue smoothly
-    and fermions vanish (the two adjacent limits differ by a sign).
+    and fermions vanish (the two adjacent limits differ by a sign).  A
+    non-finite coordinate raises ValueError (through ``locate_wedge``).
     """
     if statistics not in ("boson", "fermion"):
         raise ValueError(f"unknown statistics {statistics!r}")
@@ -287,7 +287,7 @@ def gauge_map(state: BetheState, x) -> complex:
     unless lam = gamma = 0, and ValueError unless x holds N finite coordinates.
     """
     gd = gauge_data(state.params)  # raises NotGaugeFamily outside the family
-    x = _single_point(state, x)
+    x = _single_point(x, state.n)
     tables = state.tables
     # the step sum is inv(Q) inside wedge Q; averaged over the wedges that
     # touch x, each tied pair contributes step(0) = 1/2

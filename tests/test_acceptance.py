@@ -130,11 +130,11 @@ def test_criterion_04_explicit_three_particle_fixtures():
 
 
 def test_criterion_05_yang_baxter_matrix_relations():
-    with criterion(5, "matrix relations <=1e-10 for both families N in {3,4,5}; >=1e-3 off-family, <2min"):
+    with criterion(5, "matrix relations <=1e-10 for both families N in {3,4,5,6}; >=1e-3 off-family, <2min"):
         start = time.perf_counter()
         panel = _kernels.sample_panel(105, 100)
         for params in (FAMILY1, FAMILY2):
-            for n in (3, 4, 5):
+            for n in (3, 4, 5, 6):
                 report = yang_baxter_matrix_check(params, n, panel)
                 assert report.max_residual <= 1e-10, (params, n, report)
         rng = np.random.default_rng(105)
@@ -153,9 +153,9 @@ def test_criterion_05_yang_baxter_matrix_relations():
 
 
 def test_criterion_06_block_reduction():
-    with criterion(6, "6x6 blocks of Y_i at N in {4,5} equal the N=3 matrices to 1e-12"):
+    with criterion(6, "6x6 blocks of Y_i at N in {4,5,6} equal the N=3 matrices to 1e-12"):
         for params in (FAMILY1, FAMILY2):
-            for n in (4, 5):
+            for n in (4, 5, 6):
                 for i in range(1, n - 1):
                     dev = block_reduction_check(params, n, i, 0.9, 1.7)
                     assert dev <= 1e-12, (params, n, i, dev)

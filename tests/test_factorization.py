@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pointbethe._kernels import sample_panel
+from pointbethe._kernels import sample_panel, yang_apply
+from pointbethe.bethe import build_yang_matrix, yang_parts
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import PoleAtU
 from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
@@ -10,6 +11,7 @@ from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
                                       check_factorization_panel, classify,
                                       scan_couplings, scan_to_csv,
                                       yang_baxter_matrix_check)
+from pointbethe.permutations import symmetric_group
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.5)
 FAMILY2 = CouplingParameters(2.0, 0.5)
@@ -163,6 +165,79 @@ def test_matrix_relations_equivalent_to_identities_at_three_particles():
 @pytest.mark.parametrize("params,n,i", [(FAMILY1, 4, 1), (FAMILY2, 4, 2), (FAMILY1, 5, 2)])
 def test_block_reduction(params, n, i, subtests=None):
     assert block_reduction_check(params, n, i, 0.9, 1.7) <= 1e-12
+
+
+def dense_yang_baxter(params, n, samples):
+    """Reference: every product applied to the dense N! x N! identity."""
+    eye = np.eye(symmetric_group(n).order)
+
+    def y(i, w):
+        return yang_parts(params, n, i, w)
+
+    def dense(parts):
+        return yang_apply(parts, eye.astype(np.complex128))
+
+    unitarity = braid = commute = 0.0
+    for u, v in samples:
+        for i in range(1, n):
+            prod = yang_apply(y(i, -u), dense(y(i, u)))
+            unitarity = max(unitarity, float(np.abs(prod - eye).max()))
+        for i in range(1, n - 1):
+            lhs = yang_apply(y(i, v), yang_apply(y(i + 1, u + v), dense(y(i, u))))
+            rhs = yang_apply(y(i + 1, u), yang_apply(y(i, u + v), dense(y(i + 1, v))))
+            braid = max(braid, float(np.abs(lhs - rhs).max()))
+        for i in range(1, n):
+            for j in range(i + 2, n):
+                a, b = y(i, u), y(j, v)
+                commute = max(commute, float(np.abs(yang_apply(a, dense(b))
+                                                    - yang_apply(b, dense(a))).max()))
+    return unitarity, braid, commute
+
+
+def dense_block_reduction(params, n, i, u, v):
+    """Reference: dense Y_i, Y_{i+1} sliced orbit by orbit in chain order."""
+    tables = symmetric_group(n)
+    tmap_i, tmap_i1 = tables.tmaps[i - 1], tables.tmaps[i]
+    y_i = build_yang_matrix(params, n, i, u).matrix
+    y_i1 = build_yang_matrix(params, n, i + 1, v).matrix
+    ref_1 = build_yang_matrix(params, 3, 1, u).matrix
+    ref_2 = build_yang_matrix(params, 3, 2, v).matrix
+    deviation = 0.0
+    seen = np.zeros(tables.order, dtype=bool)
+    for q in range(tables.order):
+        if seen[q]:
+            continue
+        orbit = {q, tmap_i[q], tmap_i1[q], tmap_i[tmap_i1[q]],
+                 tmap_i1[tmap_i[q]], tmap_i[tmap_i1[tmap_i[q]]]}
+        seen[list(orbit)] = True
+        qp = min(orbit)  # smallest rank index == largest permutation
+        sel = np.array([qp, tmap_i[qp], tmap_i1[qp], tmap_i[tmap_i1[qp]],
+                        tmap_i1[tmap_i[qp]], tmap_i[tmap_i1[tmap_i[qp]]]])
+        deviation = max(deviation, float(np.abs(y_i[np.ix_(sel, sel)] - ref_1).max()))
+        deviation = max(deviation, float(np.abs(y_i1[np.ix_(sel, sel)] - ref_2).max()))
+    return deviation
+
+
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_packed_relations_equal_dense_reference(params, n):
+    panel = sample_panel(31, 8)
+    report = yang_baxter_matrix_check(params, n, panel)
+    unitarity, braid, commute = dense_yang_baxter(params, n, panel)
+    assert report.unitarity == unitarity
+    assert report.braid == braid
+    assert report.commute == commute
+    if params is NONINTEGRABLE and n >= 4:
+        assert report.braid >= 1e-3
+
+
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
+@pytest.mark.parametrize("n", [4, 5])
+def test_orbit_packed_block_reduction_equals_dense_reference(params, n):
+    for i in range(1, n - 1):
+        for u, v in sample_panel(32, 3):
+            assert block_reduction_check(params, n, i, u, v) == \
+                dense_block_reduction(params, n, i, u, v)
 
 
 def test_block_reduction_guards():

@@ -87,7 +87,20 @@ def test_evaluate_grid_refuses_non_finite_coordinates(bad):
         evaluate_grid(state, np.array([[0.1, bad, 1.2]]))
 
 
-@pytest.mark.parametrize("func", [evaluate, gauge_map])
+def _extended_determinant(statistics):
+    def func(state, x):
+        return extend_by_statistics(lambda y: determinant_eigenfunction(K3, 2.0, y),
+                                    statistics, x)
+    return func
+
+
+@pytest.mark.parametrize("func", [
+    evaluate, gauge_map,
+    lambda state, x: locate_wedge(x),
+    lambda state, x: determinant_eigenfunction(K3, 2.0, x),
+    _extended_determinant("boson"), _extended_determinant("fermion"),
+], ids=["evaluate", "gauge_map", "locate_wedge", "determinant_eigenfunction",
+        "extend_by_statistics-boson", "extend_by_statistics-fermion"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_single_point_evaluators_refuse_non_finite_coordinates(func, bad):
     state = toy_state(CouplingParameters(2.0, 0.0, 0.0, 1.0))
