@@ -13,6 +13,9 @@ formed.  Results are bit-identical to evaluating one row at a time.
 
 ``plane_waves`` is the one place that forms the waves exp(i k_P . x_Q);
 ``eval_grid``, ``wavefunction.evaluate`` and ``boundary_residual`` use it.
+Each wave is a product of the N^2 phase factors exp(i k_a x_j) of its
+point, so M points cost M N^2 exponentials, not M N!.  ``propagate_table``
+builds the parts of every Y step it can take before its rank-order pass.
 
 Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
@@ -103,11 +106,17 @@ def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray)
 def plane_waves(k, images, xq) -> np.ndarray:
     """exp(i sum_j k[P(j)] xq[m, j]) for every row m of xq and row P of images.
 
-    Returns shape (M, F).  The phases are summed elementwise, not by a
-    matrix product, so a row gives the same bits alone or in any batch.
+    Returns shape (M, F).  Each wave is the product of N of the N^2 phase
+    factors exp(i k[a] xq[m, j]) of its row: M N^2 exponentials and
+    (N-1) M N! complex products, not M N! exponentials of summed phases.
+    All of it is elementwise, not a matrix product, so a row gives the
+    same bits alone or in any batch.
     """
-    phases = (k[images][np.newaxis] * xq[:, np.newaxis]).sum(axis=-1)
-    return np.exp(1j * phases)
+    factors = np.exp(1j * (k[np.newaxis, np.newaxis, :] * xq[:, :, np.newaxis]))
+    waves = factors[:, 0, images[:, 0]]
+    for j in range(1, images.shape[1]):
+        waves *= factors[:, j, images[:, j]]
+    return waves
 
 
 def eval_grid(points, k, table, images, lehmer_to_index) -> np.ndarray:
@@ -124,7 +133,9 @@ def step_parts(tables: SymmetricGroupTables, s: int, sr_plus, sr_minus, st_plus,
 
     Row Q holds ``diag[q]`` at column Q and ``off[q]`` at column
     ``tmap[q]`` = rank index of Q T_{s+1}: S_R^+ and S_T^- where
-    Q(s+1) < Q(s+2), S_R^- and S_T^+ elsewhere.
+    Q(s+1) < Q(s+2), S_R^- and S_T^+ elsewhere.  ``s`` may also index
+    several sites of ``tables.asc`` and ``tables.tmaps`` at once, with
+    amplitudes that broadcast against the selected rows.
     """
     asc = tables.asc[s]
     return np.where(asc, sr_plus, sr_minus), np.where(asc, st_minus, st_plus), tables.tmaps[s]
@@ -151,14 +162,17 @@ def propagate_table(a_identity, tables: SymmetricGroupTables,
     parent row ready, and each row goes through exactly the operations
     of stepping along its whole word.
     """
+    # the parts of every step, indexed [site, ka, kb], built at once
+    diag, off, _ = step_parts(tables, np.s_[:, np.newaxis, np.newaxis],
+                              srp[..., np.newaxis], srm[..., np.newaxis],
+                              stp[..., np.newaxis], stm[..., np.newaxis])
     out = np.empty((tables.order, tables.order), dtype=np.complex128)
     out[0] = a_identity
     for p in range(1, tables.order):
         s = tables.last_site[p]
         parent = tables.tmaps[s, p]
         ka, kb = tables.images[parent, s], tables.images[parent, s + 1]
-        parts = step_parts(tables, s, srp[ka, kb], srm[ka, kb], stp[ka, kb], stm[ka, kb])
-        out[p] = yang_apply(parts, out[parent])
+        out[p] = yang_apply((diag[s, ka, kb], off[s, ka, kb], tables.tmaps[s]), out[parent])
     return out
 
 

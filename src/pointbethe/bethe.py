@@ -47,10 +47,13 @@ INTEGRABILITY_TOL = 1e-9
 
 
 def validate_momenta(k) -> np.ndarray:
-    """Momenta as a float array; requires pairwise gaps above 1e-12."""
+    """Momenta as a float array; requires finite entries with pairwise gaps above 1e-12."""
     k = np.atleast_1d(np.asarray(k, dtype=np.float64))
     if k.ndim != 1 or k.size < 1:
         raise ValueError("momenta must be a 1D array with at least one entry")
+    bad = np.flatnonzero(~np.isfinite(k))
+    if bad.size:
+        raise ValueError(f"momenta {k} are non-finite at 0-based indices {bad.tolist()}")
     n = k.size
     for a in range(n):
         for b in range(a + 1, n):

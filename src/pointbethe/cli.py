@@ -198,12 +198,20 @@ def build_config(argv: list[str]) -> RunConfig:
             cfg.tolerance = float(raw_tol)
         except ValueError as exc:
             raise ConfigError(f"field tol: cannot parse {raw_tol!r}") from exc
+        if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+            raise ConfigError(f"field tol: must be finite and > 0, got {raw_tol!r}")
     cfg.output_path = pick(args.out, "out")
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # command bodies: each appends report lines to cfg.lines and returns a status
+
+
+def _worst(*residuals: float) -> float:
+    """The largest residual, NaN if any is NaN: Python's max(0.0, nan) is
+    0.0, which would pass a NaN residual as zero."""
+    return float(np.max(residuals))
 
 
 def _unit_identity_vector(n: int) -> np.ndarray:
@@ -236,11 +244,11 @@ def run_scatter(cfg: RunConfig) -> int:
             continue  # oracle needs distinct momenta
         oracle = amplitudes_bvp_oracle(params, float(u), 0.0)
         scale = max(1.0, abs(amp.s_t_plus), abs(amp.s_r_plus))
-        worst = max(worst,
-                    abs(amp.s_t_plus - oracle.s_t_plus) / scale,
-                    abs(amp.s_r_plus - oracle.s_r_plus) / scale,
-                    abs(amp.s_t_minus - oracle.s_t_minus) / scale,
-                    abs(amp.s_r_minus - oracle.s_r_minus) / scale)
+        worst = _worst(worst,
+                       abs(amp.s_t_plus - oracle.s_t_plus) / scale,
+                       abs(amp.s_r_plus - oracle.s_r_plus) / scale,
+                       abs(amp.s_t_minus - oracle.s_t_minus) / scale,
+                       abs(amp.s_r_minus - oracle.s_r_minus) / scale)
     cfg.lines.append(f"closed form vs boundary-value oracle: max rel deviation = {worst:.3e}")
     return EXIT_OK if worst <= cfg.tolerance else EXIT_RESIDUAL
 
@@ -255,12 +263,12 @@ def run_yb_check(cfg: RunConfig) -> int:
     cfg.lines.append(f"unitarity residual: {report.unitarity:.3e}")
     cfg.lines.append(f"braid residual:     {report.braid:.3e}")
     cfg.lines.append(f"commute residual:   {report.commute:.3e}")
-    worst = report.max_residual
+    worst = _worst(report.unitarity, report.braid, report.commute)
     if n >= 4:
-        block = max(block_reduction_check(params, n, i, float(u), float(v))
-                    for i in range(1, n - 1) for u, v in panel[:5])
+        block = _worst(*(block_reduction_check(params, n, i, float(u), float(v))
+                         for i in range(1, n - 1) for u, v in panel[:5]))
         cfg.lines.append(f"block-reduction deviation: {block:.3e}")
-        worst = max(worst, block)
+        worst = _worst(worst, block)
     cfg.lines.append(f"max residual = {worst:.3e} (tol {cfg.tolerance:.3g})")
     return EXIT_OK if worst <= cfg.tolerance else EXIT_RESIDUAL
 
@@ -292,7 +300,7 @@ def run_coeffs(cfg: RunConfig) -> int:
         oracle = coefficients_bc_oracle(params, k, state.table[:, 0])
         cfg.lines.append(f"boundary-system residual: {oracle.residual:.3e}")
         cfg.lines.append(f"solution-space dimension: {oracle.nullity} (expected {oracle.expected_nullity})")
-        worst = max(worst, oracle.residual)
+        worst = _worst(worst, oracle.residual)
     cfg.lines.append(f"max residual = {worst:.3e} (tol {cfg.tolerance:.3g})")
     return EXIT_OK if worst <= cfg.tolerance else EXIT_RESIDUAL
 
@@ -315,10 +323,11 @@ def run_eigen(cfg: RunConfig) -> int:
             samples = boundary_samples(n, j, kk, rng, count=50)
             r1, r2 = boundary_residual(state, j, kk, samples)
             cfg.lines.append(f"boundary ({j},{kk}): residuals {r1:.3e} {r2:.3e}")
-            worst = max(worst, r1, r2)
+            worst = _worst(worst, r1, r2)
     # the stencil must not reach across a coincidence plane
     fd_points = points[closest_gap(points) > FD_STEP][:5]
-    fd = max((schrodinger_fd_residual(state, x) for x in fd_points), default=math.nan)
+    fd_residuals = [schrodinger_fd_residual(state, x) for x in fd_points]
+    fd = _worst(*fd_residuals) if fd_residuals else math.nan
     cfg.lines.append(f"free-equation finite-difference residual: {fd:.3e}")
     cfg.lines.append(f"max boundary residual = {worst:.3e} (tol {cfg.tolerance:.3g})")
     return EXIT_OK if worst <= cfg.tolerance else EXIT_RESIDUAL
@@ -340,7 +349,7 @@ def run_gauge(cfg: RunConfig) -> int:
             samples = boundary_samples(n, j, kk, rng, count=50)
             r1, r2 = boundary_residual(mapped, j, kk, samples)
             cfg.lines.append(f"delta-gas boundary ({j},{kk}): residuals {r1:.3e} {r2:.3e}")
-            worst = max(worst, r1, r2)
+            worst = _worst(worst, r1, r2)
     cfg.lines.append(f"max residual = {worst:.3e} (tol {cfg.tolerance:.3g})")
     return EXIT_OK if worst <= cfg.tolerance else EXIT_RESIDUAL
 

@@ -23,6 +23,7 @@ identities packed onto the orbits of the transpositions involved.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -202,6 +203,14 @@ def _orbit_identity(tables, positions):
     return eye, labels
 
 
+def _finite_sample(u, v, name: str = "sample") -> tuple[float, float]:
+    """(u, v) as floats; ValueError naming the sample unless both are finite."""
+    u, v = float(u), float(v)
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"{name} (u, v) = ({u}, {v}) is not finite")
+    return u, v
+
+
 def yang_baxter_matrix_check(params: CouplingParameters, n: int,
                              samples) -> YangBaxterReport:
     """Residuals of the N!-dimensional Yang-Baxter relations over samples.
@@ -209,10 +218,12 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
     The Y_i of a relation map the orbits of its transpositions to themselves,
     so its products are formed on the identity packed onto those orbits, at
     most (N!, 24): the nonzero entries of the dense products, bit for bit.
+    A non-finite sample raises ValueError.
     """
     if not 2 <= n <= 6:
         raise ValueError("matrix check supported for 2 <= N <= 6")
-    samples = [(float(u), float(v)) for u, v in samples]
+    samples = [_finite_sample(u, v, f"sample {index} (0-based)")
+               for index, (u, v) in enumerate(samples)]
     tables = symmetric_group(n)
 
     def y(i, w):
@@ -252,11 +263,13 @@ def block_reduction_check(params: CouplingParameters, n: int, i: int,
     restriction of Y_i (resp. Y_{i+1}) to the orbit must reproduce the
     N = 3 matrix at site 1 (resp. 2) entry for entry.  That order is the
     order of the orbit labels, so packed row Q must equal N = 3 row labels[Q].
+    A non-finite u or v raises ValueError.
     """
     if n < 4:
         raise ValueError("block reduction needs N >= 4")
     if not 1 <= i <= n - 2:
         raise ValueError(f"need 1 <= i <= N-2, got i={i}, N={n}")
+    u, v = _finite_sample(u, v)
     eye, labels = _orbit_identity(symmetric_group(n), [i - 1, i, i + 1])
     deviation = 0.0
     for site, ref_site, w in ((i, 1, u), (i + 1, 2, v)):

@@ -126,7 +126,10 @@ def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
     """Random points on the hyperplane x_j = x_kk with other coordinates
     generic (kept min_gap away from the common value and each other).
 
-    Raises ValueError after MAX_DRAWS_PER_SAMPLE * count draws.
+    Candidates are drawn ``count`` at a time; ``rng`` is left as if they
+    had been drawn one by one up to the last accepted one, so the samples
+    and the generator state match a draw-and-test loop.  Raises
+    ValueError after MAX_DRAWS_PER_SAMPLE * count draws.
     """
     out = []
     draws = 0
@@ -137,11 +140,16 @@ def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
                 f"boundary_samples: {draws} draws in [-box, box]^{n} with box={box} gave "
                 f"only {len(out)} of {count} points with gaps above min_gap={min_gap}"
             )
-        draws += 1
-        x = rng.uniform(-box, box, n)
-        x[kk - 1] = x[j - 1]
-        if closest_gap(x[keep]) > min_gap:
-            out.append(x)
+        before = rng.bit_generator.state
+        x = rng.uniform(-box, box, (count, n))
+        x[:, kk - 1] = x[:, j - 1]
+        good = np.flatnonzero(closest_gap(x[:, keep]) > min_gap)[:count - len(out)]
+        draws += count
+        if len(out) + len(good) == count:
+            # rewind and redraw only the rows up to the last one used
+            rng.bit_generator.state = before
+            rng.uniform(-box, box, (good[-1] + 1, n))
+        out.extend(x[good])
     return out
 
 

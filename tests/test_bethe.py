@@ -33,6 +33,16 @@ def test_validate_momenta_rejects_coincident():
     assert validate_momenta([0.5]).shape == (1,)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_momenta_rejects_non_finite(bad):
+    # a NaN gap compares False with the coincidence threshold, so only an
+    # explicit check keeps NaN rows out of the table
+    with pytest.raises(ValueError, match=r"non-finite at 0-based indices \[1\]"):
+        validate_momenta([1.0, bad, 0.3])
+    with pytest.raises(ValueError, match=r"non-finite"):
+        bethe_state(FAMILY1, [1.0, bad, 0.3], np.eye(6)[0])
+
+
 def test_yang_matrix_appendix_diagonal_patterns():
     # N = 3 diagonal layout in rank order: site 1 alternates +,-; site 2
     # runs +,+,-,+,-,-; the off-diagonal transmission slot pairs oppositely.

@@ -113,6 +113,27 @@ def test_coincident_momenta_is_config_error(tmp_path):
     assert status == EXIT_CONFIG
 
 
+def test_non_finite_momentum_is_config_error(tmp_path):
+    # NaN momenta used to print NaN residuals, then "max boundary residual = 0"
+    status, _ = run_cli(["eigen", "--c", "2", "--k", "1,nan,0.3"], tmp_path)
+    assert status == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, tol):
+    status, report = run_cli(["eigen", "--c", "2", "--k", "1,0.2,0.3", f"--tol={tol}"], tmp_path)
+    assert status == EXIT_CONFIG
+    assert report == ""
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_residual_fails_the_verdict(tmp_path):
+    # u = inf gives an all-NaN amplitude row; max(0.0, nan) would pass it
+    status, report = run_cli(["scatter", "--c", "2", "--eta", "1", "--k", "inf,1"], tmp_path)
+    assert status == EXIT_RESIDUAL
+    assert "max rel deviation = nan" in report
+
+
 def test_unknown_flag_is_config_error():
     assert main(["scatter", "--nope", "1"]) == EXIT_CONFIG
 

@@ -254,3 +254,15 @@ def test_sample_panel_reproducible_and_away_from_poles():
     assert np.abs(p1).max() <= 5.0
     assert np.abs(p1).min() >= 0.25
     assert np.abs(p1[:, 0] + p1[:, 1]).min() >= 0.25
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_are_refused(bad):
+    # np.abs(nan).max() compared inside max() would report a residual of 0.0
+    params = CouplingParameters(2.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"sample 1 \(0-based\) \(u, v\) = \(0.3, "):
+        yang_baxter_matrix_check(params, 3, [(0.5, 0.2), (0.3, bad)])
+    with pytest.raises(ValueError, match=r"sample 0 \(0-based\) \(u, v\) = \((nan|-?inf), 0.2\)"):
+        yang_baxter_matrix_check(params, 3, [(bad, 0.2)])
+    with pytest.raises(ValueError, match=r"sample \(u, v\) = \((nan|-?inf), 0.2\) is not finite"):
+        block_reduction_check(params, 4, 1, bad, 0.2)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import sympy
 
+from pointbethe._kernels import MAX_DRAWS_PER_SAMPLE
 from pointbethe.bethe import BetheState, bethe_state
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import NotGaugeFamily, OnBoundary, WrongWedge
 from pointbethe.permutations import Permutation, symmetric_group
 from pointbethe.wavefunction import (boundary_residual, boundary_samples,
-                                     determinant_bethe_state,
+                                     closest_gap, determinant_bethe_state,
                                      determinant_coefficients,
                                      determinant_eigenfunction, evaluate,
                                      evaluate_grid, extend_by_statistics,
@@ -106,6 +107,57 @@ def test_single_point_evaluators_refuse_non_finite_coordinates(func, bad):
     state = toy_state(CouplingParameters(2.0, 0.0, 0.0, 1.0))
     with pytest.raises(ValueError, match=r"non-finite coordinates at 0-based indices \[1\]"):
         func(state, [0.1, bad, 0.5])
+
+
+def _serial_boundary_samples(n, j, kk, rng, count=50, box=3.0, min_gap=0.2):
+    # one candidate per draw, tested as it comes
+    out = []
+    draws = 0
+    keep = [a for a in range(n) if a != kk - 1]
+    while len(out) < count:
+        if draws == MAX_DRAWS_PER_SAMPLE * count:
+            raise ValueError(
+                f"boundary_samples: {draws} draws in [-box, box]^{n} with box={box} gave "
+                f"only {len(out)} of {count} points with gaps above min_gap={min_gap}"
+            )
+        draws += 1
+        x = rng.uniform(-box, box, n)
+        x[kk - 1] = x[j - 1]
+        if closest_gap(x[keep]) > min_gap:
+            out.append(x)
+    return out
+
+
+def _pairs(n):
+    pairs = [(j, kk) for j in range(1, n + 1) for kk in range(j + 1, n + 1)]
+    return [pairs[0], pairs[len(pairs) // 2], pairs[-1]]
+
+
+@pytest.mark.parametrize("n, j, kk", [(n, j, kk) for n in range(2, 7) for j, kk in _pairs(n)])
+@pytest.mark.parametrize("count, min_gap", [(50, 0.2), (7, 0.2), (10, 0.8), (1, 0.2)])
+def test_block_drawn_samples_match_the_serial_stream(n, j, kk, count, min_gap):
+    # min_gap 0.8 keeps about 2 % of the draws at N = 6: many blocks
+    rng = np.random.default_rng(n * 100 + j * 10 + kk)
+    ref_rng = np.random.default_rng(n * 100 + j * 10 + kk)
+    for _ in range(2):  # a second call starts where the first left the stream
+        got = boundary_samples(n, j, kk, rng, count=count, min_gap=min_gap)
+        ref = _serial_boundary_samples(n, j, kk, ref_rng, count=count, min_gap=min_gap)
+        assert len(got) == count
+        assert np.array_equal(np.array(got), np.array(ref))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_block_drawn_samples_give_up_like_the_serial_loop():
+    # box 0.52 leaves just room for five coordinates 0.2 apart: 2 of 4000 fit
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(ValueError) as got:
+        boundary_samples(6, 2, 5, rng, count=4, box=0.52, min_gap=0.2)
+    with pytest.raises(ValueError) as ref:
+        _serial_boundary_samples(6, 2, 5, ref_rng, count=4, box=0.52, min_gap=0.2)
+    assert str(got.value) == str(ref.value) == (
+        f"boundary_samples: {4 * MAX_DRAWS_PER_SAMPLE} draws in [-box, box]^6 with box=0.52 "
+        "gave only 2 of 4 points with gaps above min_gap=0.2")
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_boundary_samples_give_up_on_an_empty_domain(run_python):
