@@ -129,8 +129,9 @@ def _serial_boundary_samples(n, j, kk, rng, count=50, box=3.0, min_gap=0.2):
 
 
 def _pairs(n):
+    # the first, a middle and the last pair (j, kk)
     pairs = [(j, kk) for j in range(1, n + 1) for kk in range(j + 1, n + 1)]
-    return [pairs[0], pairs[len(pairs) // 2], pairs[-1]]
+    return sorted({pairs[0], pairs[len(pairs) // 2], pairs[-1]})
 
 
 @pytest.mark.parametrize("n, j, kk", [(n, j, kk) for n in range(2, 7) for j, kk in _pairs(n)])
