@@ -116,6 +116,10 @@ def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
         raise ConfigError(f"field {key}: cannot parse {text!r} as numbers") from exc
     if not vals:
         raise ConfigError(f"field {key}: empty value")
+    # commands that ignore a field (yb-check and scan ignore k) must
+    # still refuse a non-finite value in it
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"field {key}: non-finite value in {text!r}")
     return vals
 
 
@@ -265,8 +269,8 @@ def run_yb_check(cfg: RunConfig) -> int:
     cfg.lines.append(f"commute residual:   {report.commute:.3e}")
     worst = _worst(report.unitarity, report.braid, report.commute)
     if n >= 4:
-        block = _worst(*(block_reduction_check(params, n, i, float(u), float(v))
-                         for i in range(1, n - 1) for u, v in panel[:5]))
+        u, v = panel[0]  # the deviation is exact and the same at every sample
+        block = _worst(*(block_reduction_check(params, n, i, u, v) for i in range(1, n - 1)))
         cfg.lines.append(f"block-reduction deviation: {block:.3e}")
         worst = _worst(worst, block)
     cfg.lines.append(f"max residual = {worst:.3e} (tol {cfg.tolerance:.3g})")

@@ -86,6 +86,18 @@ def boundary_matrix(params: CouplingParameters) -> np.ndarray:
     return np.linalg.solve(u_plus, u_minus)
 
 
+def contact_residuals(params: CouplingParameters, v_minus, d_minus, v_plus, d_plus):
+    """Residuals (r1, r2) of the two contact conditions from the value and
+    relative derivative just below (v_minus, d_minus) and just above
+    (v_plus, d_plus) the contact point; scalars or numpy arrays."""
+    c, lam, gamma, eta = params.astuple()
+    v_avg = 0.5 * (v_plus + v_minus)
+    d_avg = 0.5 * (d_plus + d_minus)
+    r1 = (d_plus - d_minus) - 2 * c * v_avg + 2 * (gamma - 1j * eta) * d_avg
+    r2 = (v_plus - v_minus) - 2 * lam * d_avg - 2 * (gamma + 1j * eta) * v_avg
+    return r1, r2
+
+
 def check_symplectic(u: np.ndarray) -> float:
     """Max-norm residual of U^dag J U - J; zero for any physical U."""
     u = np.asarray(u, dtype=complex)

@@ -15,9 +15,9 @@ violation of these rational identities with overwhelming probability.
 ``scan_couplings`` sweeps a coupling grid and cross-checks the algebraic
 classification against the thresholded residuals.  The matrix-level
 relations for the N!-dimensional operators Y_i and the reduction of their
-6x6 invariant blocks to the three-particle matrices are checked by
-``yang_baxter_matrix_check`` and ``block_reduction_check``, both on
-identities packed onto the orbits of the transpositions involved.
+6x6 invariant blocks to the three-particle matrices rest on one exact
+integer check of how each Y_i acts on the orbits of its transpositions;
+``yang_baxter_matrix_check`` then forms the relations on S_2, S_3 and S_4.
 """
 
 from __future__ import annotations
@@ -188,19 +188,29 @@ class YangBaxterReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.unitarity, self.braid, self.commute)
+        return float(np.max((self.unitarity, self.braid, self.commute)))
 
 
-def _orbit_identity(tables, positions):
-    """The identity packed onto the orbits of the transpositions at the
-    0-based ``positions``, and its column labels: orbit members differ only
-    in the S_m rank ``labels[Q]`` of their pattern there, and row Q of the
-    (N!, m!) result is 1 at column ``labels[Q]`` (m = len(positions))."""
+def _orbit_structure_holds(tables, positions) -> bool:
+    """Exact check that each Y_s with s, s+1 among the 0-based ``positions``
+    (at S_m positions t, t+1, m = len(positions)) acts on the orbits of the
+    transpositions there as S_m's Y_t does.  With ``labels`` the S_m ranks
+    of the patterns at ``positions``: (1) ``tmaps[s]`` swaps entries s, s+1,
+    so steps stay in their orbit; (2) ``asc[s] == S_m.asc[t][labels]``;
+    (3) ``labels[tmaps[s]] == S_m.tmaps[t][labels]``.  Then row Q of their
+    products on the orbit-packed identity is row labels[Q] on S_m's, bitwise.
+    """
     group = symmetric_group(len(positions))
     labels = rank_of(group.lehmer_to_index, tables.images[:, positions])
-    eye = np.zeros((tables.order, group.order), dtype=np.complex128)
-    eye[np.arange(tables.order), labels] = 1.0
-    return eye, labels
+    for t, s in enumerate(positions[:-1]):
+        if positions[t + 1] != s + 1:
+            continue
+        tmap, swap = tables.tmaps[s], np.r_[:s, s + 1, s, s + 2:tables.n]
+        if not (np.array_equal(tables.images[tmap], tables.images[:, swap])
+                and np.array_equal(tables.asc[s], group.asc[t][labels])
+                and np.array_equal(labels[tmap], group.tmaps[t][labels])):
+            return False
+    return True
 
 
 def _finite_sample(u, v, name: str = "sample") -> tuple[float, float]:
@@ -215,10 +225,11 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
                              samples) -> YangBaxterReport:
     """Residuals of the N!-dimensional Yang-Baxter relations over samples.
 
-    The Y_i of a relation map the orbits of its transpositions to themselves,
-    so its products are formed on the identity packed onto those orbits, at
-    most (N!, 24): the nonzero entries of the dense products, bit for bit.
-    A non-finite sample raises ValueError.
+    Unitarity, braid and commute act on m = 2, 3, 4 positions.  Where the
+    orbit structure holds at each of a relation's position sets, its N!-row
+    products repeat the rows of the S_m products, so the relation is formed
+    once per sample on the m! x m! identity.  It is inf where the structure
+    fails and 0.0 for N < m.  A non-finite sample raises ValueError.
     """
     if not 2 <= n <= 6:
         raise ValueError("matrix check supported for 2 <= N <= 6")
@@ -226,54 +237,40 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
                for index, (u, v) in enumerate(samples)]
     tables = symmetric_group(n)
 
-    def y(i, w):
-        return yang_parts(params, n, i, w)
+    def product(m, *steps):  # Y_{i_L}(w_L) ... Y_{i_1}(w_1) on the S_m identity
+        out = np.eye(math.factorial(m), dtype=np.complex128)
+        for i, w in steps:
+            out = yang_apply(yang_parts(params, m, i, w), out)
+        return out
 
-    unitarity = braid = commute = 0.0
-    for i in range(1, n):
-        eye = _orbit_identity(tables, [i - 1, i])[0]
-        for u, v in samples:
-            prod = yang_apply(y(i, -u), yang_apply(y(i, u), eye))
-            unitarity = max(unitarity, float(np.abs(prod - eye).max()))
-    for i in range(1, n - 1):
-        eye = _orbit_identity(tables, [i - 1, i, i + 1])[0]
-        for u, v in samples:
-            lhs = yang_apply(y(i, v), yang_apply(y(i + 1, u + v), yang_apply(y(i, u), eye)))
-            rhs = yang_apply(y(i + 1, u), yang_apply(y(i, u + v), yang_apply(y(i + 1, v), eye)))
-            braid = max(braid, float(np.abs(lhs - rhs).max()))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            eye = _orbit_identity(tables, [i - 1, i, j - 1, j])[0]
-            for u, v in samples:
-                a, b = y(i, u), y(j, v)
-                commute = max(commute, float(np.abs(yang_apply(a, yang_apply(b, eye))
-                                                    - yang_apply(b, yang_apply(a, eye))).max()))
-    return YangBaxterReport(n_particles=n, unitarity=unitarity, braid=braid,
-                            commute=commute, samples=samples)
+    relations = (
+        ([[i - 1, i] for i in range(1, n)],
+         lambda u, v: product(2, (1, u), (1, -u)) - product(2)),
+        ([[i - 1, i, i + 1] for i in range(1, n - 1)],
+         lambda u, v: product(3, (1, u), (2, u + v), (1, v))
+         - product(3, (2, v), (1, u + v), (2, u))),
+        ([[i - 1, i, j - 1, j] for i in range(1, n) for j in range(i + 2, n)],
+         lambda u, v: product(4, (3, v), (1, u)) - product(4, (1, u), (3, v))),
+    )
+    maxima = []
+    for sets, residual in relations:
+        holds = all(_orbit_structure_holds(tables, p) for p in sets)
+        values = [np.abs(residual(u, v)).max() for u, v in samples] if sets and holds else []
+        maxima.append(float(np.max(values, initial=0.0)) if holds else math.inf)
+    return YangBaxterReport(n, *maxima, samples=samples)
 
 
 def block_reduction_check(params: CouplingParameters, n: int, i: int,
                           u: float, v: float) -> float:
-    """Max deviation of the 6x6 invariant blocks of Y_i, Y_{i+1} from the
-    three-particle matrices Y_1(u), Y_2(v).
-
-    The orbit of any wedge Q under right multiplication by T_i, T_{i+1}
-    has six elements; listed from its largest element Q' in the order
-    Q', Q'T_i, Q'T_{i+1}, Q'T_{i+1}T_i, Q'T_iT_{i+1}, Q'T_iT_{i+1}T_i the
-    restriction of Y_i (resp. Y_{i+1}) to the orbit must reproduce the
-    N = 3 matrix at site 1 (resp. 2) entry for entry.  That order is the
-    order of the orbit labels, so packed row Q must equal N = 3 row labels[Q].
-    A non-finite u or v raises ValueError.
+    """Max deviation of the 6x6 invariant blocks of Y_i(u), Y_{i+1}(v) from
+    the three-particle Y_1(u), Y_2(v).  Both pick their entries from the same
+    four amplitudes by ascent flags, so the blocks match exactly when the
+    orbit structure at positions i-1, i, i+1 holds: 0.0 then, inf otherwise,
+    whatever params, u and v are.  A non-finite u or v raises ValueError.
     """
     if n < 4:
         raise ValueError("block reduction needs N >= 4")
     if not 1 <= i <= n - 2:
         raise ValueError(f"need 1 <= i <= N-2, got i={i}, N={n}")
-    u, v = _finite_sample(u, v)
-    eye, labels = _orbit_identity(symmetric_group(n), [i - 1, i, i + 1])
-    deviation = 0.0
-    for site, ref_site, w in ((i, 1, u), (i + 1, 2, v)):
-        block = yang_apply(yang_parts(params, n, site, w), eye)
-        ref = yang_apply(yang_parts(params, 3, ref_site, w), np.eye(6, dtype=np.complex128))
-        deviation = max(deviation, float(np.abs(block - ref[labels]).max()))
-    return deviation
+    _finite_sample(u, v)
+    return 0.0 if _orbit_structure_holds(symmetric_group(n), [i - 1, i, i + 1]) else math.inf

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingParameters
+from .couplings import CouplingParameters, contact_residuals
 from .errors import PoleAtU, SingularSystem
 
 POLE_GUARD = 1e-12
@@ -75,15 +75,18 @@ def amplitude_arrays(c: float, lam: float, gamma: float, eta: float, u: np.ndarr
 def amplitudes(params: CouplingParameters, u: float) -> AmplitudeSet:
     """Closed-form amplitudes at relative momentum u.
 
-    Raises PoleAtU when the denominator falls inside the guard band.
+    Raises PoleAtU when the denominator falls inside the guard band and
+    ValueError for a non-finite u.
     """
+    if not np.isfinite(u):
+        raise ValueError(f"relative momentum u = {u} is not finite")
     c, lam, gamma, eta = params.astuple()
     s_t_plus, s_r_plus = _amplitude_pair(c, lam, gamma, eta, u)
     s_t_minus, s_r_minus = _amplitude_pair(c, lam, -gamma, -eta, u)
     return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus, float(u))
 
 
-def _solve_bc_system(c, lam, gamma, eta, k1, k2):
+def _solve_bc_system(params: CouplingParameters, k1, k2):
     """Solve the two contact boundary conditions for (S_T, S_R).
 
     The ansatz is exp(i k1 x1 + i k2 x2) + S_R exp(i k2 x1 + i k1 x2) for
@@ -97,15 +100,8 @@ def _solve_bc_system(c, lam, gamma, eta, k1, k2):
 
     def residuals(s_t, s_r):
         ph = np.exp(1j * (k1 + k2) * x0)
-        v_minus = ph * (1 + s_r)
-        d_minus = ph * 1j * u * (1 - s_r)
-        v_plus = ph * s_t
-        d_plus = ph * 1j * u * s_t
-        v_avg = 0.5 * (v_plus + v_minus)
-        d_avg = 0.5 * (d_plus + d_minus)
-        r1 = (d_plus - d_minus) - 2 * c * v_avg + 2 * (gamma - 1j * eta) * d_avg
-        r2 = (v_plus - v_minus) - 2 * lam * d_avg - 2 * (gamma + 1j * eta) * v_avg
-        return np.array([r1, r2])
+        return np.array(contact_residuals(params, ph * (1 + s_r), ph * 1j * u * (1 - s_r),
+                                          ph * s_t, ph * 1j * u * s_t))
 
     r00 = residuals(0.0, 0.0)
     mat = np.column_stack([residuals(1.0, 0.0) - r00, residuals(0.0, 1.0) - r00])
@@ -118,12 +114,14 @@ def _solve_bc_system(c, lam, gamma, eta, k1, k2):
 def amplitudes_bvp_oracle(params: CouplingParameters, k1: float, k2: float) -> AmplitudeSet:
     """Amplitudes from a direct boundary-value solve (validation oracle).
 
-    Requires k1 != k2.  The minus amplitudes come from re-solving with
+    Requires finite k1 != k2.  The minus amplitudes come from re-solving with
     (gamma, eta) flipped, which corresponds to exchanging the two particles.
     """
+    for name, k in (("k1", k1), ("k2", k2)):
+        if not np.isfinite(k):
+            raise ValueError(f"oracle momentum {name} = {k} is not finite")
     if k1 == k2:
         raise ValueError("oracle needs distinct momenta k1 != k2")
-    c, lam, gamma, eta = params.astuple()
-    s_t_plus, s_r_plus = _solve_bc_system(c, lam, gamma, eta, k1, k2)
-    s_t_minus, s_r_minus = _solve_bc_system(c, lam, -gamma, -eta, k1, k2)
+    s_t_plus, s_r_plus = _solve_bc_system(params, k1, k2)
+    s_t_minus, s_r_minus = _solve_bc_system(params.flipped(), k1, k2)
     return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus, float(k1 - k2))

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .bethe import BetheState, validate_momenta
-from .couplings import CouplingParameters, gauge_data
+from .couplings import CouplingParameters, contact_residuals, gauge_data
 from .errors import NotGaugeFamily, OnBoundary, WrongWedge
 from .permutations import Permutation, rank_of, symmetric_group
 
@@ -173,7 +173,6 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     if ties.any():
         raise OnBoundary(f"sample {x[ties.argmax()]} sits on a second coincidence plane")
 
-    c, lam, gamma, eta = state.params.astuple()
     tables = state.tables
     # wedge Q just below the plane: x_kk pinned to x_j, so the stable sort
     # puts j directly before kk; slot i of j is the site of the crossing
@@ -198,10 +197,7 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     v_plus = above.sum(axis=1)
     d_plus = (above * (-du)).sum(axis=1)
 
-    v_avg = 0.5 * (v_plus + v_minus)
-    d_avg = 0.5 * (d_plus + d_minus)
-    r1 = (d_plus - d_minus) - 2 * c * v_avg + 2 * (gamma - 1j * eta) * d_avg
-    r2 = (v_plus - v_minus) - 2 * lam * d_avg - 2 * (gamma + 1j * eta) * v_avg
+    r1, r2 = contact_residuals(state.params, v_minus, d_minus, v_plus, d_plus)
     # hypot gives the bits of the scalar abs(); np.abs on complex arrays
     # can differ from it in the last place
     return (float(np.hypot(r1.real, r1.imag).max(initial=0.0)),

@@ -1,6 +1,10 @@
-import numpy as np
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pointbethe import cli
 from pointbethe.cli import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK,
                             EXIT_RESIDUAL, main)
 
@@ -126,12 +130,34 @@ def test_tolerance_must_be_finite_and_positive(tmp_path, tol):
     assert report == ""
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_nan_residual_fails_the_verdict(tmp_path):
-    # u = inf gives an all-NaN amplitude row; max(0.0, nan) would pass it
-    status, report = run_cli(["scatter", "--c", "2", "--eta", "1", "--k", "inf,1"], tmp_path)
+def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
+    # max(0.0, nan) is 0.0: a verdict taken with Python's max passes NaN
+    monkeypatch.setattr(cli, "block_reduction_check", lambda *args: math.nan)
+    status, report = run_cli(["yb-check", "--N", "4", "--c", "2", "--eta", "1"], tmp_path)
     assert status == EXIT_RESIDUAL
-    assert "max rel deviation = nan" in report
+    assert "block-reduction deviation: nan" in report
+    assert "max residual = nan" in report
+
+
+def test_non_finite_scatter_momentum_is_config_error(tmp_path):
+    status, report = run_cli(["scatter", "--c", "2", "--eta", "1", "--k", "inf,1"], tmp_path)
+    assert status == EXIT_CONFIG
+    assert report == ""
+
+
+# the first table builds can outlast hypothesis's per-example deadline
+@settings(deadline=None)
+@given(command=st.sampled_from(["scatter", "coeffs", "eigen", "gauge", "yb-check"]),
+       flag=st.sampled_from(["c", "lambda", "gamma", "eta", "k"]),
+       value=st.sampled_from(["nan", "inf", "-inf"]),
+       position=st.integers(0, 2))
+def test_non_finite_input_never_exits_zero(tmp_path_factory, command, flag, value, position):
+    values = {"c": ["2"], "lambda": ["0"], "gamma": ["0"], "eta": ["1"],
+              "k": ["0.9", "-0.4", "0.2"]}
+    values[flag][min(position, len(values[flag]) - 1)] = value
+    args = [command] + [f"--{key}={','.join(vals)}" for key, vals in values.items()]
+    status, _ = run_cli(args, tmp_path_factory.mktemp("run"))
+    assert status != EXIT_OK
 
 
 def test_unknown_flag_is_config_error():

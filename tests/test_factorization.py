@@ -1,6 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from pointbethe import bethe, factorization
 from pointbethe._kernels import sample_panel, yang_apply
 from pointbethe.bethe import build_yang_matrix, yang_parts
 from pointbethe.couplings import CouplingParameters
@@ -238,6 +242,41 @@ def test_orbit_packed_block_reduction_equals_dense_reference(params, n):
         for u, v in sample_panel(32, 3):
             assert block_reduction_check(params, n, i, u, v) == \
                 dense_block_reduction(params, n, i, u, v)
+
+
+def _swap_step_targets(tables):
+    # at 0-based site 2 of N = 5, rows 3 and 9 share their patterns at
+    # positions 1..3 and 2..4, so the swap keeps the unitarity and braid
+    # labels and ascent flags; only the steps leaving their orbits show it
+    tmaps = tables.tmaps.copy()
+    tmaps[2, [3, 9]] = tmaps[2, [9, 3]]
+    return dataclasses.replace(tables, tmaps=tmaps)
+
+
+def _flip_ascent(tables):
+    asc = tables.asc.copy()
+    asc[2, 3] = ~asc[2, 3]
+    return dataclasses.replace(tables, asc=asc)
+
+
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2])
+@pytest.mark.parametrize("corrupt", [_swap_step_targets, _flip_ascent])
+def test_orbit_structure_check_catches_corrupted_tables(monkeypatch, params, corrupt):
+    real = symmetric_group
+    bad = corrupt(real(5))
+    for module in (factorization, bethe):
+        monkeypatch.setattr(module, "symmetric_group", lambda n: bad if n == 5 else real(n))
+    panel = sample_panel(5, 4)
+    report = yang_baxter_matrix_check(params, 5, panel)
+    # site 3 (0-based 2) enters every relation
+    assert report.unitarity == report.braid == report.commute == math.inf
+    # the blocks at i = 2, 3 cover positions 2, 3; the one at i = 1 does not
+    assert [block_reduction_check(params, 5, i, 0.9, 1.7) for i in (1, 2, 3)] == \
+        [0.0, math.inf, math.inf]
+    if params is FAMILY1:
+        # the dense products see both faults; in family 2, where the plus and
+        # minus amplitudes coincide, they see neither
+        assert min(dense_yang_baxter(params, 5, panel)) >= 0.1
 
 
 def test_block_reduction_guards():

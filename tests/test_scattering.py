@@ -125,3 +125,14 @@ def test_unitarity_type_identities_hold_for_any_couplings():
         assert abs(a_p.s_r_minus * a_m.s_r_minus + a_p.s_t_plus * a_m.s_t_minus - 1) <= 1e-10
         assert abs(a_p.s_r_plus * a_m.s_t_minus + a_p.s_t_minus * a_m.s_r_minus) <= 1e-10
         assert abs(a_p.s_r_minus * a_m.s_t_plus + a_p.s_t_plus * a_m.s_r_plus) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_momenta_are_refused(bad):
+    p = CouplingParameters(2.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"relative momentum u = (nan|-?inf) is not finite"):
+        amplitudes(p, bad)
+    with pytest.raises(ValueError, match=r"oracle momentum k1 = (nan|-?inf) is not finite"):
+        amplitudes_bvp_oracle(p, bad, 1.0)
+    with pytest.raises(ValueError, match=r"oracle momentum k2 = (nan|-?inf) is not finite"):
+        amplitudes_bvp_oracle(p, 1.0, bad)
