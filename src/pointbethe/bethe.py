@@ -23,9 +23,12 @@ result is word-independent exactly for the integrable coupling families;
 for N >= 3 and other couplings ``propagate`` refuses rather than return
 an answer that depends on bookkeeping.
 
-``coefficients_bc_oracle`` is the brute-force cross-check: it assembles
-every contact condition as one big linear system over all N!^2 unknowns,
-pins the A_P(identity wedge) column, and solves by least squares.
+``coefficients_bc_oracle`` is the brute-force cross-check: it stacks the
+contact conditions into one linear system over all N!^2 unknowns, pins
+the A_P(identity wedge) column, and solves by least squares.  It and
+``state_relation_residual`` take the conditions from ``_site_contact``
+and state each once, as (P, Q) and (P T_i, Q) give the same two
+equations: the oracle has (N-1) N!^2 / 2 homogeneous rows.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .couplings import CouplingParameters, integrable_family
+from .couplings import CouplingParameters, contact_residuals, integrable_family
 from .errors import NotIntegrable
 from .permutations import Permutation, SymmetricGroupTables, decompose, symmetric_group
 from .scattering import amplitudes
@@ -163,7 +166,9 @@ def propagate(params: CouplingParameters, k, a_identity, p: Permutation,
     srp, srm, stp, stm = _kernels.pair_amplitude_tables(params, k)
     run = np.arange(n)
     a = a.copy()
-    for i in word:
+    for pos, i in enumerate(word):
+        if not 1 <= i < n:
+            raise ValueError(f"word letter {i} at 0-based position {pos} is outside 1..{n - 1}")
         s = i - 1
         ka, kb = run[s], run[s + 1]
         parts = _kernels.step_parts(tables, s, srp[ka, kb], srm[ka, kb], stp[ka, kb], stm[ka, kb])
@@ -216,31 +221,42 @@ def bethe_state(params: CouplingParameters, k, a_identity,
     return BetheState(params=params, k=k, table=table)
 
 
+def _site_contact(params: CouplingParameters, u, a_p, a_pt, a_p_t, a_pt_t):
+    """Residuals (r1, r2) of the contact conditions on A_P(Q), A_{PT}(Q),
+    A_P(QT) and A_{PT}(QT), T = T_i, for Q ascending at site i and
+    u = k_{P(i)} - k_{P(i+1)}.  Wedge Q lies below the plane, and the wave
+    that gives particle Q(i) the momentum k_{P(i)} has relative derivative iu.
+    """
+    du = 1j * u
+    return contact_residuals(params, a_p + a_pt, du * (a_p - a_pt),
+                             a_p_t + a_pt_t, du * (a_pt_t - a_p_t))
+
+
+def _ascending(tables: SymmetricGroupTables, k: np.ndarray, s: int):
+    """Rank indices of the permutations ascending at site s + 1, the rank
+    indices of their right products with T_{s+1}, and u = k_{P(s+1)} -
+    k_{P(s+2)} for each as a column."""
+    asc = np.flatnonzero(tables.asc[s])
+    u = k[tables.images[asc, s]] - k[tables.images[asc, s + 1]]
+    return asc, tables.tmaps[s, asc], u[:, np.newaxis]
+
+
 def state_relation_residual(state: BetheState) -> float:
-    """Max violation of the pairwise coefficient relations over the table.
+    """Max violation of the contact conditions over the table.
 
     Zero (to roundoff) for any table produced by ``bethe_state``;
-    sensitive to corruption of any single entry.  Written out from the two
-    relations rather than through ``_kernels.yang_apply``, so a fault in
-    the shared step cannot cancel out of the check.
+    sensitive to corruption of any single entry.  Works on the table
+    entries and the momenta alone, so neither a fault in the shared Y-step
+    nor one in the amplitude formula can cancel out of the check.
     """
-    tables = state.tables
-    srp, srm, stp, stm = _kernels.pair_amplitude_tables(state.params, state.k)
-    table = state.table
-    worst = 0.0
+    a = state.table
+    residuals = [0.0]
     for s in range(state.n - 1):
-        asc = tables.asc[s]
-        tmap = tables.tmaps[s]
-        # i = s + 1; row P: the momentum pair P(i), P(i+1) and the row of P T_i
-        ka, kb = tables.images[:, s], tables.images[:, s + 1]
-        a_pt = table[tmap]
-        # column Q with Q(i) < Q(i+1): A_{PT}(Q) = S_R^+ A_P(Q) + S_T^- A_P(Q T_i);
-        # otherwise A_{PT}(Q) = S_R^- A_P(Q) + S_T^+ A_P(Q T_i)
-        s_r = np.where(asc, srp[ka, kb][:, np.newaxis], srm[ka, kb][:, np.newaxis])
-        s_t = np.where(asc, stm[ka, kb][:, np.newaxis], stp[ka, kb][:, np.newaxis])
-        residual = (a_pt - s_r * table) - s_t * table[:, tmap]
-        worst = max(worst, np.abs(residual).max())
-    return worst
+        asc, t, u = _ascending(state.tables, state.k, s)
+        r1, r2 = _site_contact(state.params, u, a[np.ix_(asc, asc)], a[np.ix_(t, asc)],
+                               a[np.ix_(asc, t)], a[np.ix_(t, t)])
+        residuals += [np.abs(r1).max(), np.abs(r2).max()]
+    return float(np.max(residuals))
 
 
 @dataclass(frozen=True)
@@ -261,59 +277,36 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     """Solve the full boundary system with A_P(identity wedge) pinned.
 
     Assembles, for every site i, every wedge Q with Q(i) < Q(i+1) and
-    every P, the two contact conditions in the four coefficients they
-    couple, appends the N! pins A_P(I) = pinned_column[rank(P)], and
-    solves the stacked system by least squares.  The equation residual is
-    at roundoff exactly when the couplings are integrable (or N = 2).
+    every P with P(i) < P(i+1), the two contact conditions in the four
+    coefficients they couple, appends the N! pins A_P(I) =
+    pinned_column[rank(P)], and solves the stacked system by least
+    squares.  The equation residual is at roundoff exactly when the
+    couplings are integrable (or N = 2).
 
-    Limited to N <= 4: the system has (N-1) N!^2 rows.
+    Limited to N <= 4: the system has (N-1) N!^2 / 2 + N! rows.
     """
     k = validate_momenta(k)
     n = k.size
     if n > 4:
         raise ValueError("brute-force oracle is limited to N <= 4")
-    c, lam, gamma, eta = params.astuple()
     tables = symmetric_group(n)
     f = tables.order
     pinned_column = np.asarray(pinned_column, dtype=np.complex128)
     if pinned_column.shape != (f,):
         raise ValueError(f"pinned column must have length {f}")
 
-    n_eq = (n - 1) * f * f // 2 * 2 + f
-    mat = np.zeros((n_eq, f * f), dtype=np.complex128)
-    rhs = np.zeros(n_eq, dtype=np.complex128)
-    row = 0
-    for i in range(1, n):
-        s = i - 1
-        for q_idx in range(f):
-            if not tables.asc[s, q_idx]:
-                continue
-            qt_idx = tables.tmaps[s, q_idx]
-            for p_idx in range(f):
-                pt_idx = tables.tmaps[s, p_idx]
-                u = k[tables.images[p_idx, s]] - k[tables.images[p_idx, s + 1]]
-                iu = 1j * u
-                g = (1j * gamma + eta) * u
-                lu = 1j * lam * u
-                ge = gamma + 1j * eta
-                # derivative-jump condition
-                mat[row, pt_idx * f + qt_idx] = iu - c + g
-                mat[row, p_idx * f + qt_idx] = -iu - c - g
-                mat[row, p_idx * f + q_idx] = -iu - c + g
-                mat[row, pt_idx * f + q_idx] = iu - c - g
-                row += 1
-                # value-jump condition
-                mat[row, p_idx * f + qt_idx] = 1 + lu - ge
-                mat[row, pt_idx * f + qt_idx] = 1 - lu - ge
-                mat[row, p_idx * f + q_idx] = -1 - lu - ge
-                mat[row, pt_idx * f + q_idx] = -1 + lu - ge
-                row += 1
-    homogeneous_rows = row
-    for p_idx in range(f):
-        mat[row, p_idx * f + 0] = 1.0
-        rhs[row] = pinned_column[p_idx]
-        row += 1
-    assert row == n_eq
+    # site s fills f^2 / 2 rows: the (2, f/2, f/2) conditions over (P, Q)
+    homogeneous_rows = (n - 1) * f * f // 2
+    mat = np.zeros((homogeneous_rows + f, f * f), dtype=np.complex128)
+    for s in range(n - 1):
+        asc, t, u = _ascending(tables, k, s)
+        rows = s * f * f // 2 + np.arange(f * f // 2).reshape(2, f // 2, f // 2)
+        # the conditions are linear: column of each coupled coefficient
+        for (p, q), unit in zip([(asc, asc), (t, asc), (asc, t), (t, t)], np.eye(4)):
+            cols = p[:, np.newaxis] * f + q
+            mat[rows[0], cols], mat[rows[1], cols] = _site_contact(params, u, *unit)
+    mat[homogeneous_rows + np.arange(f), np.arange(f) * f] = 1.0
+    rhs = np.concatenate([np.zeros(homogeneous_rows), pinned_column])
 
     solution, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     residual = float(np.abs(mat @ solution - rhs).max())

@@ -229,12 +229,14 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
     orbit structure holds at each of a relation's position sets, its N!-row
     products repeat the rows of the S_m products, so the relation is formed
     once per sample on the m! x m! identity.  It is inf where the structure
-    fails and 0.0 for N < m.  A non-finite sample raises ValueError.
+    fails and 0.0 for N < m.  Empty or non-finite samples raise ValueError.
     """
     if not 2 <= n <= 6:
         raise ValueError("matrix check supported for 2 <= N <= 6")
     samples = [_finite_sample(u, v, f"sample {index} (0-based)")
                for index, (u, v) in enumerate(samples)]
+    if not samples:
+        raise ValueError("need at least one (u, v) sample")
     tables = symmetric_group(n)
 
     def product(m, *steps):  # Y_{i_L}(w_L) ... Y_{i_1}(w_1) on the S_m identity

@@ -164,6 +164,8 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     n = state.n
     if not 1 <= j < kk <= n:
         raise ValueError(f"need 1 <= j < k <= N, got ({j}, {kk})")
+    if len(samples) == 0:
+        raise ValueError("need at least one sample on the plane")
     x = np.asarray(samples, dtype=np.float64).reshape(len(samples), n)
     off = ~np.isfinite(x).all(axis=1) | (np.abs(x[:, j - 1] - x[:, kk - 1]) > COINCIDENCE_TOL)
     if off.any():
@@ -200,8 +202,7 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     r1, r2 = contact_residuals(state.params, v_minus, d_minus, v_plus, d_plus)
     # hypot gives the bits of the scalar abs(); np.abs on complex arrays
     # can differ from it in the last place
-    return (float(np.hypot(r1.real, r1.imag).max(initial=0.0)),
-            float(np.hypot(r2.real, r2.imag).max(initial=0.0)))
+    return float(np.hypot(r1.real, r1.imag).max()), float(np.hypot(r2.real, r2.imag).max())
 
 
 def determinant_coefficients(k, c: float) -> np.ndarray:

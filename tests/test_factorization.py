@@ -295,6 +295,12 @@ def test_sample_panel_reproducible_and_away_from_poles():
     assert np.abs(p1[:, 0] + p1[:, 1]).min() >= 0.25
 
 
+def test_empty_sample_list_is_refused():
+    # a maximum over no samples would pass a non-integrable coupling
+    with pytest.raises(ValueError, match="at least one"):
+        yang_baxter_matrix_check(CouplingParameters(1.0, 0.5, 0.3, 0.2), 4, [])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_samples_are_refused(bad):
     # np.abs(nan).max() compared inside max() would report a residual of 0.0

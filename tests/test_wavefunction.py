@@ -241,6 +241,12 @@ def test_boundary_residual_input_checks():
         boundary_residual(state, 1, 2, [np.array([0.1, 0.1, 0.1])])
 
 
+def test_boundary_residual_refuses_an_empty_sample_list():
+    # a maximum over no samples would report the contact conditions as met
+    with pytest.raises(ValueError, match="at least one sample"):
+        boundary_residual(toy_state(), 1, 2, [])
+
+
 def test_determinant_single_particle():
     k = np.array([0.8])
     assert determinant_eigenfunction(k, 1.0, np.array([0.3])) == pytest.approx(np.exp(0.8j * 0.3))
