@@ -19,8 +19,6 @@ builds the parts of every Y step it can take before its rank-order pass.
 
 Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
-* ``lehmer_to_index[(F,)]``: lexicographic Lehmer code -> rank index,
-  read through ``permutations.rank_of``.
 * ``tmaps[(N-1, F)]``, ``asc[(N-1, F)]``: right-multiplication index map
   and ascent flags per transposition site.
 * ``last_site[(F,)]``: last letter of each canonical word, -1 for the
@@ -119,13 +117,13 @@ def plane_waves(k, images, xq) -> np.ndarray:
     return waves
 
 
-def eval_grid(points, k, table, images, lehmer_to_index) -> np.ndarray:
+def eval_grid(points, k, table, images) -> np.ndarray:
     """Bethe-ansatz wavefunction on a batch of generic (tie-free) points."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     order = np.argsort(points, axis=1, kind="stable")  # wedge images per point
     xq = np.take_along_axis(points, order, axis=1)
     waves = plane_waves(k, images, xq)
-    return (table.T[rank_of(lehmer_to_index, order)] * waves).sum(axis=1)
+    return (table.T[rank_of(order)] * waves).sum(axis=1)
 
 
 def step_parts(tables: SymmetricGroupTables, s: int, sr_plus, sr_minus, st_plus, st_minus):

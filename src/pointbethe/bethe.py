@@ -65,6 +65,17 @@ def validate_momenta(k) -> np.ndarray:
     return k
 
 
+def _coefficient_vector(a, order: int, name: str = "coefficient vector") -> np.ndarray:
+    """A copy of a as a complex vector of ``order`` finite entries, else a ValueError."""
+    a = np.array(a, dtype=np.complex128)
+    if a.shape != (order,):
+        raise ValueError(f"{name} must have length {order}")
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"{name} is non-finite at 0-based indices {bad.tolist()}")
+    return a
+
+
 @dataclass(frozen=True)
 class YangMatrix:
     """Dense N! x N! single-step propagation matrix Y_i(u)."""
@@ -158,14 +169,11 @@ def propagate(params: CouplingParameters, k, a_identity, p: Permutation,
         raise ValueError(f"permutation size {p.n} != number of momenta {n}")
     _check_propagation_allowed(params, n, tol)
     tables = symmetric_group(n)
-    a = np.asarray(a_identity, dtype=np.complex128)
-    if a.shape != (tables.order,):
-        raise ValueError(f"coefficient vector must have length {tables.order}")
+    a = _coefficient_vector(a_identity, tables.order)
     if word is None:
         word = decompose(p)
     srp, srm, stp, stm = _kernels.pair_amplitude_tables(params, k)
     run = np.arange(n)
-    a = a.copy()
     for pos, i in enumerate(word):
         if not 1 <= i < n:
             raise ValueError(f"word letter {i} at 0-based position {pos} is outside 1..{n - 1}")
@@ -213,9 +221,7 @@ def bethe_state(params: CouplingParameters, k, a_identity,
     n = k.size
     _check_propagation_allowed(params, n, tol)
     tables = symmetric_group(n)
-    a = np.asarray(a_identity, dtype=np.complex128)
-    if a.shape != (tables.order,):
-        raise ValueError(f"coefficient vector must have length {tables.order}")
+    a = _coefficient_vector(a_identity, tables.order)
     srp, srm, stp, stm = _kernels.pair_amplitude_tables(params, k)
     table = _kernels.propagate_table(a, tables, srp, srm, stp, stm)
     return BetheState(params=params, k=k, table=table)
@@ -291,9 +297,7 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
         raise ValueError("brute-force oracle is limited to N <= 4")
     tables = symmetric_group(n)
     f = tables.order
-    pinned_column = np.asarray(pinned_column, dtype=np.complex128)
-    if pinned_column.shape != (f,):
-        raise ValueError(f"pinned column must have length {f}")
+    pinned_column = _coefficient_vector(pinned_column, f, "pinned column")
 
     # site s fills f^2 / 2 rows: the (2, f/2, f/2) conditions over (P, Q)
     homogeneous_rows = (n - 1) * f * f // 2

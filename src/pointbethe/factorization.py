@@ -201,7 +201,7 @@ def _orbit_structure_holds(tables, positions) -> bool:
     products on the orbit-packed identity is row labels[Q] on S_m's, bitwise.
     """
     group = symmetric_group(len(positions))
-    labels = rank_of(group.lehmer_to_index, tables.images[:, positions])
+    labels = rank_of(tables.images[:, positions])
     for t, s in enumerate(positions[:-1]):
         if positions[t + 1] != s + 1:
             continue

@@ -9,9 +9,11 @@ Conventions, all of which are load-bearing for the rest of the package:
   adjacent transposition ``T_i`` swaps the entries at positions i, i+1 of
   the one-line form.
 * Total order: compare the sequences a_m = Q(N-m+1) - Q'(N-m+1) for
-  m = 1..N; Q > Q' when the first nonzero a_m is positive.  Ranks are
-  1-based and assigned in *descending* order, so the identity has rank 1.
-  For S_3 the rank order is (123), (213), (132), (312), (231), (321).
+  m = 1..N; Q > Q' when the first nonzero a_m is positive, which is the
+  lexicographic order of the reversed one-line forms (Q(N), ..., Q(1)).
+  Ranks are 1-based and assigned in *descending* order, so the identity
+  has rank 1.  For S_3 the rank order is (123), (213), (132), (312),
+  (231), (321).
 * Every rank 1 <= j <= N! factors uniquely as j = n*(N-1)! + k with
   0 <= n <= N-1, 1 <= k <= (N-1)!, and the permutation of rank j is
   C_n composed with the rank-k element of S_{N-1} (embedded with N as a
@@ -25,6 +27,7 @@ order: ``(R_hat @ A)[rank(Q)] = A[rank(Q*R)]``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -164,11 +167,10 @@ def decompose(q: Permutation) -> list[int]:
 class SymmetricGroupTables:
     """Precomputed per-N lookup tables shared by the Bethe machinery.
 
-    Everything is indexed by 0-based rank (rank(Q) - 1).  ``images`` holds
-    0-based one-line forms.  ``tmaps[i-1][q]`` is the rank index of Q*T_i.
-    ``asc[i-1][q]`` is True when Q(i) < Q(i+1).  ``lehmer_to_index`` maps
-    the lexicographic Lehmer code of a one-line form to its rank index;
-    ``rank_of`` looks whole batches of orderings up through it.
+    Everything is indexed by 0-based rank (rank(Q) - 1), which is the
+    position of Q's reversed one-line form in descending lexicographic
+    order.  ``images`` holds 0-based one-line forms.  ``tmaps[i-1][q]`` is
+    the rank index of Q*T_i.  ``asc[i-1][q]`` is True when Q(i) < Q(i+1).
     ``last_site[q]`` is i-1 for the last letter i of ``decompose(Q)``; the
     canonical words are prefix-closed, so Q*T_i has the word of Q minus
     that letter and a smaller rank.
@@ -176,26 +178,24 @@ class SymmetricGroupTables:
 
     n: int
     order: int
-    perms: tuple[Permutation, ...]
     images: np.ndarray          # (order, n) int64, 0-based values
     tmaps: np.ndarray           # (n-1, order) int64
     asc: np.ndarray             # (n-1, order) bool
     signs: np.ndarray           # (order,) int64
     inversion_counts: np.ndarray  # (order,) int64
-    lehmer_to_index: np.ndarray   # (order,) int64
     last_site: np.ndarray         # (order,) int64, -1 for the identity
 
 
-def rank_of(lehmer_to_index: np.ndarray, orders0) -> np.ndarray:
-    """Rank indices of 0-based orderings along the last axis, O(N^2) each;
-    the package's one lookup from orderings to ranks."""
-    orders0 = np.asarray(orders0)
-    n = orders0.shape[-1]
-    code = np.zeros(orders0.shape[:-1], dtype=np.int64)  # lexicographic Lehmer code
+def rank_of(orders0) -> np.ndarray:
+    """Rank indices of 0-based orderings along the last axis, O(N^2) each:
+    N! - 1 minus the lexicographic Lehmer code of the reversed ordering."""
+    reversed0 = np.asarray(orders0)[..., ::-1]
+    n = reversed0.shape[-1]
+    code = np.zeros(reversed0.shape[:-1], dtype=np.int64)
     for j in range(n):
-        smaller = (orders0[..., j + 1:] < orders0[..., j, np.newaxis]).sum(axis=-1)
+        smaller = (reversed0[..., j + 1:] < reversed0[..., j, np.newaxis]).sum(axis=-1)
         code = code * (n - j) + smaller
-    return lehmer_to_index[code]
+    return math.factorial(n) - 1 - code
 
 
 @lru_cache(maxsize=None)
@@ -204,28 +204,26 @@ def symmetric_group(n: int) -> SymmetricGroupTables:
     if n < 1:
         raise ValueError("n must be >= 1")
     order = math.factorial(n)
-    perms = tuple(unrank(n, j) for j in range(1, order + 1))
-    images = np.array([[v - 1 for v in p.images] for p in perms], dtype=np.int64)
-
-    # through the identity lookup rank_of returns the Lehmer codes themselves
-    lehmer = np.empty(order, dtype=np.int64)
-    lehmer[rank_of(np.arange(order), images)] = np.arange(order)
+    # permutations of a descending input come in descending lexicographic order
+    reversed_forms = np.array(list(itertools.permutations(range(n - 1, -1, -1))), dtype=np.int64)
+    images = np.ascontiguousarray(reversed_forms[:, ::-1])
 
     # swapped[s] holds every one-line form with positions s, s+1 exchanged
     swapped = np.repeat(images[np.newaxis], n - 1, axis=0)
     for s in range(n - 1):
         swapped[s][:, [s, s + 1]] = images[:, [s + 1, s]]
-    tmaps = rank_of(lehmer, swapped)
+    tmaps = rank_of(swapped)
     asc = np.ascontiguousarray((images[:, :-1] < images[:, 1:]).T)
 
-    inv_counts = np.array([inversions(p) for p in perms], dtype=np.int64)
+    inv_counts = np.triu(images[:, :, np.newaxis] > images[:, np.newaxis, :], 1).sum(axis=(1, 2))
     signs = 1 - 2 * (inv_counts % 2)
-    last_site = np.array([(decompose(p) or [0])[-1] - 1 for p in perms], dtype=np.int64)
+    # last letter of decompose(Q) = first descent = count of leading ascents
+    last_site = asc.cumprod(axis=0).sum(axis=0)
+    last_site[0] = -1
 
     return SymmetricGroupTables(
-        n=n, order=order, perms=perms, images=images,
-        tmaps=tmaps, asc=asc, signs=signs, inversion_counts=inv_counts,
-        lehmer_to_index=lehmer, last_site=last_site,
+        n=n, order=order, images=images, tmaps=tmaps, asc=asc, signs=signs,
+        inversion_counts=inv_counts, last_site=last_site,
     )
 
 
@@ -236,8 +234,6 @@ def regular_rep(r: Permutation) -> np.ndarray:
     coefficient vector A produces (R_hat A)(Q) = A(Q r).
     """
     tables = symmetric_group(r.n)
-    mat = np.zeros((tables.order, tables.order), dtype=np.int64)
     # row Q of images[:, r - 1] is the one-line form of Q*r
-    cols = rank_of(tables.lehmer_to_index, tables.images[:, np.array(r.images) - 1])
-    mat[np.arange(tables.order), cols] = 1
-    return mat
+    cols = rank_of(tables.images[:, np.array(r.images) - 1])
+    return np.eye(tables.order, dtype=np.int64)[cols]

@@ -95,9 +95,8 @@ def evaluate(state: BetheState, x) -> complex:
     """
     x = _single_point(x, state.n)
     orders = _tie_orderings(x, COINCIDENCE_TOL)
-    tables = state.tables
-    waves = _kernels.plane_waves(state.k, tables.images, x[orders])
-    columns = state.table.T[rank_of(tables.lehmer_to_index, orders)]
+    waves = _kernels.plane_waves(state.k, state.tables.images, x[orders])
+    columns = state.table.T[rank_of(orders)]
     return complex(np.mean((columns * waves).sum(axis=1)))
 
 
@@ -116,9 +115,7 @@ def evaluate_grid(state: BetheState, points) -> np.ndarray:
     if ties.any():
         raise OnBoundary(f"evaluate_grid: point {points[ties.argmax()]} has coordinates "
                          f"within {COINCIDENCE_TOL}")
-    tables = state.tables
-    return _kernels.eval_grid(points, state.k, state.table,
-                              tables.images, tables.lehmer_to_index)
+    return _kernels.eval_grid(points, state.k, state.table, state.tables.images)
 
 
 def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
@@ -129,8 +126,10 @@ def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
     Candidates are drawn ``count`` at a time; ``rng`` is left as if they
     had been drawn one by one up to the last accepted one, so the samples
     and the generator state match a draw-and-test loop.  Raises
-    ValueError after MAX_DRAWS_PER_SAMPLE * count draws.
+    ValueError unless 1 <= j < kk <= n, and after MAX_DRAWS_PER_SAMPLE * count draws.
     """
+    if not 1 <= j < kk <= n:
+        raise ValueError(f"need 1 <= j < k <= N, got ({j}, {kk})")
     out = []
     draws = 0
     keep = [a for a in range(n) if a != kk - 1]  # x_kk repeats x_j
@@ -182,7 +181,7 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     pinned[:, kk - 1] = x[:, j - 1]
     order = np.argsort(pinned, axis=1, kind="stable")
     site = (order == j - 1).argmax(axis=1)  # i - 1
-    q_idx = rank_of(tables.lehmer_to_index, order)
+    q_idx = rank_of(order)
     qt_idx = tables.tmaps[site, q_idx]
 
     waves = _kernels.plane_waves(state.k, tables.images, np.take_along_axis(x, order, axis=1))
@@ -293,11 +292,10 @@ def gauge_map(state: BetheState, x) -> complex:
     """
     gd = gauge_data(state.params)  # raises NotGaugeFamily outside the family
     x = _single_point(x, state.n)
-    tables = state.tables
     # the step sum is inv(Q) inside wedge Q; averaged over the wedges that
     # touch x, each tied pair contributes step(0) = 1/2
     orders = _tie_orderings(x, COINCIDENCE_TOL)
-    steps = tables.inversion_counts[rank_of(tables.lehmer_to_index, orders)].mean()
+    steps = state.tables.inversion_counts[rank_of(orders)].mean()
     return complex(evaluate(state, x) * np.exp(-1j * gd.alpha * steps))
 
 
@@ -320,9 +318,12 @@ def gauge_transformed_state(state: BetheState) -> BetheState:
 def schrodinger_fd_residual(state: BetheState, x, h: float = FD_STEP) -> float:
     """|FD Laplacian psi + E psi| at an interior point (O(h^2) check).
 
-    Raises OnBoundary when two coordinates are within h: the stencil would
-    then reach across a coincidence plane, where psi has a derivative jump.
+    Raises ValueError unless h is finite and positive, and OnBoundary when
+    two coordinates are within h: the stencil would then reach across a
+    coincidence plane, where psi has a derivative jump.
     """
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step h={h} must be finite and > 0")
     x = np.asarray(x, dtype=np.float64)
     if closest_gap(x) <= h:
         raise OnBoundary(f"coordinates of {x} lie within the finite-difference step h={h}")

@@ -13,7 +13,7 @@ from pointbethe.bethe import (_ascending, _site_contact, bethe_state,
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import NotIntegrable
 from pointbethe.permutations import (Permutation, identity, regular_rep,
-                                     symmetric_group, transposition)
+                                     symmetric_group, transposition, unrank)
 from pointbethe.scattering import amplitudes
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.3)
@@ -44,6 +44,20 @@ def test_validate_momenta_rejects_non_finite(bad):
         validate_momenta([1.0, bad, 0.3])
     with pytest.raises(ValueError, match=r"non-finite"):
         bethe_state(FAMILY1, [1.0, bad, 0.3], np.eye(6)[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_coefficients_are_refused(bad):
+    # a NaN in A_I used to come back as NaN rows and a NaN oracle residual
+    a = np.eye(6, dtype=complex)[0]
+    a[[2, 4]] = bad
+    message = r"non-finite at 0-based indices \[2, 4\]"
+    with pytest.raises(ValueError, match=message):
+        bethe_state(FAMILY1, K3, a)
+    with pytest.raises(ValueError, match=message):
+        propagate(FAMILY1, K3, a, Permutation((3, 1, 2)))
+    with pytest.raises(ValueError, match=message):
+        coefficients_bc_oracle(FAMILY1, K3, a)
 
 
 def test_yang_matrix_appendix_diagonal_patterns():
@@ -181,8 +195,8 @@ def test_bethe_state_rows_match_per_permutation_propagation(params, n):
     a = rng.normal(size=f) + 1j * rng.normal(size=f)
     state = bethe_state(params, k, a)
     assert np.array_equal(state.table[0], a)
-    for j, p in enumerate(symmetric_group(n).perms):
-        assert np.array_equal(state.table[j], propagate(params, k, a, p))
+    for j in range(f):
+        assert np.array_equal(state.table[j], propagate(params, k, a, unrank(n, j + 1)))
     assert state.energy == pytest.approx(float(np.sum(k**2)))
 
 

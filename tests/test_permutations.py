@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointbethe.permutations import (Permutation, compare, compose, decompose,
-                                     identity, rank, rank_of, regular_rep,
-                                     symmetric_group, transposition, unrank)
+                                     identity, inversions, rank, rank_of,
+                                     regular_rep, symmetric_group, transposition,
+                                     unrank)
 from pointbethe.wavefunction import locate_wedge
 
 # the rank order of S_3, largest permutation first
@@ -117,8 +118,6 @@ def test_decompose_recomposes_exhaustively(n):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_decompose_words_are_reduced(n):
     # the recursion emits one step per inversion, so words are minimal
-    from pointbethe.permutations import inversions
-
     for images in itertools.permutations(range(1, n + 1)):
         q = Permutation(images)
         assert len(decompose(q)) == inversions(q)
@@ -174,20 +173,32 @@ def test_inverse_and_sign():
 def test_tables_consistency():
     tables = symmetric_group(4)
     assert tables.order == 24
-    for q, p in enumerate(tables.perms):
-        assert tables.lehmer_to_index[_lehmer(p.images)] == q
+    for q in range(tables.order):
+        p = unrank(4, q + 1)
+        assert rank_of(tables.images[q]) == q
         for i in range(1, 4):
             assert tables.tmaps[i - 1, q] == rank(p.right_t(i)) - 1
             assert tables.asc[i - 1, q] == (p(i) < p(i + 1))
 
 
-def _lehmer(images):
-    vals = [v - 1 for v in images]
-    n = len(vals)
-    code = 0
-    for j in range(n):
-        code = code * (n - j) + sum(1 for m in range(j + 1, n) if vals[m] < vals[j])
-    return code
+@settings(deadline=None)
+@given(st.data())
+def test_tables_match_the_scalar_recursion(data):
+    # every table row against unrank, decompose, inversions and right_t
+    n = data.draw(st.integers(1, 7))
+    tables = symmetric_group(n)
+    j = data.draw(st.integers(1, tables.order))
+    p = unrank(n, j)
+    assert (tables.images[j - 1] + 1).tolist() == list(p.images)
+    assert rank_of(tables.images[j - 1]) == j - 1
+    assert tables.last_site[j - 1] == (decompose(p)[-1] - 1 if j > 1 else -1)
+    assert tables.inversion_counts[j - 1] == inversions(p)
+    assert tables.signs[j - 1] == p.sign
+    for i in range(1, n):
+        assert tables.tmaps[i - 1, j - 1] == rank(p.right_t(i)) - 1
+        assert tables.asc[i - 1, j - 1] == (p(i) < p(i + 1))
+    if j < tables.order:
+        assert compare(p, unrank(n, j + 1)) == 1
 
 
 # the first symmetric_group(6) build can outlast hypothesis's per-example deadline
@@ -195,7 +206,7 @@ def _lehmer(images):
 @given(st.integers(1, 6))
 def test_rank_of_images_is_the_rank_order(n):
     tables = symmetric_group(n)
-    assert (rank_of(tables.lehmer_to_index, tables.images) == np.arange(tables.order)).all()
+    assert (rank_of(tables.images) == np.arange(tables.order)).all()
 
 
 @settings(deadline=None)
@@ -203,7 +214,7 @@ def test_rank_of_images_is_the_rank_order(n):
 def test_rank_of_argsort_matches_locate_wedge(xs):
     x = np.array(xs)
     tables = symmetric_group(x.size)
-    got = rank_of(tables.lehmer_to_index, np.argsort(x, kind="stable"))
+    got = rank_of(np.argsort(x, kind="stable"))
     assert got == rank(locate_wedge(x, tol=0.0).ordering) - 1
 
 

@@ -241,6 +241,14 @@ def test_boundary_residual_input_checks():
         boundary_residual(state, 1, 2, [np.array([0.1, 0.1, 0.1])])
 
 
+@pytest.mark.parametrize("j, kk", [(0, 2), (2, 2), (3, 1), (1, 4)])
+def test_boundary_samples_refuse_a_pair_off_the_planes(j, kk):
+    # (0, 2) wrapped x_0 round to x_3, (2, 2) gave points on no plane and
+    # (1, 4) raised a bare IndexError
+    with pytest.raises(ValueError, match=r"need 1 <= j < k <= N"):
+        boundary_samples(3, j, kk, np.random.default_rng(0))
+
+
 def test_boundary_residual_refuses_an_empty_sample_list():
     # a maximum over no samples would report the contact conditions as met
     with pytest.raises(ValueError, match="at least one sample"):
@@ -436,3 +444,10 @@ def test_schrodinger_residual_refuses_a_stencil_across_a_boundary():
     assert schrodinger_fd_residual(state, np.array([0.3, 0.301, -1.0])) <= 1e-6
     with pytest.raises(OnBoundary):
         schrodinger_fd_residual(state, np.array([0.3, 0.3 + 3e-5, -1.0]))
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
+def test_schrodinger_residual_refuses_a_bad_step(h):
+    # h = 0 returned nan; h = nan was blamed on the point's coordinates
+    with pytest.raises(ValueError, match=r"finite-difference step h="):
+        schrodinger_fd_residual(toy_state(), np.array([0.3, 1.1, -1.0]), h=h)
