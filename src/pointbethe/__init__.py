@@ -21,10 +21,9 @@ from .couplings import (CouplingParameters, GaugeData, boundary_matrix,
 from .errors import (DegenerateBoundary, NotGaugeFamily, NotIntegrable,
                      OnBoundary, PointBetheError, PoleAtU, SingularSystem,
                      WrongWedge)
-from .factorization import (FactorizationReport, GridSpec, IntegrabilityClass,
-                            IntegrabilityTag, ScanRow, YangBaxterReport,
-                            block_reduction_check, check_factorization,
-                            check_factorization_panel, classify,
+from .factorization import (FactorizationReport, GridSpec, ScanRow,
+                            YangBaxterReport, block_reduction_check,
+                            check_factorization, check_factorization_panel,
                             scan_couplings, scan_to_csv,
                             yang_baxter_matrix_check)
 from .permutations import (Permutation, SymmetricGroupTables, compare,

@@ -46,7 +46,6 @@ from .permutations import Permutation, SymmetricGroupTables, decompose, symmetri
 from .scattering import amplitudes
 
 MIN_MOMENTUM_GAP = 1e-12
-INTEGRABILITY_TOL = 1e-9
 
 
 def validate_momenta(k) -> np.ndarray:
@@ -145,17 +144,17 @@ def build_s_diagonals_periodic(params: CouplingParameters, n: int, i: int, u: fl
     return s_r, s_t
 
 
-def _check_propagation_allowed(params: CouplingParameters, n: int, tol: float) -> None:
+def _check_propagation_allowed(params: CouplingParameters, n: int) -> None:
     # N = 2 admits no alternative reduced words, so any couplings are safe;
     # the word-independence question only arises from N = 3 up.
-    if n >= 3 and integrable_family(params, tol) is None:
+    if n >= 3 and integrable_family(params) is None:
         raise NotIntegrable(
             f"couplings {params.astuple()} are outside both integrable families"
         )
 
 
 def propagate(params: CouplingParameters, k, a_identity, p: Permutation,
-              word: list[int] | None = None, tol: float = INTEGRABILITY_TOL) -> np.ndarray:
+              word: list[int] | None = None) -> np.ndarray:
     """Coefficient vector A_P from A_I by stepping along a word for P.
 
     ``word`` defaults to the canonical decomposition of p; any word whose
@@ -167,7 +166,7 @@ def propagate(params: CouplingParameters, k, a_identity, p: Permutation,
     n = k.size
     if p.n != n:
         raise ValueError(f"permutation size {p.n} != number of momenta {n}")
-    _check_propagation_allowed(params, n, tol)
+    _check_propagation_allowed(params, n)
     tables = symmetric_group(n)
     a = _coefficient_vector(a_identity, tables.order)
     if word is None:
@@ -211,15 +210,14 @@ class BetheState:
         return symmetric_group(self.n)
 
 
-def bethe_state(params: CouplingParameters, k, a_identity,
-                tol: float = INTEGRABILITY_TOL) -> BetheState:
+def bethe_state(params: CouplingParameters, k, a_identity) -> BetheState:
     """Build the full table by propagating A_I to every P in rank order.
 
     Every row equals ``propagate`` along the canonical word of its P.
     """
     k = validate_momenta(k)
     n = k.size
-    _check_propagation_allowed(params, n, tol)
+    _check_propagation_allowed(params, n)
     tables = symmetric_group(n)
     a = _coefficient_vector(a_identity, tables.order)
     srp, srm, stp, stm = _kernels.pair_amplitude_tables(params, k)

@@ -23,6 +23,7 @@ from .errors import DegenerateBoundary, NotGaugeFamily
 J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
 _DET_TOL = 1e-12
+FAMILY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,29 +105,32 @@ def check_symplectic(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ J @ u - J).max())
 
 
-def integrable_family(params: CouplingParameters, tol: float = 1e-9) -> str | None:
+def integrable_family(params: CouplingParameters) -> str | None:
     """Which exactly-solvable coupling family params belong to, if any.
 
     "family1" is lam = gamma = 0 (delta plus eta-type momentum coupling,
     non-identical particles); "family2" is lam = 1/c, gamma = eta = 0
-    (delta plus delta-prime combination).  Returns None otherwise.
+    (delta plus delta-prime combination), each condition to within the
+    absolute FAMILY_TOL.  Returns None otherwise.
     """
     c, lam, gamma, eta = params.astuple()
-    if abs(lam) <= tol and abs(gamma) <= tol:
+    if abs(lam) <= FAMILY_TOL and abs(gamma) <= FAMILY_TOL:
         return "family1"
-    if abs(gamma) <= tol and abs(eta) <= tol and abs(c * lam - 1.0) <= tol:
+    if max(abs(gamma), abs(eta), abs(c * lam - 1.0)) <= FAMILY_TOL:
         return "family2"
     return None
 
 
-def gauge_data(params: CouplingParameters, tol: float = 0.0) -> GaugeData:
+def gauge_data(params: CouplingParameters) -> GaugeData:
     """Gauge-equivalence data for the family (c, 0, 0, eta).
 
     Returns c_tilde = c / (1 + eta^2) and the principal angle alpha with
     exp(i alpha) = (1 + i eta) / (1 - i eta).  Only exp(i alpha) has
     physical meaning; the principal branch keeps reports reproducible.
+    Needs lam = gamma = 0 exactly, deliberately stricter than FAMILY_TOL:
+    the step-phase map is exact only there.
     """
-    if abs(params.lam) > tol or abs(params.gamma) > tol:
+    if params.lam != 0 or params.gamma != 0:
         raise NotGaugeFamily(
             f"gauge map needs lambda = gamma = 0, got {params.astuple()}"
         )

@@ -12,12 +12,13 @@ families:
 ``check_factorization`` evaluates all thirteen residuals; identity testing
 is randomized evaluation on a seeded (u, v) panel, which detects any
 violation of these rational identities with overwhelming probability.
-``scan_couplings`` sweeps a coupling grid and cross-checks the algebraic
-classification against the thresholded residuals.  The matrix-level
-relations for the N!-dimensional operators Y_i and the reduction of their
-6x6 invariant blocks to the three-particle matrices rest on one exact
-integer check of how each Y_i acts on the orbits of its transpositions;
-``yang_baxter_matrix_check`` then forms the relations on S_2, S_3 and S_4.
+``scan_couplings`` sweeps a coupling grid and cross-checks the verdict of
+``couplings.integrable_family`` against the thresholded residuals.  The
+matrix-level relations for the N!-dimensional operators Y_i and the
+reduction of their 6x6 invariant blocks to the three-particle matrices
+rest on one exact integer check of how each Y_i acts on the orbits of its
+transpositions; ``yang_baxter_matrix_check`` then forms the relations on
+S_2, S_3 and S_4.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -39,30 +39,6 @@ from .permutations import rank_of, symmetric_group
 N_EQUATIONS = 13
 PASS_TOL = 1e-8    # below: point counts as satisfying the identities
 FAIL_FLOOR = 1e-3  # above: point counts as violating them
-CLASSIFY_TOL = 1e-9
-
-
-class IntegrabilityTag(Enum):
-    FAMILY1 = "family1"
-    FAMILY2 = "family2"
-    NOT_INTEGRABLE = "not_integrable"
-
-
-@dataclass(frozen=True)
-class IntegrabilityClass:
-    tag: IntegrabilityTag
-    tolerance: float
-
-
-def classify(params: CouplingParameters, tol: float = CLASSIFY_TOL) -> IntegrabilityClass:
-    """Algebraic classification of the couplings at tolerance tol."""
-    family = integrable_family(params, tol)
-    tag = {
-        "family1": IntegrabilityTag.FAMILY1,
-        "family2": IntegrabilityTag.FAMILY2,
-        None: IntegrabilityTag.NOT_INTEGRABLE,
-    }[family]
-    return IntegrabilityClass(tag=tag, tolerance=tol)
 
 
 @dataclass(frozen=True)
@@ -90,14 +66,32 @@ def _reduced_conditions(params: CouplingParameters) -> tuple[float, float, float
     return (abs(gamma), abs(lam * (c * lam + eta**2 - 1.0)), abs(lam * eta))
 
 
-def check_factorization_panel(params: CouplingParameters,
-                              samples) -> FactorizationReport:
-    """All thirteen identity residuals, maxed over a panel of (u, v) pairs."""
-    samples = [(float(u), float(v)) for u, v in samples]
+def _finite_sample(u, v, name: str = "sample") -> tuple[float, float]:
+    """(u, v) as floats; ValueError naming the sample unless both are finite."""
+    u, v = float(u), float(v)
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"{name} (u, v) = ({u}, {v}) is not finite")
+    return u, v
+
+
+def _finite_samples(samples) -> list[tuple[float, float]]:
+    """samples as (u, v) float pairs; ValueError if there are none or one is not finite."""
+    samples = [_finite_sample(u, v, f"sample {index} (0-based)")
+               for index, (u, v) in enumerate(samples)]
     if not samples:
         raise ValueError("need at least one (u, v) sample")
-    us = np.array([s[0] for s in samples])
-    vs = np.array([s[1] for s in samples])
+    return samples
+
+
+def check_factorization_panel(params: CouplingParameters,
+                              samples) -> FactorizationReport:
+    """All thirteen identity residuals, maxed over a panel of (u, v) pairs.
+
+    Empty or non-finite samples raise ValueError, and an amplitude pole
+    inside the panel raises PoleAtU.
+    """
+    samples = _finite_samples(samples)
+    us, vs = np.array(samples).T
     grid = np.array([params.astuple()])
     res = _kernels.factorization_panel(grid, us, vs)[0]
     if not np.all(np.isfinite(res)):
@@ -132,13 +126,13 @@ class GridSpec:
 @dataclass(frozen=True)
 class ScanRow:
     params: CouplingParameters
-    classification: IntegrabilityClass
+    family: str | None  # integrable_family(params)
     max_residual: float
 
     @property
     def consistent(self) -> bool:
-        """Does the thresholded residual agree with the classification?"""
-        if self.classification.tag is IntegrabilityTag.NOT_INTEGRABLE:
+        """Does the thresholded residual agree with the family?"""
+        if self.family is None:
             return self.max_residual >= FAIL_FLOOR
         return self.max_residual <= PASS_TOL
 
@@ -158,7 +152,7 @@ def scan_couplings(grid: GridSpec) -> list[ScanRow]:
         params = CouplingParameters(*point)
         rows.append(ScanRow(
             params=params,
-            classification=classify(params),
+            family=integrable_family(params),
             max_residual=float(point_res.max()),
         ))
     return rows
@@ -171,7 +165,7 @@ def scan_to_csv(rows: list[ScanRow]) -> str:
         c, lam, gamma, eta = r.params.astuple()
         lines.append(
             f"{c:.17g},{lam:.17g},{gamma:.17g},{eta:.17g},"
-            f"{r.classification.tag.value},{r.max_residual:.17g}"
+            f"{r.family or 'not_integrable'},{r.max_residual:.17g}"
         )
     return "\n".join(lines) + "\n"
 
@@ -213,14 +207,6 @@ def _orbit_structure_holds(tables, positions) -> bool:
     return True
 
 
-def _finite_sample(u, v, name: str = "sample") -> tuple[float, float]:
-    """(u, v) as floats; ValueError naming the sample unless both are finite."""
-    u, v = float(u), float(v)
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise ValueError(f"{name} (u, v) = ({u}, {v}) is not finite")
-    return u, v
-
-
 def yang_baxter_matrix_check(params: CouplingParameters, n: int,
                              samples) -> YangBaxterReport:
     """Residuals of the N!-dimensional Yang-Baxter relations over samples.
@@ -233,10 +219,7 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
     """
     if not 2 <= n <= 6:
         raise ValueError("matrix check supported for 2 <= N <= 6")
-    samples = [_finite_sample(u, v, f"sample {index} (0-based)")
-               for index, (u, v) in enumerate(samples)]
-    if not samples:
-        raise ValueError("need at least one (u, v) sample")
+    samples = _finite_samples(samples)
     tables = symmetric_group(n)
 
     def product(m, *steps):  # Y_{i_L}(w_L) ... Y_{i_1}(w_1) on the S_m identity

@@ -208,8 +208,11 @@ def determinant_coefficients(k, c: float) -> np.ndarray:
     """Expansion coefficients of the determinant eigenfunction, rank order.
 
     Coefficient of exp(i k_P . x) is sgn(P) prod_{j>k} (i(k_{P(j)} - k_{P(k)}) + c).
+    A non-finite c raises ValueError.
     """
     k = validate_momenta(k)
+    if not np.isfinite(c):
+        raise ValueError(f"determinant coupling c = {c} is not finite")
     tables = symmetric_group(k.size)
     out = np.empty(tables.order, dtype=np.complex128)
     for p_idx in range(tables.order):
@@ -318,13 +321,14 @@ def gauge_transformed_state(state: BetheState) -> BetheState:
 def schrodinger_fd_residual(state: BetheState, x, h: float = FD_STEP) -> float:
     """|FD Laplacian psi + E psi| at an interior point (O(h^2) check).
 
-    Raises ValueError unless h is finite and positive, and OnBoundary when
-    two coordinates are within h: the stencil would then reach across a
-    coincidence plane, where psi has a derivative jump.
+    Raises ValueError unless h is finite and positive and x holds N finite
+    coordinates, and OnBoundary when two coordinates are within h: the
+    stencil would then reach across a coincidence plane, where psi has a
+    derivative jump.
     """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"finite-difference step h={h} must be finite and > 0")
-    x = np.asarray(x, dtype=np.float64)
+    x = _single_point(x, state.n)
     if closest_gap(x) <= h:
         raise OnBoundary(f"coordinates of {x} lie within the finite-difference step h={h}")
     steps = h * np.eye(state.n)

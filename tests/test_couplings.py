@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from pointbethe.bethe import bethe_state
 from pointbethe.couplings import (CouplingParameters, boundary_matrix,
                                   build_u_pm, check_symplectic, gauge_data,
                                   integrable_family)
-from pointbethe.errors import DegenerateBoundary, NotGaugeFamily
+from pointbethe.errors import DegenerateBoundary, NotGaugeFamily, NotIntegrable
 
 
 def test_params_must_be_finite():
@@ -94,3 +95,16 @@ def test_integrable_family_tags():
     assert integrable_family(CouplingParameters(2.0, 0.5)) == "family2"
     assert integrable_family(CouplingParameters(1.0, 1.0, 1.0, 0.0)) is None
     assert integrable_family(CouplingParameters(0.0, 0.5)) is None
+
+
+def test_one_family_tolerance_and_an_exact_gauge_condition():
+    a = np.ones(6, dtype=complex)
+    near = CouplingParameters(2.0, 5e-10, 0.0, 1.0)
+    assert integrable_family(near) == "family1"
+    assert bethe_state(near, [1.4, -0.2, 0.7], a).table.shape == (6, 6)
+    with pytest.raises(NotGaugeFamily):
+        gauge_data(near)  # the step-phase map is exact only at lam = gamma = 0
+    outside = CouplingParameters(2.0, 2e-9, 0.0, 1.0)
+    assert integrable_family(outside) is None
+    with pytest.raises(NotIntegrable):
+        bethe_state(outside, [1.4, -0.2, 0.7], a)

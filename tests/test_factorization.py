@@ -3,16 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from pointbethe import bethe, factorization
 from pointbethe._kernels import sample_panel, yang_apply
 from pointbethe.bethe import build_yang_matrix, yang_parts
-from pointbethe.couplings import CouplingParameters
+from pointbethe.couplings import CouplingParameters, integrable_family
 from pointbethe.errors import PoleAtU
 from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
-                                      IntegrabilityTag, block_reduction_check,
+                                      block_reduction_check,
                                       check_factorization,
-                                      check_factorization_panel, classify,
+                                      check_factorization_panel,
                                       scan_couplings, scan_to_csv,
                                       yang_baxter_matrix_check)
 from pointbethe.permutations import symmetric_group
@@ -72,14 +74,7 @@ def test_pole_band_raises():
         check_factorization(CouplingParameters(0.0), 1e-15, 1.0)
 
 
-def test_classify_examples():
-    assert classify(CouplingParameters(2.0, 0.0, 0.0, 1.5)).tag is IntegrabilityTag.FAMILY1
-    assert classify(CouplingParameters(2.0, 0.5)).tag is IntegrabilityTag.FAMILY2
-    assert classify(CouplingParameters(1.0, 1.0, 1.0, 0.0)).tag is IntegrabilityTag.NOT_INTEGRABLE
-    assert classify(FAMILY1, tol=1e-6).tolerance == 1e-6
-
-
-def test_classify_agrees_with_residual_thresholds_regardless_of_panel():
+def test_integrable_family_agrees_with_residual_thresholds_regardless_of_panel():
     rng = np.random.default_rng(13)
     cases = [FAMILY1, FAMILY2, NONINTEGRABLE,
              CouplingParameters(-1.2, 0.0, 0.0, -0.4),
@@ -89,7 +84,7 @@ def test_classify_agrees_with_residual_thresholds_regardless_of_panel():
         panel = sample_panel(seed, 60)
         for params in cases:
             res = check_factorization_panel(params, panel).max_residual
-            if classify(params).tag is IntegrabilityTag.NOT_INTEGRABLE:
+            if integrable_family(params) is None:
                 assert res >= FAIL_FLOOR
             else:
                 assert res <= PASS_TOL
@@ -299,6 +294,8 @@ def test_empty_sample_list_is_refused():
     # a maximum over no samples would pass a non-integrable coupling
     with pytest.raises(ValueError, match="at least one"):
         yang_baxter_matrix_check(CouplingParameters(1.0, 0.5, 0.3, 0.2), 4, [])
+    with pytest.raises(ValueError, match="at least one"):
+        check_factorization_panel(FAMILY2, [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -311,3 +308,26 @@ def test_non_finite_samples_are_refused(bad):
         yang_baxter_matrix_check(params, 3, [(bad, 0.2)])
     with pytest.raises(ValueError, match=r"sample \(u, v\) = \((nan|-?inf), 0.2\) is not finite"):
         block_reduction_check(params, 4, 1, bad, 0.2)
+    # the panel blamed nan on the couplings as a pole and met inf with a RuntimeWarning
+    with pytest.raises(ValueError, match=r"sample 0 \(0-based\) \(u, v\) = \((nan|-?inf), 1.0\)"):
+        check_factorization(CouplingParameters(2.0), bad, 1.0)
+    with pytest.raises(ValueError, match=r"sample 1 \(0-based\) \(u, v\) = \(0.3, "):
+        check_factorization_panel(CouplingParameters(2.0, 0.5), [(0.9, 1.7), (0.3, bad)])
+
+
+# Y_i(-u) Y_i(u) = 1 follows from the universal identity rows alone
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(deadline=None, max_examples=25)
+@given(couplings=st.tuples(*[st.floats(-3.0, 3.0)] * 4), u=st.floats(-3.0, 3.0),
+       data=st.data())
+def test_unitarity_holds_for_every_coupling(n, couplings, u, data):
+    params = CouplingParameters(*couplings)
+    i = data.draw(st.integers(1, n - 1))
+    try:
+        forward, backward = yang_parts(params, n, i, u), yang_parts(params, n, i, -u)
+    except PoleAtU:
+        reject()
+    eye = np.eye(math.factorial(n), dtype=np.complex128)
+    prod = yang_apply(backward, yang_apply(forward, eye))
+    scale = max(1.0, np.abs(forward[:2]).max() * np.abs(backward[:2]).max())
+    assert np.abs(prod - eye).max() <= 1e-12 * scale

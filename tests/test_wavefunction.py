@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pointbethe._kernels import MAX_DRAWS_PER_SAMPLE
 from pointbethe.bethe import BetheState, bethe_state
@@ -314,6 +316,17 @@ def test_determinant_state_needs_nonzero_c():
         determinant_bethe_state(K3, 0.0, "boson")
 
 
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_determinant_form_refuses_a_non_finite_c(c):
+    # these returned all-NaN coefficients and a NaN psi
+    with pytest.raises(ValueError, match=r"determinant coupling c = -?(nan|inf) is not finite"):
+        determinant_coefficients([0.3, -0.4, 1.1], c)
+    with pytest.raises(ValueError, match="is not finite"):
+        determinant_eigenfunction([0.3, -0.4], c, [0.1, 0.5])
+    with pytest.raises(ValueError, match="is not finite"):
+        determinant_bethe_state([0.3, -0.4], c, "fermion")
+
+
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_determinant_state_satisfies_boundary_conditions(statistics, n):
@@ -421,6 +434,29 @@ def test_gauge_equivalence_to_delta_gas(c, eta, n):
         assert evaluate(mapped, x) == pytest.approx(gauge_map(state, x))
 
 
+@st.composite
+def gauge_family_states(draw, n):
+    params = CouplingParameters(draw(st.floats(-3.0, 3.0)), 0.0, 0.0, draw(st.floats(-3.0, 3.0)))
+    gaps = draw(st.lists(st.floats(0.3, 1.5), min_size=n - 1, max_size=n - 1))
+    k = draw(st.floats(-2.0, 2.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    f = math.factorial(n)
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * f, max_size=2 * f)))
+    return bethe_state(params, k, parts[:f] + 1j * parts[f:])
+
+
+# the first symmetric_group(4) build can outlast hypothesis's per-example deadline
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_gauge_map_equals_the_transformed_state_at_generic_points(n, data):
+    state = data.draw(gauge_family_states(n))
+    x = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    assume(closest_gap(x) > 1e-6)
+    want = evaluate(gauge_transformed_state(state), x)
+    # roundoff relative to sum |A_P(Q)|, which bounds |psi|
+    assert abs(gauge_map(state, x) - want) <= 1e-12 * max(1.0, np.abs(state.table).sum())
+
+
 def test_schrodinger_residual_second_order():
     state = toy_state()
     rng = np.random.default_rng(11)
@@ -444,6 +480,17 @@ def test_schrodinger_residual_refuses_a_stencil_across_a_boundary():
     assert schrodinger_fd_residual(state, np.array([0.3, 0.301, -1.0])) <= 1e-6
     with pytest.raises(OnBoundary):
         schrodinger_fd_residual(state, np.array([0.3, 0.3 + 3e-5, -1.0]))
+
+
+@pytest.mark.parametrize("x, message", [
+    ([0.3, 1.1], r"need 3 coordinates, got shape \(2,\)"),
+    ([[0.3, 1.1, -1.0]], r"need 3 coordinates, got shape \(1, 3\)"),
+    ([0.3, np.nan, -1.0], r"non-finite coordinates at 0-based indices \[1\]"),
+])
+def test_schrodinger_residual_refuses_a_bad_point(x, message):
+    # a short point failed inside numpy broadcasting, naming no input
+    with pytest.raises(ValueError, match=message):
+        schrodinger_fd_residual(toy_state(), x)
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
