@@ -116,7 +116,7 @@ def integrable_family(params: CouplingParameters) -> str | None:
     c, lam, gamma, eta = params.astuple()
     if abs(lam) <= FAMILY_TOL and abs(gamma) <= FAMILY_TOL:
         return "family1"
-    if max(abs(gamma), abs(eta), abs(c * lam - 1.0)) <= FAMILY_TOL:
+    if abs(gamma) <= FAMILY_TOL and abs(eta) <= FAMILY_TOL and abs(c * lam - 1.0) <= FAMILY_TOL:
         return "family2"
     return None
 

@@ -91,7 +91,8 @@ def check_factorization_panel(params: CouplingParameters,
     inside the panel raises PoleAtU.
     """
     samples = _finite_samples(samples)
-    us, vs = np.array(samples).T
+    us = np.array([s[0] for s in samples])
+    vs = np.array([s[1] for s in samples])
     grid = np.array([params.astuple()])
     res = _kernels.factorization_panel(grid, us, vs)[0]
     if not np.all(np.isfinite(res)):
@@ -137,6 +138,13 @@ class ScanRow:
         return self.max_residual <= PASS_TOL
 
 
+def classify(params: CouplingParameters, panel_residuals: np.ndarray) -> ScanRow:
+    """The scan row of one grid point: its ``integrable_family`` verdict
+    beside the largest of its panel residuals.  ``perfbench/tracing.py``
+    times the scan's per-row work under this name."""
+    return ScanRow(params, integrable_family(params), float(panel_residuals.max()))
+
+
 def scan_couplings(grid: GridSpec) -> list[ScanRow]:
     """Classify every grid point and evaluate its panel residuals.
 
@@ -147,15 +155,8 @@ def scan_couplings(grid: GridSpec) -> list[ScanRow]:
     points = list(grid.points())
     params_grid = np.array(points, dtype=np.float64)
     res = _kernels.factorization_panel(params_grid, panel[:, 0], panel[:, 1])
-    rows = []
-    for point, point_res in zip(points, res):
-        params = CouplingParameters(*point)
-        rows.append(ScanRow(
-            params=params,
-            family=integrable_family(params),
-            max_residual=float(point_res.max()),
-        ))
-    return rows
+    return [classify(CouplingParameters(*point), point_res)
+            for point, point_res in zip(points, res)]
 
 
 def scan_to_csv(rows: list[ScanRow]) -> str:
