@@ -36,7 +36,6 @@ from .couplings import CouplingParameters, integrable_family
 from .errors import PoleAtU
 from .permutations import rank_of, symmetric_group
 
-N_EQUATIONS = 13
 PASS_TOL = 1e-8    # below: point counts as satisfying the identities
 FAIL_FLOOR = 1e-3  # above: point counts as violating them
 

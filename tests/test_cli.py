@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointbethe import cli
+from pointbethe.bethe import bethe_state
 from pointbethe.cli import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK,
                             EXIT_RESIDUAL, main)
+from pointbethe.couplings import CouplingParameters
 
 
 def run_cli(args, tmp_path, name="report.txt"):
@@ -215,3 +218,96 @@ def test_eigen_finite_difference_skips_points_near_a_boundary(tmp_path):
     assert status == EXIT_OK
     fd_line = next(l for l in report.splitlines() if l.startswith("free-equation"))
     assert float(fd_line.rsplit(" ", 1)[1]) <= 1e-5
+
+
+def test_scatter_takes_more_u_values_than_max_n(tmp_path):
+    # scatter builds no N! table, so the N guard does not bound its u grid
+    status, report = run_cli(["scatter", "--c", "2", "--k", "0.5,1,1.5,2,2.5,3,3.5"], tmp_path)
+    assert status == EXIT_OK
+    lines = [l for l in report.splitlines() if not l.startswith("#")]
+    assert lines[0].startswith("u,re_st_plus")
+    assert len(lines) == 1 + 7 + 1  # header, seven grid rows, oracle summary
+    assert "# N =" not in report
+
+
+def test_yb_check_echoes_the_n_it_ran(tmp_path):
+    # yb-check ignores k and runs at N = 3 without --N; the header used to
+    # echo the length of k as N
+    base = ["yb-check", "--c", "2", "--eta", "1"]
+    _, plain = run_cli(base, tmp_path, "a.txt")
+    status, with_k = run_cli(base + ["--k", "0.1,0.2,0.3,0.4,0.5"], tmp_path, "b.txt")
+    assert status == EXIT_OK
+    lines = with_k.splitlines()
+    assert "# k = 0.10000000000000001,0.20000000000000001,0.29999999999999999," \
+           "0.40000000000000002,0.5" in lines
+    assert not any(l.startswith("# N =") for l in lines)
+    assert [l for l in lines if not l.startswith("# k =")] == plain.splitlines()
+
+
+def _run_route(tmp_path, capsys, command, base, key, value, via_file):
+    """main() with base as flags and key = value as a flag or a config-file
+    line; returns (status, report, stderr)."""
+    args = [command] + [f"--{k}={v}" for k, v in base.items() if k != key]
+    if via_file:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        args += ["--config", str(cfg)]
+    else:
+        args.append(f"--{key}={value}")
+    status = main(args)
+    captured = capsys.readouterr()
+    report = captured.out
+    if key == "out":
+        report += (tmp_path / "r.txt").read_text()
+        (tmp_path / "r.txt").unlink()
+    return status, report, captured.err
+
+
+ROUTE_VALUES = {"c": "1.5", "lambda": "0", "gamma": "0", "eta": "0.5", "N": "2",
+                "k": "0.9,-0.4,0.2", "seed": "11", "tol": "1e-6", "out": "r.txt"}
+
+
+@pytest.mark.parametrize("key", list(cli.FIELDS))
+def test_flag_and_config_file_give_the_same_report(tmp_path, capsys, key):
+    value = str(tmp_path / ROUTE_VALUES[key]) if key == "out" else ROUTE_VALUES[key]
+    base = {"c": "2", "eta": "1", "k": "0.9,-0.5"}
+    if key == "N":
+        del base["k"]
+    by_flag = _run_route(tmp_path, capsys, "gauge", base, key, value, via_file=False)
+    by_file = _run_route(tmp_path, capsys, "gauge", base, key, value, via_file=True)
+    assert by_flag[0] == EXIT_OK
+    assert by_flag[1].startswith("# command = gauge")
+    assert by_flag == by_file
+
+
+@pytest.mark.parametrize("key,value", [("N", "x"), ("N", "1.5"), ("N", "0"),
+                                       ("seed", "x"), ("seed", "1.5"),
+                                       ("tol", "x"), ("tol", "0")])
+def test_flag_and_config_file_give_the_same_error(tmp_path, capsys, key, value):
+    base = {"c": "2", "eta": "1", "N": "3"}
+    by_flag = _run_route(tmp_path, capsys, "coeffs", base, key, value, via_file=False)
+    by_file = _run_route(tmp_path, capsys, "coeffs", base, key, value, via_file=True)
+    assert by_flag[:2] == (EXIT_CONFIG, "")
+    assert by_flag[2].startswith(f"config error: field {key}: ")
+    assert by_flag == by_file
+
+
+def test_coeffs_csv_parses_back_to_the_table(tmp_path):
+    status, report = run_cli(["coeffs", "--N", "3", "--c", "2", "--eta", "1.3",
+                              "--k", "1.4,-0.2,0.7"], tmp_path)
+    assert status == EXIT_OK
+    lines = report.splitlines()
+    assert "# N = 3" in lines
+    start = lines.index("p_rank,q_rank,re_a,im_a") + 1
+    rows = [line.split(",") for line in lines[start:start + 36]]
+    assert lines[start + 36].startswith("pairwise relation residual")
+    # ranks in row-major order: P outer, Q inner, both 1-based
+    assert [(int(p), int(q)) for p, q, _, _ in rows] == [
+        (p, q) for p in range(1, 7) for q in range(1, 7)]
+    parsed = np.array([complex(float(re), float(im)) for _, _, re, im in rows]).reshape(6, 6)
+    a_identity = np.zeros(6, dtype=np.complex128)
+    a_identity[0] = 1.0
+    table = bethe_state(CouplingParameters(2.0, 0.0, 0.0, 1.3),
+                        np.array([1.4, -0.2, 0.7]), a_identity).table
+    # bit for bit, signed zeros included
+    assert np.array_equal(parsed.view(np.uint64), np.ascontiguousarray(table).view(np.uint64))
