@@ -23,12 +23,20 @@ result is word-independent exactly for the integrable coupling families;
 for N >= 3 and other couplings ``propagate`` refuses rather than return
 an answer that depends on bookkeeping.
 
-``coefficients_bc_oracle`` is the brute-force cross-check: it stacks the
-contact conditions into one linear system over all N!^2 unknowns, pins
-the A_P(identity wedge) column, and solves by least squares.  It and
-``state_relation_residual`` take the conditions from ``_site_contact``
-and state each once, as (P, Q) and (P T_i, Q) give the same two
-equations: the oracle has (N-1) N!^2 / 2 homogeneous rows.
+``coefficients_bc_oracle`` is the brute-force cross-check: it solves the
+contact conditions over all N!^2 unknowns, with the A_P(identity wedge)
+column pinned, by least squares.  It and ``state_relation_residual`` take
+the conditions from ``_site_contact`` and state each once, as (P, Q) and
+(P T_i, Q) give the same two equations: the system has (N-1) N!^2 / 2
+homogeneous rows.  Site 1's rows fall apart into N!^2 / 4 blocks of two
+equations in four unknowns, one per square {P, P T_1} x {Q, Q T_1}, and
+each block has rank 2 whenever u != 0: the map from the four coefficients
+to the wedge limits (v-, d-, v+, d+) is invertible, and the second
+condition's d-coefficients (-lam, -lam) are never proportional to the
+first's (-1 + gamma - i eta, 1 + gamma - i eta).  So the oracle solves
+site 1 block by block, one batched 2 x 4 SVD, and the least-squares solve
+and rank run on the remaining sites over the N!^2 / 2 coordinates of
+site 1's null space.
 """
 
 from __future__ import annotations
@@ -245,6 +253,19 @@ def _ascending(tables: SymmetricGroupTables, k: np.ndarray, s: int):
     return asc, tables.tmaps[s, asc], u[:, np.newaxis]
 
 
+def _contact_residual(params: CouplingParameters, k: np.ndarray,
+                      tables: SymmetricGroupTables, table: np.ndarray) -> float:
+    """Max |r1|, |r2| of the contact conditions over every site, every P
+    and every Q ascending at the site, read from the table entries."""
+    residuals = [0.0]
+    for s in range(k.size - 1):
+        asc, t, u = _ascending(tables, k, s)
+        r1, r2 = _site_contact(params, u, table[np.ix_(asc, asc)], table[np.ix_(t, asc)],
+                               table[np.ix_(asc, t)], table[np.ix_(t, t)])
+        residuals += [np.abs(r1).max(), np.abs(r2).max()]
+    return float(np.max(residuals))
+
+
 def state_relation_residual(state: BetheState) -> float:
     """Max violation of the contact conditions over the table.
 
@@ -253,14 +274,44 @@ def state_relation_residual(state: BetheState) -> float:
     entries and the momenta alone, so neither a fault in the shared Y-step
     nor one in the amplitude formula can cancel out of the check.
     """
-    a = state.table
-    residuals = [0.0]
-    for s in range(state.n - 1):
-        asc, t, u = _ascending(state.tables, state.k, s)
-        r1, r2 = _site_contact(state.params, u, a[np.ix_(asc, asc)], a[np.ix_(t, asc)],
-                               a[np.ix_(asc, t)], a[np.ix_(t, t)])
-        residuals += [np.abs(r1).max(), np.abs(r2).max()]
-    return float(np.max(residuals))
+    return _contact_residual(state.params, state.k, state.tables, state.table)
+
+
+def _site_rows(params: CouplingParameters, tables: SymmetricGroupTables, k: np.ndarray, s: int):
+    """Site s + 1's contact rows in sparse form, (coefficients, columns).
+
+    With P and Q running over the h = N!/2 permutations ascending at the
+    site, the row of condition e at (P, Q) holds ``coefficients[P, e, j]``,
+    shape (h, 2, 4), at the unknown ``columns[P, Q, j]``, shape (h, h, 4),
+    where j = 0..3 stands for A_P(Q), A_PT(Q), A_P(QT), A_PT(QT) and the
+    unknown A_P'(Q') has the flat index rank(P') N! + rank(Q').  The
+    coefficients depend on P alone, through u.
+    """
+    asc, t, u = _ascending(tables, k, s)
+    f = tables.order
+    # the conditions are linear: the coefficient of each coupled unknown
+    coefficients = np.array([_site_contact(params, u[:, 0], *unit) for unit in np.eye(4)])
+    columns = np.stack([p[:, np.newaxis] * f + q for p, q in
+                        [(asc, asc), (t, asc), (asc, t), (t, t)]], axis=-1)
+    return coefficients.transpose(2, 1, 0), columns
+
+
+def _site1_null_basis(coefficients: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Orthonormal basis B, shape (N!^2, N!^2 / 2), of the null space of
+    site 1's rows given by ``_site_rows``.
+
+    Each square {P, P T_1} x {Q, Q T_1} of unknowns meets only its own
+    two rows, of rank 2, so the last two right singular vectors of P's
+    2 x 4 block span its null space.  With P and Q the i-th and j-th of
+    the h = N!/2 permutations ascending at site 1, the square owns columns
+    2 (i h + j) and 2 (i h + j) + 1 of B.
+    """
+    h = len(coefficients)
+    null = np.linalg.svd(coefficients)[2][:, 2:].conj()  # (h, 2, 4)
+    basis = np.zeros((4 * h * h, 2 * h * h), dtype=np.complex128)
+    squares = 2 * np.arange(h * h).reshape(h, h, 1, 1) + np.arange(2)
+    basis[columns[..., np.newaxis], squares] = null.transpose(0, 2, 1)[:, np.newaxis]
+    return basis
 
 
 @dataclass(frozen=True)
@@ -280,12 +331,18 @@ class OracleResult:
 def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> OracleResult:
     """Solve the full boundary system with A_P(identity wedge) pinned.
 
-    Assembles, for every site i, every wedge Q with Q(i) < Q(i+1) and
-    every P with P(i) < P(i+1), the two contact conditions in the four
-    coefficients they couple, appends the N! pins A_P(I) =
-    pinned_column[rank(P)], and solves the stacked system by least
-    squares.  The equation residual is at roundoff exactly when the
-    couplings are integrable (or N = 2).
+    The system holds, for every site i, every wedge Q with Q(i) < Q(i+1)
+    and every P with P(i) < P(i+1), the two contact conditions in the four
+    coefficients they couple, plus the N! pins A_P(I) =
+    pinned_column[rank(P)].  Every solution satisfies site 1's rows, so
+    it is B y for the isometry B of ``_site1_null_basis``: the pins and
+    the rows of sites 2 .. N-1 are solved for y by least squares, and the
+    nullity is N!^2 / 2 minus the rank of those rows times B.  Where the
+    system is consistent this is the minimum-norm least-squares solution
+    of the full system, as B preserves norms; where it is not, site 1's
+    rows hold exactly and the rest carry the violation.  The residual is
+    the max violation over every row of the full system and the pins, at
+    roundoff exactly when the couplings are integrable (or N = 2).
 
     Limited to N <= 4: the system has (N-1) N!^2 / 2 + N! rows.
     """
@@ -297,25 +354,29 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     f = tables.order
     pinned_column = _coefficient_vector(pinned_column, f, "pinned column")
 
-    # site s fills f^2 / 2 rows: the (2, f/2, f/2) conditions over (P, Q)
-    homogeneous_rows = (n - 1) * f * f // 2
-    mat = np.zeros((homogeneous_rows + f, f * f), dtype=np.complex128)
-    for s in range(n - 1):
-        asc, t, u = _ascending(tables, k, s)
-        rows = s * f * f // 2 + np.arange(f * f // 2).reshape(2, f // 2, f // 2)
-        # the conditions are linear: column of each coupled coefficient
-        for (p, q), unit in zip([(asc, asc), (t, asc), (asc, t), (t, t)], np.eye(4)):
-            cols = p[:, np.newaxis] * f + q
-            mat[rows[0], cols], mat[rows[1], cols] = _site_contact(params, u, *unit)
-    mat[homogeneous_rows + np.arange(f), np.arange(f) * f] = 1.0
-    rhs = np.concatenate([np.zeros(homogeneous_rows), pinned_column])
-
-    solution, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    residual = float(np.abs(mat @ solution - rhs).max())
-    rank = np.linalg.matrix_rank(mat[:homogeneous_rows])
+    basis = _site1_null_basis(*_site_rows(params, tables, k, 0))
+    width = basis.shape[1]
+    # the rows of sites 2 .. N-1 times B, as (P, Q, e) rows of width N!^2 / 2
+    reduced = [np.empty((0, width), dtype=np.complex128)]
+    for s in range(1, n - 1):
+        coefficients, columns = _site_rows(params, tables, k, s)
+        reduced.append((coefficients[:, np.newaxis] @ basis[columns]).reshape(-1, width))
+    reduced = np.concatenate(reduced)
+    system = np.concatenate([reduced, basis[np.arange(f) * f]])
+    rhs = np.concatenate([np.zeros(len(reduced)), pinned_column])
+    y = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    # one refinement step, a no-op in exact arithmetic: the SVD solve alone
+    # leaves up to 4e-14 on the contact rows of a well-conditioned N = 4
+    # system, against 1e-15 after the step
+    y += np.linalg.lstsq(system, rhs - system @ y, rcond=None)[0]
+    table = (basis @ y).reshape(f, f)
+    residual = np.max([_contact_residual(params, k, tables, table),
+                       np.abs(table[:, 0] - pinned_column).max()])
+    # numpy < 2 takes no rank of an empty matrix: N = 2 has no site past the first
+    rank = np.linalg.matrix_rank(reduced) if len(reduced) else 0
     return OracleResult(
-        table=solution.reshape(f, f),
-        residual=residual,
-        nullity=f * f - int(rank),
+        table=table,
+        residual=float(residual),
+        nullity=width - int(rank),
         expected_nullity=f,
     )

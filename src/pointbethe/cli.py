@@ -3,7 +3,9 @@
 Subcommands: scatter, yb-check, scan, coeffs, eigen, gauge.  Every flag can
 also be supplied through a config file (``--config``) holding one
 ``key = value`` pair per line with ``#`` comments; flags override file
-values, and a flag and a file key of the same name share one parser.
+values, and a flag and a file key of the same name share one parser.  A
+key given twice in one file, a flag given twice, and an empty item in a
+comma-separated list are configuration errors.
 Reports are plain UTF-8 with the resolved configuration echoed in
 ``# key = value`` header lines followed by human-readable summary lines and
 machine-readable CSV blocks.  Identical configuration and seed produce
@@ -93,12 +95,13 @@ class RunConfig:
 
 
 def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
+    items = text.split(",")
+    if any(item.strip() == "" for item in items):
+        raise ConfigError(f"field {key}: empty item in {text!r}")
     try:
-        vals = tuple(float(v) for v in text.split(",") if v.strip() != "")
+        vals = tuple(float(v) for v in items)
     except ValueError as exc:
         raise ConfigError(f"field {key}: cannot parse {text!r} as numbers") from exc
-    if not vals:
-        raise ConfigError(f"field {key}: empty value")
     # commands that ignore a field (yb-check and scan ignore k) must
     # still refuse a non-finite value in it
     if not all(map(math.isfinite, vals)):
@@ -136,6 +139,7 @@ FIELDS = {
 
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
@@ -151,8 +155,20 @@ def parse_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if key != "command" and key not in FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: field {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = value.strip()
     return values
+
+
+def _once(flags: dict, key: str) -> str | None:
+    """The value of a flag registered with action="append", None if absent;
+    a flag given twice is refused rather than the last one silently kept."""
+    given = flags[key] or []
+    if len(given) > 1:
+        raise ConfigError(f"field {key}: flag --{key} given {len(given)} times")
+    return given[0] if given else None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,12 +179,12 @@ class _Parser(argparse.ArgumentParser):
 def build_config(argv: list[str]) -> RunConfig:
     parser = _Parser(prog="pointbethe", add_help=True, description=__doc__)
     parser.add_argument("command", nargs="?", choices=COMMANDS)
-    parser.add_argument("--config", default=None)
-    for key in FIELDS:
-        parser.add_argument(f"--{key}")
+    for key in ("config", *FIELDS):
+        parser.add_argument(f"--{key}", action="append")
     flags = vars(parser.parse_args(argv))
 
-    file_values = parse_config_file(flags["config"]) if flags["config"] else {}
+    config_path = _once(flags, "config")
+    file_values = parse_config_file(config_path) if config_path else {}
 
     command = flags["command"] or file_values.get("command")
     if command not in COMMANDS:
@@ -176,7 +192,9 @@ def build_config(argv: list[str]) -> RunConfig:
 
     cfg = RunConfig(command=command)
     for key, (attr, parse) in FIELDS.items():
-        raw = flags[key] if flags[key] is not None else file_values.get(key)
+        raw = _once(flags, key)
+        if raw is None:
+            raw = file_values.get(key)
         if raw is not None:
             setattr(cfg, attr, parse(raw, key))
     return cfg

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointbethe import scattering
-from pointbethe.bethe import (_ascending, _site_contact, bethe_state,
+from pointbethe.bethe import (_ascending, _site1_null_basis, _site_contact,
+                              _site_rows, bethe_state,
                               build_s_diagonals_periodic, build_yang_matrix,
                               coefficients_bc_oracle, propagate,
                               state_relation_residual, validate_momenta)
@@ -279,20 +280,87 @@ def test_site_contact_on_unit_inputs_is_the_hand_expanded_system(params, n):
             assert np.array_equal(np.hstack([r1, r2]), ref)
 
 
+def _dense_site_rows(params, tables, k, s):
+    """Site s + 1's rows from ``_site_rows`` as dense rows over N!^2 unknowns."""
+    coefficients, columns = _site_rows(params, tables, k, s)
+    h, f = len(coefficients), tables.order
+    rows = np.zeros((h, 2, h, f * f), dtype=np.complex128)
+    for p, e, q in np.ndindex(h, 2, h):
+        rows[p, e, q, columns[p, q]] = coefficients[p, e]
+    return rows.reshape(-1, f * f)
+
+
 @pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_oracle_states_each_contact_equation_once(params, n, monkeypatch):
+def test_oracle_states_each_contact_equation_once(params, n):
+    # the rows of every site as the oracle assembles them, checked directly
     k = random_k(n, np.random.default_rng(9 + n))
-    f = math.factorial(n)
-    seen = []
-    matrix_rank = np.linalg.matrix_rank
-    monkeypatch.setattr(np.linalg, "matrix_rank", lambda m: seen.append(m) or matrix_rank(m))
-    coefficients_bc_oracle(params, k, np.ones(f))
-    homogeneous = seen[0] + 0.0  # + 0.0 folds -0.0 into 0.0
+    tables = symmetric_group(n)
+    f = tables.order
+    homogeneous = np.concatenate([_dense_site_rows(params, tables, k, s)
+                                  for s in range(n - 1)]) + 0.0  # + 0.0 folds -0.0 into 0.0
     assert homogeneous.shape == ((n - 1) * f * f // 2, f * f)
     reference = {row.tobytes() for row in _reference_contact_rows(params, k) + 0.0}
     assert {row.tobytes() for row in homogeneous} == reference
     assert len(reference) == homogeneous.shape[0]
+
+
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_site1_null_basis_is_an_orthonormal_basis_of_site1_null_space(params, n):
+    k = random_k(n, np.random.default_rng(19 + n))
+    tables = symmetric_group(n)
+    f = tables.order
+    basis = _site1_null_basis(*_site_rows(params, tables, k, 0))
+    assert basis.shape == (f * f, f * f // 2)
+    assert np.abs(basis.conj().T @ basis - np.eye(f * f // 2)).max() <= 1e-12
+    assert np.abs(_dense_site_rows(params, tables, k, 0) @ basis).max() <= 1e-12
+
+
+def _stacked_oracle(params, k, pinned_column):
+    """The dense reference: every contact row and pin in one matrix over
+    all N!^2 unknowns, one least-squares solve and one rank.  Returns
+    (table, residual, nullity)."""
+    tables = symmetric_group(len(k))
+    n, f = len(k), tables.order
+    homogeneous_rows = (n - 1) * f * f // 2
+    mat = np.zeros((homogeneous_rows + f, f * f), dtype=np.complex128)
+    for s in range(n - 1):
+        asc, t, u = _ascending(tables, k, s)
+        rows = s * f * f // 2 + np.arange(f * f // 2).reshape(2, f // 2, f // 2)
+        for (p, q), unit in zip([(asc, asc), (t, asc), (asc, t), (t, t)], np.eye(4)):
+            cols = p[:, np.newaxis] * f + q
+            mat[rows[0], cols], mat[rows[1], cols] = _site_contact(params, u, *unit)
+    mat[homogeneous_rows + np.arange(f), np.arange(f) * f] = 1.0
+    rhs = np.concatenate([np.zeros(homogeneous_rows), pinned_column])
+    solution, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    residual = float(np.abs(mat @ solution - rhs).max())
+    nullity = f * f - int(np.linalg.matrix_rank(mat[:homogeneous_rows]))
+    return solution.reshape(f, f), residual, nullity
+
+
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_oracle_matches_the_stacked_solve(params, n):
+    rng = np.random.default_rng(29 + n)
+    k = random_k(n, rng)
+    f = math.factorial(n)
+    pinned = rng.normal(size=f) + 1j * rng.normal(size=f)
+    consistent = n == 2 or params is not NONINTEGRABLE
+    if consistent:
+        pinned = bethe_state(params, k, pinned).table[:, 0]
+    oracle = coefficients_bc_oracle(params, k, pinned)
+    table, residual, nullity = _stacked_oracle(params, k, pinned)
+    assert oracle.nullity == nullity
+    if consistent:
+        assert oracle.nullity == f
+        assert max(oracle.residual, residual) <= 1e-9
+        # both are the minimum-norm solution, unique even where the pins
+        # leave the table undetermined (family 2)
+        assert np.abs(oracle.table - table).max() <= 1e-9
+    else:
+        assert oracle.rank_deficient
+        assert min(oracle.residual, residual) >= 1e-3
 
 
 @pytest.mark.parametrize("params", [CouplingParameters(2.0, 0.0, 0.0, 1.3),
@@ -339,6 +407,14 @@ def test_oracle_inconsistent_for_noninteg_three_particles():
     assert oracle.rank_deficient
 
 
+def test_oracle_residual_stays_at_roundoff_at_four_particles():
+    # a single least-squares solve left 3.7e-14 on site 2's rows here
+    params = CouplingParameters(1.12891, 1 / 1.12891)
+    k = np.array([0.604055, -0.604055, 0.301114, -0.018291])
+    state = bethe_state(params, k, np.eye(24)[0])
+    assert coefficients_bc_oracle(params, k, state.table[:, 0]).residual <= 1e-14
+
+
 def test_oracle_size_guard():
     with pytest.raises(ValueError):
         coefficients_bc_oracle(FAMILY1, np.array([1.0, 0.5, -0.5, -1.0, 2.0]),
@@ -373,3 +449,11 @@ def test_integrable_tables_satisfy_the_contact_system(n, data):
     oracle = coefficients_bc_oracle(params, k, state.table[:, 0])
     assert oracle.nullity == math.factorial(n)
     assert oracle.residual <= 1e-9
+
+
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_oracle_nullity_is_n_factorial_in_both_families(data):
+    params, k, a = data.draw(integrable_states(3))
+    oracle = coefficients_bc_oracle(params, k, a)
+    assert oracle.nullity == 6 == _stacked_oracle(params, k, a)[2]

@@ -311,3 +311,33 @@ def test_coeffs_csv_parses_back_to_the_table(tmp_path):
                         np.array([1.4, -0.2, 0.7]), a_identity).table
     # bit for bit, signed zeros included
     assert np.array_equal(parsed.view(np.uint64), np.ascontiguousarray(table).view(np.uint64))
+
+
+def test_config_file_repeated_key_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = yb-check\nc = 1\n# c = 3\neta = 0.5\nc = 2\n")
+    assert main(["--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {cfg}:5: field 'c' repeats line 2\n"
+
+
+def test_repeated_flag_is_refused(tmp_path, capsys):
+    assert main(["yb-check", "--c", "1", "--eta", "0.5", "--c", "2"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: field c: flag --c given 2 times\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command = yb-check\n")
+    assert main(["--config", str(cfg), "--config", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: field config: flag --config given 2 times\n"
+
+
+@pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1", "1, ,2", ""])
+def test_empty_list_item_is_refused(tmp_path, capsys, text):
+    status, report = run_cli(["scan", "--c", text], tmp_path)
+    assert (status, report) == (EXIT_CONFIG, "")
+    assert capsys.readouterr().err == f"config error: field c: empty item in {text!r}\n"
+
+
+def test_whitespace_around_list_items_is_accepted(tmp_path):
+    _, spaced = run_cli(["scan", "--c", " 1 ,2 ", "--eta", "0.5 "], tmp_path, "a.txt")
+    status, plain = run_cli(["scan", "--c", "1,2", "--eta", "0.5"], tmp_path, "b.txt")
+    assert status == EXIT_OK
+    assert spaced == plain
