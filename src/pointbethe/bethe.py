@@ -28,15 +28,12 @@ contact conditions over all N!^2 unknowns, with the A_P(identity wedge)
 column pinned, by least squares.  It and ``state_relation_residual`` take
 the conditions from ``_site_contact`` and state each once, as (P, Q) and
 (P T_i, Q) give the same two equations: the system has (N-1) N!^2 / 2
-homogeneous rows.  Site 1's rows fall apart into N!^2 / 4 blocks of two
-equations in four unknowns, one per square {P, P T_1} x {Q, Q T_1}, and
-each block has rank 2 whenever u != 0: the map from the four coefficients
-to the wedge limits (v-, d-, v+, d+) is invertible, and the second
-condition's d-coefficients (-lam, -lam) are never proportional to the
-first's (-1 + gamma - i eta, 1 + gamma - i eta).  So the oracle solves
-site 1 block by block, one batched 2 x 4 SVD, and the least-squares solve
-and rank run on the remaining sites over the N!^2 / 2 coordinates of
-site 1's null space.
+homogeneous rows.  The transpositions of the odd sites 1, 3, ... commute,
+and their rows fall apart into blocks of rank 2 per site on the orbits
+they generate, so the oracle solves them exactly, one batched 2 x 4 SVD
+per site, and the least-squares solve and rank run on the even sites'
+rows over the N!^2 / 2^floor(N/2) coordinates of the odd sites' common
+null space.
 """
 
 from __future__ import annotations
@@ -277,6 +274,14 @@ def state_relation_residual(state: BetheState) -> float:
     return _contact_residual(state.params, state.k, state.tables, state.table)
 
 
+def _contact_coefficients(params: CouplingParameters, u: np.ndarray) -> np.ndarray:
+    """The two contact conditions as rows over A_P(Q), A_PT(Q), A_P(QT),
+    A_PT(QT), one 2 x 4 block for each u: shape (len(u), 2, 4)."""
+    # the conditions are linear: the coefficient of each coupled unknown
+    coefficients = np.array([_site_contact(params, u, *unit) for unit in np.eye(4)])
+    return coefficients.transpose(2, 1, 0)
+
+
 def _site_rows(params: CouplingParameters, tables: SymmetricGroupTables, k: np.ndarray, s: int):
     """Site s + 1's contact rows in sparse form, (coefficients, columns).
 
@@ -289,28 +294,53 @@ def _site_rows(params: CouplingParameters, tables: SymmetricGroupTables, k: np.n
     """
     asc, t, u = _ascending(tables, k, s)
     f = tables.order
-    # the conditions are linear: the coefficient of each coupled unknown
-    coefficients = np.array([_site_contact(params, u[:, 0], *unit) for unit in np.eye(4)])
     columns = np.stack([p[:, np.newaxis] * f + q for p, q in
                         [(asc, asc), (t, asc), (asc, t), (t, t)]], axis=-1)
-    return coefficients.transpose(2, 1, 0), columns
+    return _contact_coefficients(params, u[:, 0]), columns
 
 
-def _site1_null_basis(coefficients: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Orthonormal basis B, shape (N!^2, N!^2 / 2), of the null space of
-    site 1's rows given by ``_site_rows``.
+def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTables,
+                         k: np.ndarray) -> np.ndarray:
+    """Orthonormal basis B, shape (N!^2, N!^2 / 2^m), of the common null
+    space of the rows of the m = floor(N/2) odd sites 1, 3, ...
 
-    Each square {P, P T_1} x {Q, Q T_1} of unknowns meets only its own
-    two rows, of rank 2, so the last two right singular vectors of P's
-    2 x 4 block span its null space.  With P and Q the i-th and j-th of
-    the h = N!/2 permutations ascending at site 1, the square owns columns
-    2 (i h + j) and 2 (i h + j) + 1 of B.
+    The transpositions of the odd sites commute, so right products with
+    them split S_N into orbits of 2^m.  A base P_0 ascending at every odd
+    site heads each orbit, and P_0 T^a is the member with exponent a_s on
+    site s.  Site s's two rows at (P_0 T^a, Q_0 T^b) couple only the four
+    unknowns that differ in a_s and b_s, with the 2 x 4 block of
+    u = k_{P_0(s)} - k_{P_0(s+1)}, the same for every a: on the 4^m
+    unknowns of the square (P_0 orbit) x (Q_0 orbit) the site acts as its
+    block in the slot j_s = a_s + 2 b_s times the identity on the other
+    slots.  The null vectors of each block, the last two right singular
+    vectors, tensor into the 2^m columns of B the square owns:
+    n_1[i_1][j_1] ... n_m[i_m][j_m] at the unknown A_{P_0 T^a}(Q_0 T^b).
+    With P_0 and Q_0 the i-th and j-th of the g = N!/2^m bases, they are
+    columns (i g + j) 2^m + l, l the binary number i_1 ... i_m.  N = 1 has
+    no odd site, and B is the 1 x 1 identity.
     """
-    h = len(coefficients)
-    null = np.linalg.svd(coefficients)[2][:, 2:].conj()  # (h, 2, 4)
-    basis = np.zeros((4 * h * h, 2 * h * h), dtype=np.complex128)
-    squares = 2 * np.arange(h * h).reshape(h, h, 1, 1) + np.arange(2)
-    basis[columns[..., np.newaxis], squares] = null.transpose(0, 2, 1)[:, np.newaxis]
+    sites = range(0, k.size - 1, 2)
+    f = tables.order
+    heads = np.flatnonzero(tables.asc[list(sites)].all(axis=0))
+    g, m = heads.size, len(sites)
+    # orbit[i, a]: rank of the i-th base times T^a, the first site's exponent the leading bit
+    orbit = heads[:, np.newaxis]
+    block = np.ones((g, 1, 1), dtype=np.complex128)
+    for s in sites:
+        orbit = np.stack([orbit, tables.tmaps[s, orbit]], axis=-1).reshape(g, -1)
+        u = k[tables.images[heads, s]] - k[tables.images[heads, s + 1]]
+        null = np.linalg.svd(_contact_coefficients(params, u))[2][:, 2:].conj()  # (g, 2, 4)
+        block = np.einsum("pjl,pik->pjkli", block, null).reshape(
+            g, 4 * block.shape[1], 2 * block.shape[2])
+    # the block's rows as (b_1, a_1, ..., b_m, a_m), j_s = a_s + 2 b_s; reordered to (a, b)
+    block = block.reshape((g,) + (2,) * (2 * m) + (-1,))
+    block = block.transpose([0, *range(2, 2 * m + 1, 2), *range(1, 2 * m, 2), 2 * m + 1])
+    r = 2 ** m
+    block = block.reshape(g, r, r, r)
+    basis = np.zeros((f * f, g * g * r), dtype=np.complex128)
+    unknowns = orbit[:, np.newaxis, :, np.newaxis] * f + orbit[np.newaxis, :, np.newaxis, :]
+    squares = r * np.arange(g * g).reshape(g, g, 1, 1, 1) + np.arange(r)
+    basis[unknowns[..., np.newaxis], squares] = block[:, np.newaxis]
     return basis
 
 
@@ -334,17 +364,38 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     The system holds, for every site i, every wedge Q with Q(i) < Q(i+1)
     and every P with P(i) < P(i+1), the two contact conditions in the four
     coefficients they couple, plus the N! pins A_P(I) =
-    pinned_column[rank(P)].  Every solution satisfies site 1's rows, so
-    it is B y for the isometry B of ``_site1_null_basis``: the pins and
-    the rows of sites 2 .. N-1 are solved for y by least squares, and the
-    nullity is N!^2 / 2 minus the rank of those rows times B.  Where the
-    system is consistent this is the minimum-norm least-squares solution
-    of the full system, as B preserves norms; where it is not, site 1's
-    rows hold exactly and the rest carry the violation.  The residual is
-    the max violation over every row of the full system and the pins, at
-    roundoff exactly when the couplings are integrable (or N = 2).
+    pinned_column[rank(P)].  Every solution satisfies the rows of the odd
+    sites 1, 3, ..., so it is B y for the isometry B of
+    ``_odd_site_null_basis``: the pins and the rows of the even sites are
+    solved for y by least squares, and the nullity is the width of B minus
+    the rank of those rows times B.  Where the system is consistent this
+    is the minimum-norm least-squares solution of the full system, as B
+    preserves norms; where it is not, the odd sites' rows hold exactly and
+    the rest carry the violation.  The residual is the max violation over
+    every row of the full system and the pins, at roundoff exactly when
+    the couplings are integrable (or N = 2).
 
-    Limited to N <= 4: the system has (N-1) N!^2 / 2 + N! rows.
+    Why B spans the odd sites' common null space.  One site first: its
+    rows at (P, Q) and (P T_1, Q) are the same two equations, so with P
+    and Q ascending at site 1 they form one 2 x 4 block M_1 in the square
+    {P, P T_1} x {Q, Q T_1}, and the squares partition the unknowns.  M_1
+    has rank 2 whenever u = k_{P(1)} - k_{P(2)} != 0: the map from the
+    four coefficients to the wedge limits (v-, d-, v+, d+) is invertible,
+    and the second condition's d-coefficients (-lam, -lam) are never
+    proportional to the first's (-1 + gamma - i eta, 1 + gamma - i eta).
+    Sites 1 and 3 together: T_1 and T_3 commute, so the orbits
+    {P, P T_1, P T_3, P T_1 T_3} x (the same for Q) split the unknowns into
+    blocks of 16, C^4_(a,c) (x) C^4_(b,d), with a, b the T_1 and T_3
+    exponents on P and c, d those on Q.  Site 1's coefficients depend on
+    P only through u, which T_3 leaves alone, so site 1 acts on the block
+    as M_1 (x) I_4 and site 3 likewise as I_4 (x) M_3.  Hence the common
+    kernel is ker M_1 (x) ker M_3, of dimension 4, and the block has rank
+    12 for every coupling.  The same holds for any number m of odd sites,
+    so B has width N!^2 / 2^m: 1, 2, 18 and 144 at N = 1, 2, 3 and 4.
+
+    Limited to N <= 4: the system has (N-1) N!^2 / 2 + N! rows, and the
+    least squares runs on (N!^2 / 2) floor((N-1)/2) + N! of them:
+    312 x 144 at N = 4.
     """
     k = validate_momenta(k)
     n = k.size
@@ -354,11 +405,11 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     f = tables.order
     pinned_column = _coefficient_vector(pinned_column, f, "pinned column")
 
-    basis = _site1_null_basis(*_site_rows(params, tables, k, 0))
+    basis = _odd_site_null_basis(params, tables, k)
     width = basis.shape[1]
-    # the rows of sites 2 .. N-1 times B, as (P, Q, e) rows of width N!^2 / 2
+    # the rows of the even sites times B, as (P, Q, e) rows
     reduced = [np.empty((0, width), dtype=np.complex128)]
-    for s in range(1, n - 1):
+    for s in range(1, n - 1, 2):
         coefficients, columns = _site_rows(params, tables, k, s)
         reduced.append((coefficients[:, np.newaxis] @ basis[columns]).reshape(-1, width))
     reduced = np.concatenate(reduced)
@@ -372,7 +423,7 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     table = (basis @ y).reshape(f, f)
     residual = np.max([_contact_residual(params, k, tables, table),
                        np.abs(table[:, 0] - pinned_column).max()])
-    # numpy < 2 takes no rank of an empty matrix: N = 2 has no site past the first
+    # numpy < 2 takes no rank of an empty matrix: N <= 2 has no even site
     rank = np.linalg.matrix_rank(reduced) if len(reduced) else 0
     return OracleResult(
         table=table,

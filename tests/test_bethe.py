@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pointbethe import scattering
-from pointbethe.bethe import (_ascending, _site1_null_basis, _site_contact,
+from pointbethe.bethe import (_ascending, _odd_site_null_basis, _site_contact,
                               _site_rows, bethe_state,
                               build_s_diagonals_periodic, build_yang_matrix,
                               coefficients_bc_oracle, propagate,
@@ -308,13 +308,15 @@ def test_oracle_states_each_contact_equation_once(params, n):
 @pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_site1_null_basis_is_an_orthonormal_basis_of_site1_null_space(params, n):
+    # the basis of every odd site's null space at once: sites 1 and 3 at N = 4
     k = random_k(n, np.random.default_rng(19 + n))
     tables = symmetric_group(n)
     f = tables.order
-    basis = _site1_null_basis(*_site_rows(params, tables, k, 0))
-    assert basis.shape == (f * f, f * f // 2)
-    assert np.abs(basis.conj().T @ basis - np.eye(f * f // 2)).max() <= 1e-12
-    assert np.abs(_dense_site_rows(params, tables, k, 0) @ basis).max() <= 1e-12
+    basis = _odd_site_null_basis(params, tables, k)
+    assert basis.shape == (f * f, f * f // 2 ** (n // 2))
+    assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
+    for s in range(0, n - 1, 2):
+        assert np.abs(_dense_site_rows(params, tables, k, s) @ basis).max() <= 1e-12
 
 
 def _stacked_oracle(params, k, pinned_column):
@@ -415,10 +417,30 @@ def test_oracle_residual_stays_at_roundoff_at_four_particles():
     assert coefficients_bc_oracle(params, k, state.table[:, 0]).residual <= 1e-14
 
 
+def test_oracle_of_one_particle_is_its_pin():
+    # no site at all: the basis is the 1 x 1 identity and the pin the table
+    oracle = coefficients_bc_oracle(FAMILY1, np.array([0.7]), np.array([0.3 - 0.4j]))
+    assert oracle.table.tolist() == [[0.3 - 0.4j]]
+    assert oracle.residual == 0.0
+    assert oracle.nullity == oracle.expected_nullity == 1
+
+
 def test_oracle_size_guard():
     with pytest.raises(ValueError):
         coefficients_bc_oracle(FAMILY1, np.array([1.0, 0.5, -0.5, -1.0, 2.0]),
                                np.zeros(120))
+
+
+# an oracle property that fails at N = 4 would spend minutes shrinking:
+# every example is still run, and the first failing one is reported as drawn
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target]
+
+
+@st.composite
+def momenta(draw, n):
+    gaps = draw(st.lists(st.floats(0.3, 1.5), min_size=n - 1, max_size=n - 1))
+    order = draw(st.permutations(range(n)))
+    return (draw(st.floats(-2.0, 2.0)) + np.concatenate([[0.0], np.cumsum(gaps)]))[order]
 
 
 @st.composite
@@ -428,9 +450,7 @@ def integrable_states(draw, n):
         params = CouplingParameters(c, 0.0, 0.0, draw(st.floats(-1.0, 1.0)))
     else:
         params = CouplingParameters(c, 1.0 / c)
-    gaps = draw(st.lists(st.floats(0.3, 1.5), min_size=n - 1, max_size=n - 1))
-    order = draw(st.permutations(range(n)))
-    k = (draw(st.floats(-2.0, 2.0)) + np.concatenate([[0.0], np.cumsum(gaps)]))[order]
+    k = draw(momenta(n))
     f = math.factorial(n)
     polar = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)),
                           min_size=f, max_size=f))
@@ -440,7 +460,7 @@ def integrable_states(draw, n):
 
 # an N = 4 oracle solve can outlast hypothesis's per-example deadline
 @pytest.mark.parametrize("n", [2, 3, 4])
-@settings(deadline=None, max_examples=10)
+@settings(deadline=None, max_examples=10, phases=NO_SHRINK)
 @given(data=st.data())
 def test_integrable_tables_satisfy_the_contact_system(n, data):
     params, k, a = data.draw(integrable_states(n))
@@ -451,9 +471,21 @@ def test_integrable_tables_satisfy_the_contact_system(n, data):
     assert oracle.residual <= 1e-9
 
 
-@settings(deadline=None, max_examples=25)
+@settings(deadline=None, max_examples=25, phases=NO_SHRINK)
 @given(data=st.data())
 def test_oracle_nullity_is_n_factorial_in_both_families(data):
     params, k, a = data.draw(integrable_states(3))
     oracle = coefficients_bc_oracle(params, k, a)
     assert oracle.nullity == 6 == _stacked_oracle(params, k, a)[2]
+
+
+@settings(deadline=None, max_examples=10, phases=NO_SHRINK)
+@given(data=st.data())
+def test_sites_1_and_3_have_rank_432_at_four_particles(data):
+    # a witness, independent of the basis, that the joint null space of
+    # sites 1 and 3 has the dimension 576 / 4 the basis spans
+    params = CouplingParameters(*(data.draw(st.floats(-2.5, 2.5)) for _ in range(4)))
+    k = data.draw(momenta(4))
+    tables = symmetric_group(4)
+    rows = np.concatenate([_dense_site_rows(params, tables, k, s) for s in (0, 2)])
+    assert np.linalg.matrix_rank(rows) == 576 - 144

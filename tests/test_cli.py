@@ -78,6 +78,13 @@ def test_coeffs_two_particles(tmp_path):
     assert "p_rank,q_rank,re_a,im_a" in report
 
 
+def test_coeffs_one_particle(tmp_path):
+    # the oracle used to index site 1 of a table without sites
+    status, report = run_cli(["coeffs", "--N", "1", "--c", "2"], tmp_path)
+    assert status == EXIT_OK
+    assert "solution-space dimension: 1 (expected 1)" in report.splitlines()
+
+
 def test_coeffs_noninteg_exits_degenerate(tmp_path):
     status, _ = run_cli(["coeffs", "--c", "1", "--lambda", "0.3", "--gamma", "0.2",
                          "--k", "1.0,-0.5,0.3"], tmp_path)
