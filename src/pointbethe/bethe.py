@@ -25,15 +25,15 @@ an answer that depends on bookkeeping.
 
 ``coefficients_bc_oracle`` is the brute-force cross-check: it solves the
 contact conditions over all N!^2 unknowns, with the A_P(identity wedge)
-column pinned, by least squares.  It and ``state_relation_residual`` take
-the conditions from ``_site_contact`` and state each once, as (P, Q) and
-(P T_i, Q) give the same two equations: the system has (N-1) N!^2 / 2
-homogeneous rows.  The transpositions of the odd sites 1, 3, ... commute,
-and their rows fall apart into blocks of rank 2 per site on the orbits
-they generate, so the oracle solves them exactly, one batched 2 x 4 SVD
-per site, and the least-squares solve and rank run on the even sites'
-rows over the N!^2 / 2^floor(N/2) coordinates of the odd sites' common
-null space.
+column pinned, by least squares.  It and ``state_relation_residual`` read
+the conditions from tables through one evaluation, ``_site_residuals``,
+and state each once, as (P, Q) and (P T_i, Q) give the same two equations:
+the system has (N-1) N!^2 / 2 homogeneous rows.  The transpositions of the
+odd sites 1, 3, ... commute, and their rows fall apart into blocks of rank
+2 per site on the orbits they generate, so the oracle solves them exactly,
+one batched 2 x 4 SVD per site, and runs the least-squares solve and rank
+on the even sites' residuals on a basis of the odd sites' common null
+space, a stack of N!^2 / 2^floor(N/2) tables.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .permutations import Permutation, SymmetricGroupTables, decompose, symmetri
 from .scattering import amplitudes
 
 MIN_MOMENTUM_GAP = 1e-12
+ORACLE_MAX_N = 4  # largest N that coefficients_bc_oracle solves
 
 
 def validate_momenta(k) -> np.ndarray:
@@ -250,15 +251,24 @@ def _ascending(tables: SymmetricGroupTables, k: np.ndarray, s: int):
     return asc, tables.tmaps[s, asc], u[:, np.newaxis]
 
 
+def _site_residuals(params: CouplingParameters, k: np.ndarray, tables: SymmetricGroupTables,
+                    table: np.ndarray, s: int):
+    """Residuals (r1, r2) of site s + 1's contact conditions at every P (rows)
+    and Q (columns) ascending at the site, read from one N! x N! table or
+    from a stack of them along trailing axes, and stacked the same way."""
+    asc, t, u = _ascending(tables, k, s)
+    u = u.reshape(u.shape + (1,) * (table.ndim - 2))
+    return _site_contact(params, u, table[np.ix_(asc, asc)], table[np.ix_(t, asc)],
+                         table[np.ix_(asc, t)], table[np.ix_(t, t)])
+
+
 def _contact_residual(params: CouplingParameters, k: np.ndarray,
                       tables: SymmetricGroupTables, table: np.ndarray) -> float:
     """Max |r1|, |r2| of the contact conditions over every site, every P
     and every Q ascending at the site, read from the table entries."""
     residuals = [0.0]
     for s in range(k.size - 1):
-        asc, t, u = _ascending(tables, k, s)
-        r1, r2 = _site_contact(params, u, table[np.ix_(asc, asc)], table[np.ix_(t, asc)],
-                               table[np.ix_(asc, t)], table[np.ix_(t, t)])
+        r1, r2 = _site_residuals(params, k, tables, table, s)
         residuals += [np.abs(r1).max(), np.abs(r2).max()]
     return float(np.max(residuals))
 
@@ -282,27 +292,11 @@ def _contact_coefficients(params: CouplingParameters, u: np.ndarray) -> np.ndarr
     return coefficients.transpose(2, 1, 0)
 
 
-def _site_rows(params: CouplingParameters, tables: SymmetricGroupTables, k: np.ndarray, s: int):
-    """Site s + 1's contact rows in sparse form, (coefficients, columns).
-
-    With P and Q running over the h = N!/2 permutations ascending at the
-    site, the row of condition e at (P, Q) holds ``coefficients[P, e, j]``,
-    shape (h, 2, 4), at the unknown ``columns[P, Q, j]``, shape (h, h, 4),
-    where j = 0..3 stands for A_P(Q), A_PT(Q), A_P(QT), A_PT(QT) and the
-    unknown A_P'(Q') has the flat index rank(P') N! + rank(Q').  The
-    coefficients depend on P alone, through u.
-    """
-    asc, t, u = _ascending(tables, k, s)
-    f = tables.order
-    columns = np.stack([p[:, np.newaxis] * f + q for p, q in
-                        [(asc, asc), (t, asc), (asc, t), (t, t)]], axis=-1)
-    return _contact_coefficients(params, u[:, 0]), columns
-
-
 def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTables,
                          k: np.ndarray) -> np.ndarray:
-    """Orthonormal basis B, shape (N!^2, N!^2 / 2^m), of the common null
-    space of the rows of the m = floor(N/2) odd sites 1, 3, ...
+    """Orthonormal basis B, shape (N!, N!, N!^2 / 2^m), of the common null
+    space of the rows of the m = floor(N/2) odd sites 1, 3, ...: a stack of
+    tables, B[P, Q, l] the entry A_P(Q) of the l-th basis vector.
 
     The transpositions of the odd sites commute, so right products with
     them split S_N into orbits of 2^m.  A base P_0 ascending at every odd
@@ -316,8 +310,8 @@ def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTable
     vectors, tensor into the 2^m columns of B the square owns:
     n_1[i_1][j_1] ... n_m[i_m][j_m] at the unknown A_{P_0 T^a}(Q_0 T^b).
     With P_0 and Q_0 the i-th and j-th of the g = N!/2^m bases, they are
-    columns (i g + j) 2^m + l, l the binary number i_1 ... i_m.  N = 1 has
-    no odd site, and B is the 1 x 1 identity.
+    B[..., (i g + j) 2^m + l], l the binary number i_1 ... i_m.  N = 1 has
+    no odd site, and B is the 1 x 1 x 1 identity.
     """
     sites = range(0, k.size - 1, 2)
     f = tables.order
@@ -337,10 +331,10 @@ def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTable
     block = block.transpose([0, *range(2, 2 * m + 1, 2), *range(1, 2 * m, 2), 2 * m + 1])
     r = 2 ** m
     block = block.reshape(g, r, r, r)
-    basis = np.zeros((f * f, g * g * r), dtype=np.complex128)
-    unknowns = orbit[:, np.newaxis, :, np.newaxis] * f + orbit[np.newaxis, :, np.newaxis, :]
+    basis = np.zeros((f, f, g * g * r), dtype=np.complex128)
     squares = r * np.arange(g * g).reshape(g, g, 1, 1, 1) + np.arange(r)
-    basis[unknowns[..., np.newaxis], squares] = block[:, np.newaxis]
+    basis[orbit[:, np.newaxis, :, np.newaxis, np.newaxis],
+          orbit[np.newaxis, :, np.newaxis, :, np.newaxis], squares] = block[:, np.newaxis]
     return basis
 
 
@@ -393,34 +387,35 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     12 for every coupling.  The same holds for any number m of odd sites,
     so B has width N!^2 / 2^m: 1, 2, 18 and 144 at N = 1, 2, 3 and 4.
 
-    Limited to N <= 4: the system has (N-1) N!^2 / 2 + N! rows, and the
+    Limited to N <= ORACLE_MAX_N = 4: the system has (N-1) N!^2 / 2 + N! rows, and the
     least squares runs on (N!^2 / 2) floor((N-1)/2) + N! of them:
     312 x 144 at N = 4.
     """
     k = validate_momenta(k)
     n = k.size
-    if n > 4:
-        raise ValueError("brute-force oracle is limited to N <= 4")
+    if n > ORACLE_MAX_N:
+        raise ValueError(f"brute-force oracle is limited to N <= {ORACLE_MAX_N}")
     tables = symmetric_group(n)
     f = tables.order
     pinned_column = _coefficient_vector(pinned_column, f, "pinned column")
 
     basis = _odd_site_null_basis(params, tables, k)
-    width = basis.shape[1]
-    # the rows of the even sites times B, as (P, Q, e) rows
+    width = basis.shape[2]
+    # the rows of the even sites times B are B's residuals, as (P, Q, e) rows;
+    # the pins read B's identity-wedge column
     reduced = [np.empty((0, width), dtype=np.complex128)]
     for s in range(1, n - 1, 2):
-        coefficients, columns = _site_rows(params, tables, k, s)
-        reduced.append((coefficients[:, np.newaxis] @ basis[columns]).reshape(-1, width))
+        reduced.append(np.stack(_site_residuals(params, k, tables, basis, s),
+                                axis=2).reshape(-1, width))
     reduced = np.concatenate(reduced)
-    system = np.concatenate([reduced, basis[np.arange(f) * f]])
+    system = np.concatenate([reduced, basis[:, 0]])
     rhs = np.concatenate([np.zeros(len(reduced)), pinned_column])
     y = np.linalg.lstsq(system, rhs, rcond=None)[0]
     # one refinement step, a no-op in exact arithmetic: the SVD solve alone
     # leaves up to 4e-14 on the contact rows of a well-conditioned N = 4
     # system, against 1e-15 after the step
     y += np.linalg.lstsq(system, rhs - system @ y, rcond=None)[0]
-    table = (basis @ y).reshape(f, f)
+    table = basis @ y
     residual = np.max([_contact_residual(params, k, tables, table),
                        np.abs(table[:, 0] - pinned_column).max()])
     # numpy < 2 takes no rank of an empty matrix: N <= 2 has no even site

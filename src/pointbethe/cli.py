@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bethe import (BetheState, bethe_state, coefficients_bc_oracle,
-                    state_relation_residual)
+from .bethe import (ORACLE_MAX_N, BetheState, bethe_state,
+                    coefficients_bc_oracle, state_relation_residual)
 from .couplings import CouplingParameters, gauge_data
 from .errors import PointBetheError
 from .factorization import (GridSpec, block_reduction_check, scan_couplings,
@@ -315,7 +315,7 @@ def run_coeffs(cfg: RunConfig) -> int:
                          in enumerate(zip(row.real.tolist(), row.imag.tolist()), 1))
     cfg.lines.append(f"pairwise relation residual: {relation:.3e}")
     worst = relation
-    if state.n <= 4:
+    if state.n <= ORACLE_MAX_N:
         oracle = coefficients_bc_oracle(state.params, state.k, state.table[:, 0])
         cfg.lines.append(f"boundary-system residual: {oracle.residual:.3e}")
         cfg.lines.append(f"solution-space dimension: {oracle.nullity} (expected {oracle.expected_nullity})")

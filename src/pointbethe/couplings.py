@@ -136,4 +136,5 @@ def gauge_data(params: CouplingParameters) -> GaugeData:
         )
     eta = params.eta
     alpha = float(np.angle((1 + 1j * eta) / (1 - 1j * eta)))
-    return GaugeData(c_tilde=params.c / (1 + eta**2), alpha=alpha)
+    # eta * eta overflows to inf where eta**2 raises OverflowError
+    return GaugeData(c_tilde=params.c / (1 + eta * eta), alpha=alpha)

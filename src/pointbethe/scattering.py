@@ -21,6 +21,7 @@ small denominator raises PoleAtU rather than returning garbage.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,14 +76,16 @@ def amplitude_arrays(c: float, lam: float, gamma: float, eta: float, u: np.ndarr
 def amplitudes(params: CouplingParameters, u: float) -> AmplitudeSet:
     """Closed-form amplitudes at relative momentum u.
 
-    Raises PoleAtU when the denominator falls inside the guard band and
-    ValueError for a non-finite u.
+    Raises PoleAtU inside the denominator's guard band or where the formula
+    overflows (huge couplings), and ValueError for a non-finite u.
     """
     if not np.isfinite(u):
         raise ValueError(f"relative momentum u = {u} is not finite")
     c, lam, gamma, eta = params.astuple()
     s_t_plus, s_r_plus = _amplitude_pair(c, lam, gamma, eta, u)
     s_t_minus, s_r_minus = _amplitude_pair(c, lam, -gamma, -eta, u)
+    if not all(map(cmath.isfinite, (s_t_plus, s_r_plus, s_t_minus, s_r_minus))):
+        raise PoleAtU(f"amplitudes at u={u} are not finite for couplings {params.astuple()}")
     return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus, float(u))
 
 

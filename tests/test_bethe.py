@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pointbethe import scattering
 from pointbethe.bethe import (_ascending, _odd_site_null_basis, _site_contact,
-                              _site_rows, bethe_state,
+                              _site_residuals, bethe_state,
                               build_s_diagonals_periodic, build_yang_matrix,
                               coefficients_bc_oracle, propagate,
                               state_relation_residual, validate_momenta)
@@ -281,13 +281,11 @@ def test_site_contact_on_unit_inputs_is_the_hand_expanded_system(params, n):
 
 
 def _dense_site_rows(params, tables, k, s):
-    """Site s + 1's rows from ``_site_rows`` as dense rows over N!^2 unknowns."""
-    coefficients, columns = _site_rows(params, tables, k, s)
-    h, f = len(coefficients), tables.order
-    rows = np.zeros((h, 2, h, f * f), dtype=np.complex128)
-    for p, e, q in np.ndindex(h, 2, h):
-        rows[p, e, q, columns[p, q]] = coefficients[p, e]
-    return rows.reshape(-1, f * f)
+    """Site s + 1's (P, Q, e) rows over the N!^2 unknowns, formed as the
+    oracle forms them on its basis, here the stack of unit tables."""
+    f = tables.order
+    units = np.eye(f * f).reshape(f, f, f * f)
+    return np.stack(_site_residuals(params, k, tables, units, s), axis=2).reshape(-1, f * f)
 
 
 @pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
@@ -307,13 +305,14 @@ def test_oracle_states_each_contact_equation_once(params, n):
 
 @pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_site1_null_basis_is_an_orthonormal_basis_of_site1_null_space(params, n):
+def test_odd_site_null_basis_is_an_orthonormal_basis_of_their_null_space(params, n):
     # the basis of every odd site's null space at once: sites 1 and 3 at N = 4
     k = random_k(n, np.random.default_rng(19 + n))
     tables = symmetric_group(n)
     f = tables.order
     basis = _odd_site_null_basis(params, tables, k)
-    assert basis.shape == (f * f, f * f // 2 ** (n // 2))
+    assert basis.shape == (f, f, f * f // 2 ** (n // 2))
+    basis = basis.reshape(f * f, -1)
     assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
     for s in range(0, n - 1, 2):
         assert np.abs(_dense_site_rows(params, tables, k, s) @ basis).max() <= 1e-12
@@ -444,12 +443,20 @@ def momenta(draw, n):
 
 
 @st.composite
-def integrable_states(draw, n):
+def integrable_couplings(draw):
     c = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 2.5))
     if draw(st.booleans()):
-        params = CouplingParameters(c, 0.0, 0.0, draw(st.floats(-1.0, 1.0)))
-    else:
-        params = CouplingParameters(c, 1.0 / c)
+        return CouplingParameters(c, 0.0, 0.0, draw(st.floats(-1.0, 1.0)))
+    return CouplingParameters(c, 1.0 / c)
+
+
+# off both families with probability 1
+any_couplings = st.builds(CouplingParameters, *[st.floats(-2.5, 2.5)] * 4)
+
+
+@st.composite
+def integrable_states(draw, n):
+    params = draw(integrable_couplings())
     k = draw(momenta(n))
     f = math.factorial(n)
     polar = draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2 * math.pi)),
@@ -484,8 +491,28 @@ def test_oracle_nullity_is_n_factorial_in_both_families(data):
 def test_sites_1_and_3_have_rank_432_at_four_particles(data):
     # a witness, independent of the basis, that the joint null space of
     # sites 1 and 3 has the dimension 576 / 4 the basis spans
-    params = CouplingParameters(*(data.draw(st.floats(-2.5, 2.5)) for _ in range(4)))
+    params = data.draw(any_couplings)
     k = data.draw(momenta(4))
     tables = symmetric_group(4)
     rows = np.concatenate([_dense_site_rows(params, tables, k, s) for s in (0, 2)])
     assert np.linalg.matrix_rank(rows) == 576 - 144
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(deadline=None, max_examples=10, phases=NO_SHRINK)
+@given(data=st.data())
+def test_site_residuals_of_a_stack_are_those_of_each_table(n, data):
+    # the oracle's rows on its basis and the check on one table are the
+    # same evaluation, bit for bit
+    params = data.draw(st.one_of(integrable_couplings(), any_couplings))
+    k = data.draw(momenta(n))
+    tables = symmetric_group(n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = tables.order
+    stack = rng.normal(size=(f, f, 3, 2)) + 1j * rng.normal(size=(f, f, 3, 2))
+    for s in range(n - 1):
+        stacked = _site_residuals(params, k, tables, stack, s)
+        for i, j in np.ndindex(3, 2):
+            alone = _site_residuals(params, k, tables, stack[..., i, j], s)
+            for r_stacked, r_alone in zip(stacked, alone):
+                assert r_stacked[..., i, j].tobytes() == r_alone.tobytes()

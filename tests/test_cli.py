@@ -170,6 +170,16 @@ def test_non_finite_input_never_exits_zero(tmp_path_factory, command, flag, valu
     assert status != EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["coeffs", "eigen", "gauge"])
+def test_overflowing_coupling_is_degenerate(tmp_path, capsys, command):
+    # one line on stderr: no NaN table, no OverflowError traceback
+    status, report = run_cli([command, "--N", "2", "--c", "1", "--eta", "1e200"], tmp_path)
+    assert status == EXIT_DEGENERATE
+    assert report == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("degenerate input: PoleAtU:")
+
+
 def test_unknown_flag_is_config_error():
     assert main(["scatter", "--nope", "1"]) == EXIT_CONFIG
 

@@ -82,6 +82,13 @@ def test_gauge_data_examples():
         gauge_data(CouplingParameters(1.0, 0.5, 0.0, 1.0))
 
 
+def test_gauge_data_of_a_huge_eta_is_finite():
+    # eta**2 raises OverflowError on such a float; the delta-gas coupling tends to 0
+    gd = gauge_data(CouplingParameters(1.0, 0.0, 0.0, 1e200))
+    assert gd.c_tilde == 0.0
+    assert gd.alpha == pytest.approx(np.pi)
+
+
 def test_gauge_phase_identity():
     rng = np.random.default_rng(7)
     for eta in rng.uniform(-4, 4, 25):

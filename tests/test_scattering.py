@@ -79,6 +79,13 @@ def test_pole_raised_at_u0_with_c0():
         amplitudes(CouplingParameters(0.0), 0.0)
 
 
+def test_overflowing_couplings_raise_instead_of_returning_nan():
+    # eta^2 overflows to inf in numerator and denominator alike, and their
+    # quotient is nan
+    with pytest.raises(PoleAtU, match=r"u=0\.7 are not finite .*1e\+200"):
+        amplitudes(CouplingParameters(1.0, 0.0, 0.0, 1e200), 0.7)
+
+
 def test_oracle_free_case():
     amp = amplitudes_bvp_oracle(CouplingParameters(0.0), 1.0, 0.0)
     assert amp.s_t_plus == pytest.approx(1.0)
