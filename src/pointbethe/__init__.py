@@ -11,8 +11,7 @@ map to the plain delta gas.
 """
 
 from ._kernels import BACKEND
-from .bethe import (BetheState, OracleResult, YangMatrix, bethe_state,
-                    build_s_diagonals_periodic, build_yang_matrix,
+from .bethe import (BetheState, OracleResult, bethe_state,
                     coefficients_bc_oracle, propagate,
                     state_relation_residual, validate_momenta)
 from .couplings import (CouplingParameters, GaugeData, boundary_matrix,
@@ -26,11 +25,11 @@ from .factorization import (FactorizationReport, GridSpec, ScanRow,
                             check_factorization, check_factorization_panel,
                             scan_couplings, scan_to_csv,
                             yang_baxter_matrix_check)
-from .permutations import (Permutation, SymmetricGroupTables, compare,
-                           compose, decompose, identity, rank, regular_rep,
-                           symmetric_group, transposition, unrank)
+from .permutations import (Permutation, SymmetricGroupTables, compose,
+                           decompose, identity, symmetric_group,
+                           transposition)
 from .scattering import AmplitudeSet, amplitudes, amplitudes_bvp_oracle
-from .wavefunction import (Wedge, boundary_residual, boundary_samples,
+from .wavefunction import (boundary_residual, boundary_samples,
                            determinant_bethe_state, determinant_coefficients,
                            determinant_eigenfunction, evaluate, evaluate_grid,
                            extend_by_statistics, gauge_map,

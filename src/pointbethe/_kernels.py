@@ -26,7 +26,7 @@ Layout contracts (all indices 0-based):
 * amplitude pair tables ``srp, srm, stp, stm[(N, N)]``: entry (a, b) is
   the amplitude at u = k[a] - k[b].
 * Panel kernels return np.inf for residuals whose amplitudes hit the
-  pole guard; callers translate that to PoleAtU.
+  pole guard or overflow; callers translate that to PoleAtU.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ def _identities(a):
 def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Max |residual| of each identity over the (u, v) panel, per grid row.
 
-    Rows whose amplitudes hit the pole guard anywhere on the panel are inf.
+    Rows whose amplitudes hit the pole guard anywhere on the panel are inf,
+    and so are the entries that overflow (huge couplings) into NaN.
     """
     params_grid = np.atleast_2d(np.asarray(params_grid, dtype=np.float64))
     us = np.atleast_1d(np.asarray(us, dtype=np.float64))
@@ -86,18 +87,20 @@ def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray)
     samples = (us, -us, vs, us + vs)
     out = np.empty((params_grid.shape[0], 13), dtype=np.float64)
     step = max(1, PANEL_BLOCK_ENTRIES // max(1, len(us)))
-    for start in range(0, params_grid.shape[0], step):
-        c, lam, gamma, eta = params_grid[start:start + step, :, np.newaxis].transpose(1, 0, 2)
-        amps, ok = [], True
-        for sign in (1.0, -1.0):
-            for x in samples:
-                s_t, s_r, good = amplitude_arrays(c, lam, sign * gamma, sign * eta, x)
-                amps += (s_t, s_r)
-                ok = ok & good
-        block = out[start:start + step]
-        for e, r in enumerate(_identities(amps)):
-            block[:, e] = np.abs(r).max(axis=1)
-        block[~ok.all(axis=1)] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, params_grid.shape[0], step):
+            c, lam, gamma, eta = params_grid[start:start + step, :, np.newaxis].transpose(1, 0, 2)
+            amps, ok = [], True
+            for sign in (1.0, -1.0):
+                for x in samples:
+                    s_t, s_r, good = amplitude_arrays(c, lam, sign * gamma, sign * eta, x)
+                    amps += (s_t, s_r)
+                    ok = ok & good
+            block = out[start:start + step]
+            for e, r in enumerate(_identities(amps)):
+                block[:, e] = np.abs(r).max(axis=1)
+            block[~ok.all(axis=1)] = np.inf
+    out[np.isnan(out)] = np.inf
     return out
 
 

@@ -38,7 +38,6 @@ space, a stack of N!^2 / 2^floor(N/2) tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,6 +51,7 @@ from .scattering import amplitudes
 
 MIN_MOMENTUM_GAP = 1e-12
 ORACLE_MAX_N = 4  # largest N that coefficients_bc_oracle solves
+MAX_N = 6  # largest N of the N! x N! tables the commands and the matrix check build
 
 
 def validate_momenta(k) -> np.ndarray:
@@ -81,16 +81,6 @@ def _coefficient_vector(a, order: int, name: str = "coefficient vector") -> np.n
     return a
 
 
-@dataclass(frozen=True)
-class YangMatrix:
-    """Dense N! x N! single-step propagation matrix Y_i(u)."""
-
-    n_particles: int
-    site: int
-    u: float
-    matrix: np.ndarray
-
-
 def yang_parts(params: CouplingParameters, n: int, i: int, u: float):
     """Sparse form of Y_i(u): (diagonal, off-diagonal, column map).
 
@@ -103,51 +93,6 @@ def yang_parts(params: CouplingParameters, n: int, i: int, u: float):
     amp = amplitudes(params, u)
     return _kernels.step_parts(symmetric_group(n), i - 1, amp.s_r_plus, amp.s_r_minus,
                                amp.s_t_plus, amp.s_t_minus)
-
-
-def build_yang_matrix(params: CouplingParameters, n: int, i: int, u: float) -> YangMatrix:
-    """Y_i(u) built directly from the pairwise coefficient relations.
-
-    Row Q carries S_R^+(u) on the diagonal and S_T^-(u) at column Q T_i
-    when Q(i) < Q(i+1), and S_R^-(u) / S_T^+(u) otherwise.
-    """
-    diag, off, tmap = yang_parts(params, n, i, u)
-    order = diag.shape[0]
-    mat = np.zeros((order, order), dtype=np.complex128)
-    rows = np.arange(order)
-    mat[rows, rows] = diag
-    mat[rows, tmap] = off
-    return YangMatrix(n_particles=n, site=i, u=float(u), matrix=mat)
-
-
-def build_s_diagonals_periodic(params: CouplingParameters, n: int, i: int, u: float):
-    """The diagonals of S_R^i and S_T^i from their closed index pattern.
-
-    Within each period of length (i+1)!, position j = n'*i! + k (1-based,
-    1 <= k <= i!) takes the (S_R^-, S_T^+) pair when k <= n'*(i-1)! and
-    the (S_R^+, S_T^-) pair otherwise.  Serves as a cross-check against
-    the direct construction in ``build_yang_matrix``.
-    """
-    if not 1 <= i < n:
-        raise ValueError(f"site {i} out of range for N={n}")
-    amp = amplitudes(params, u)
-    order = math.factorial(n)
-    period = math.factorial(i + 1)
-    fact_i = math.factorial(i)
-    fact_im1 = math.factorial(i - 1)
-    s_r = np.empty(order, dtype=np.complex128)
-    s_t = np.empty(order, dtype=np.complex128)
-    for j0 in range(order):
-        j = j0 % period + 1
-        n_digit = (j - 1) // fact_i
-        k_digit = j - n_digit * fact_i
-        if 1 <= k_digit <= n_digit * fact_im1:
-            s_r[j0] = amp.s_r_minus
-            s_t[j0] = amp.s_t_plus
-        else:
-            s_r[j0] = amp.s_r_plus
-            s_t[j0] = amp.s_t_minus
-    return s_r, s_t
 
 
 def _check_propagation_allowed(params: CouplingParameters, n: int) -> None:

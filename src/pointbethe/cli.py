@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .bethe import (ORACLE_MAX_N, BetheState, bethe_state,
+from .bethe import (MAX_N, ORACLE_MAX_N, BetheState, bethe_state,
                     coefficients_bc_oracle, state_relation_residual)
 from .couplings import CouplingParameters, gauge_data
 from .errors import PointBetheError
@@ -43,7 +43,6 @@ from .wavefunction import (FD_STEP, boundary_residual, boundary_samples,
                            schrodinger_fd_residual)
 
 COMMANDS = ("scatter", "yb-check", "scan", "coeffs", "eigen", "gauge")
-MAX_N = 6  # N! matrix guard
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -283,7 +282,7 @@ def run_yb_check(cfg: RunConfig) -> int:
     params = cfg.scalar_params()
     n = cfg.n_particles if cfg.n_particles is not None else 3
     panel = _kernels.sample_panel(cfg.seed, 100)
-    report = yang_baxter_matrix_check(params, n, panel)  # ValueError outside 2..6
+    report = yang_baxter_matrix_check(params, n, panel)  # ValueError outside 2..MAX_N
     cfg.lines.append(f"unitarity residual: {report.unitarity:.3e}")
     cfg.lines.append(f"braid residual:     {report.braid:.3e}")
     cfg.lines.append(f"commute residual:   {report.commute:.3e}")

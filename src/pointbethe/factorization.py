@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import yang_apply
-from .bethe import yang_parts
+from .bethe import MAX_N, yang_parts
 from .couplings import CouplingParameters, integrable_family
 from .errors import PoleAtU
 from .permutations import rank_of, symmetric_group
@@ -217,8 +217,8 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
     once per sample on the m! x m! identity.  It is inf where the structure
     fails and 0.0 for N < m.  Empty or non-finite samples raise ValueError.
     """
-    if not 2 <= n <= 6:
-        raise ValueError("matrix check supported for 2 <= N <= 6")
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"matrix check supported for 2 <= N <= {MAX_N}")
     samples = _finite_samples(samples)
     tables = symmetric_group(n)
 

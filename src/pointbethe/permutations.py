@@ -20,9 +20,6 @@ Conventions, all of which are load-bearing for the rest of the package:
   fixed point), where C_n = T_{N-n} T_{N-n+1} ... T_{N-1} is the cycle
   sending N to N-n.  ``decompose`` unrolls this recursion into a word in
   the adjacent transpositions.
-
-The regular-representation matrices act on vectors indexed by this rank
-order: ``(R_hat @ A)[rank(Q)] = A[rank(Q*R)]``.
 """
 
 from __future__ import annotations
@@ -97,47 +94,6 @@ def inversions(q: Permutation) -> int:
     return sum(1 for a in range(q.n) for b in range(a + 1, q.n) if img[a] > img[b])
 
 
-def compare(q: Permutation, qp: Permutation) -> int:
-    """Total order: +1 if q > qp, -1 if q < qp, 0 if equal.
-
-    Compares entries from position N downwards; the permutation whose
-    first differing entry (from the right) is larger is the larger one.
-    """
-    if q.n != qp.n:
-        raise ValueError(f"size mismatch: {q.n} vs {qp.n}")
-    for pos in range(q.n, 0, -1):
-        a = q(pos) - qp(pos)
-        if a:
-            return 1 if a > 0 else -1
-    return 0
-
-
-def _cycle_to(n: int, nn: int) -> list[int]:
-    """One-line form of C_nn = T_{n-nn} ... T_{n-1} (sends n to n - nn)."""
-    out = list(range(1, n + 1))
-    if nn:
-        out[n - nn - 1 : n] = list(range(n - nn + 1, n + 1)) + [n - nn]
-    return out
-
-
-def unrank(n: int, j: int) -> Permutation:
-    """Permutation of S_n at 1-based rank j in the descending total order."""
-    if not 1 <= j <= math.factorial(n):
-        raise ValueError(f"rank {j} out of range [1, {math.factorial(n)}]")
-    j -= 1
-    digits = []
-    for m in range(n, 1, -1):
-        nn, j = divmod(j, math.factorial(m - 1))
-        digits.append((m, nn))
-    # build bottom-up: each cycle is left-composed onto the embedded
-    # S_{m-1} result, so the smallest block must be assembled first
-    images = list(range(1, n + 1))
-    for m, nn in reversed(digits):
-        cyc = _cycle_to(m, nn)
-        images[:m] = [cyc[v - 1] for v in images[:m]]
-    return Permutation(tuple(images))
-
-
 def _cycle_digits(q: Permutation):
     """(m, nn) for m = N..2: the cycle C_nn that places entry m, peeled in turn."""
     images = list(q.images)
@@ -146,11 +102,6 @@ def _cycle_digits(q: Permutation):
         yield m, nn
         # left-multiply by the inverse of C_nn: entry m moves back to slot m
         images[:m] = [m if v == m - nn else v - (v > m - nn) for v in images[:m]]
-
-
-def rank(q: Permutation) -> int:
-    """1-based rank of q, inverse of unrank."""
-    return 1 + sum(nn * math.factorial(m - 1) for m, nn in _cycle_digits(q))
 
 
 def decompose(q: Permutation) -> list[int]:
@@ -225,15 +176,3 @@ def symmetric_group(n: int) -> SymmetricGroupTables:
         n=n, order=order, images=images, tmaps=tmaps, asc=asc, signs=signs,
         inversion_counts=inv_counts, last_site=last_site,
     )
-
-
-def regular_rep(r: Permutation) -> np.ndarray:
-    """Right-regular-representation matrix of r on rank-ordered vectors.
-
-    Entry (Q, Q') is 1 exactly when Q' = Q*r, so the matrix acting on a
-    coefficient vector A produces (R_hat A)(Q) = A(Q r).
-    """
-    tables = symmetric_group(r.n)
-    # row Q of images[:, r - 1] is the one-line form of Q*r
-    cols = rank_of(tables.images[:, np.array(r.images) - 1])
-    return np.eye(tables.order, dtype=np.int64)[cols]

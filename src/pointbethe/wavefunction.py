@@ -24,7 +24,6 @@ to the plain delta gas by a step-function phase (``gauge_map``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
@@ -41,20 +40,14 @@ FD_STEP = 1e-4  # default step of schrodinger_fd_residual
 Statistics = Literal["boson", "fermion"]
 
 
-@dataclass(frozen=True)
-class Wedge:
-    """Ordering sector: the permutation Q with x_{Q(1)} < ... < x_{Q(N)}."""
-
-    ordering: Permutation
-
-
-def locate_wedge(x, tol: float = COINCIDENCE_TOL) -> Wedge:
-    """Wedge containing x; OnBoundary on a tie, ValueError on a non-finite coordinate."""
+def locate_wedge(x, tol: float = COINCIDENCE_TOL) -> Permutation:
+    """The wedge containing x, as the permutation Q with x_{Q(1)} < ... < x_{Q(N)};
+    OnBoundary on a tie, ValueError on a non-finite coordinate."""
     x = _single_point(x)
     if closest_gap(x) <= tol:
         raise OnBoundary(f"coordinates {x} coincide within {tol}")
     order = np.argsort(x, kind="stable")
-    return Wedge(ordering=Permutation(tuple(int(v) + 1 for v in order)))
+    return Permutation(tuple(int(v) + 1 for v in order))
 
 
 def _tie_orderings(x: np.ndarray, tol: float) -> np.ndarray:
@@ -281,8 +274,8 @@ def extend_by_statistics(psi_identity: Callable[[np.ndarray], complex],
             return 0.0 + 0.0j
         order = np.argsort(x, kind="stable")
         return complex(psi_identity(x[order]))
-    order0 = np.array(wedge.ordering.images) - 1
-    sigma = 1.0 if statistics == "boson" else float(wedge.ordering.sign)
+    order0 = np.array(wedge.images) - 1
+    sigma = 1.0 if statistics == "boson" else float(wedge.sign)
     return complex(sigma * psi_identity(x[order0]))
 
 

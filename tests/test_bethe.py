@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from pointbethe import scattering
 from pointbethe.bethe import (_ascending, _odd_site_null_basis, _site_contact,
                               _site_residuals, bethe_state,
-                              build_s_diagonals_periodic, build_yang_matrix,
                               coefficients_bc_oracle, propagate,
                               state_relation_residual, validate_momenta)
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import NotIntegrable
-from pointbethe.permutations import (Permutation, identity, regular_rep,
-                                     symmetric_group, transposition, unrank)
+from pointbethe.permutations import (Permutation, identity, symmetric_group,
+                                     transposition)
 from pointbethe.scattering import amplitudes
+from reference import (build_s_diagonals_periodic, regular_rep, unrank,
+                       yang_matrix)
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.3)
 FAMILY2 = CouplingParameters(2.0, 0.5)
@@ -66,8 +67,8 @@ def test_yang_matrix_appendix_diagonal_patterns():
     # runs +,+,-,+,-,-; the off-diagonal transmission slot pairs oppositely.
     u = 0.9
     amp = amplitudes(FAMILY1, u)
-    y1 = build_yang_matrix(FAMILY1, 3, 1, u).matrix
-    y2 = build_yang_matrix(FAMILY1, 3, 2, u).matrix
+    y1 = yang_matrix(FAMILY1, 3, 1, u)
+    y2 = yang_matrix(FAMILY1, 3, 2, u)
     sr_p, sr_m = amp.s_r_plus, amp.s_r_minus
     st_p, st_m = amp.s_t_plus, amp.s_t_minus
     assert np.allclose(np.diag(y1), [sr_p, sr_m, sr_p, sr_m, sr_p, sr_m])
@@ -83,7 +84,7 @@ def test_yang_matrix_appendix_diagonal_patterns():
 @pytest.mark.parametrize("n", range(2, 6))
 def test_periodic_diagonals_match_direct_construction(n):
     for i in range(1, n):
-        y = build_yang_matrix(FAMILY1, n, i, 0.7).matrix
+        y = yang_matrix(FAMILY1, n, i, 0.7)
         s_r, s_t = build_s_diagonals_periodic(FAMILY1, n, i, 0.7)
         assert np.allclose(np.diag(y), s_r, atol=1e-15)
         tmap = symmetric_group(n).tmaps[i - 1]
@@ -91,7 +92,7 @@ def test_periodic_diagonals_match_direct_construction(n):
 
 
 def test_yang_matrix_rows_have_two_entries():
-    y = build_yang_matrix(FAMILY1, 4, 2, 1.1).matrix
+    y = yang_matrix(FAMILY1, 4, 2, 1.1)
     assert ((np.abs(y) > 0).sum(axis=1) == 2).all()
 
 
@@ -99,8 +100,8 @@ def test_yang_matrix_rows_have_two_entries():
 def test_yang_matrix_inverse_identity(params):
     # consequence of the four universal identities, any couplings
     for u in (0.6, -1.7):
-        y_p = build_yang_matrix(params, 3, 1, u).matrix
-        y_m = build_yang_matrix(params, 3, 1, -u).matrix
+        y_p = yang_matrix(params, 3, 1, u)
+        y_m = yang_matrix(params, 3, 1, -u)
         assert np.abs(y_m @ y_p - np.eye(6)).max() <= 1e-10
 
 
@@ -108,14 +109,14 @@ def test_yang_matrix_inverse_identity(params):
 def test_yang_limit_matrix_form(n):
     c, u = 1.7, 0.9
     for i in range(1, n):
-        y = build_yang_matrix(CouplingParameters(c), n, i, u).matrix
+        y = yang_matrix(CouplingParameters(c), n, i, u)
         t_hat = regular_rep(transposition(n, i))
         ref = (1j * u * t_hat + c * np.eye(math.factorial(n))) / (1j * u - c)
         assert np.abs(y - ref).max() <= 1e-12
 
 
 def test_family2_yang_matrix_diagonal_unimodular():
-    y = build_yang_matrix(FAMILY2, 3, 2, 1.3).matrix
+    y = yang_matrix(FAMILY2, 3, 2, 1.3)
     assert np.abs(y - np.diag(np.diag(y))).max() <= 1e-14
     assert np.abs(np.abs(np.diag(y)) - 1.0).max() <= 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointbethe import cli
+from pointbethe import cli, factorization
 from pointbethe.bethe import bethe_state
 from pointbethe.cli import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK,
                             EXIT_RESIDUAL, main)
@@ -120,6 +120,40 @@ def test_missing_command_is_config_error(tmp_path):
 def test_n_guard(tmp_path):
     status, _ = run_cli(["eigen", "--c", "1", "--N", "9"], tmp_path)
     assert status == EXIT_CONFIG
+
+
+def _no_tables(*args, **kwargs):
+    raise AssertionError("a table was built past the N guard")
+
+
+TOO_MANY = "field N: must be between 1 and 6, got 7"
+MATRIX_N = "matrix check supported for 2 <= N <= 6"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["coeffs", "--N", "7"], TOO_MANY), (["eigen", "--N", "7"], TOO_MANY),
+    (["eigen", "--k", "0.3,0.9,1.5,2.1,-0.4,-1.2,-2.0"], TOO_MANY),
+    (["gauge", "--N", "7"], TOO_MANY),
+    (["yb-check", "--N", "7"], MATRIX_N), (["yb-check", "--N", "1"], MATRIX_N),
+], ids=["coeffs", "eigen", "eigen-k", "gauge", "yb-check-7", "yb-check-1"])
+def test_n_guard_refuses_before_any_table(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.setattr(cli, "bethe_state", _no_tables)
+    monkeypatch.setattr(factorization, "symmetric_group", _no_tables)
+    status, report = run_cli(args + ["--c", "2", "--eta", "1"], tmp_path)
+    assert status == EXIT_CONFIG
+    assert report == ""
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_scan_overflow_rows_are_inf(tmp_path):
+    # eta = 1e200 overflows the amplitudes into NaN; the row reads inf, as a
+    # pole-guarded row does, and the finite rows are untouched
+    status, report = run_cli(["scan", "--c", "1,2", "--eta", "1e200,1"], tmp_path)
+    _, finite = run_cli(["scan", "--c", "1,2", "--eta", "1"], tmp_path, "finite.txt")
+    assert status == EXIT_RESIDUAL
+    rows = [l for l in report.splitlines() if l[0].isdigit()]
+    assert [r.rsplit(",", 1)[1] for r in rows[::2]] == ["inf", "inf"]
+    assert rows[1::2] == [l for l in finite.splitlines() if l[0].isdigit()]
 
 
 def test_coincident_momenta_is_config_error(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pointbethe import bethe, factorization
 from pointbethe._kernels import sample_panel, yang_apply
-from pointbethe.bethe import build_yang_matrix, yang_parts
+from pointbethe.bethe import yang_parts
 from pointbethe.couplings import CouplingParameters, integrable_family
 from pointbethe.errors import PoleAtU
 from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
@@ -18,6 +18,7 @@ from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
                                       scan_couplings, scan_to_csv,
                                       yang_baxter_matrix_check)
 from pointbethe.permutations import symmetric_group
+from reference import yang_matrix
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.5)
 FAMILY2 = CouplingParameters(2.0, 0.5)
@@ -72,6 +73,9 @@ def test_reduced_condition_residuals():
 def test_pole_band_raises():
     with pytest.raises(PoleAtU):
         check_factorization(CouplingParameters(0.0), 1e-15, 1.0)
+    # eta = 1e200 overflows the closed form into NaN, which the panel reads as inf
+    with pytest.raises(PoleAtU):
+        check_factorization(CouplingParameters(1, 0, 0, 1e200), 0.9, 1.7)
 
 
 def test_integrable_family_agrees_with_residual_thresholds_regardless_of_panel():
@@ -167,29 +171,28 @@ def test_block_reduction(params, n, i, subtests=None):
 
 
 def dense_yang_baxter(params, n, samples):
-    """Reference: every product applied to the dense N! x N! identity."""
+    """Reference: every product applied to the dense N! x N! Y matrices."""
     eye = np.eye(symmetric_group(n).order)
 
     def y(i, w):
         return yang_parts(params, n, i, w)
 
-    def dense(parts):
-        return yang_apply(parts, eye.astype(np.complex128))
+    def dense(i, w):
+        return yang_matrix(params, n, i, w)
 
     unitarity = braid = commute = 0.0
     for u, v in samples:
         for i in range(1, n):
-            prod = yang_apply(y(i, -u), dense(y(i, u)))
+            prod = yang_apply(y(i, -u), dense(i, u))
             unitarity = max(unitarity, float(np.abs(prod - eye).max()))
         for i in range(1, n - 1):
-            lhs = yang_apply(y(i, v), yang_apply(y(i + 1, u + v), dense(y(i, u))))
-            rhs = yang_apply(y(i + 1, u), yang_apply(y(i, u + v), dense(y(i + 1, v))))
+            lhs = yang_apply(y(i, v), yang_apply(y(i + 1, u + v), dense(i, u)))
+            rhs = yang_apply(y(i + 1, u), yang_apply(y(i, u + v), dense(i + 1, v)))
             braid = max(braid, float(np.abs(lhs - rhs).max()))
         for i in range(1, n):
             for j in range(i + 2, n):
-                a, b = y(i, u), y(j, v)
-                commute = max(commute, float(np.abs(yang_apply(a, dense(b))
-                                                    - yang_apply(b, dense(a))).max()))
+                commute = max(commute, float(np.abs(yang_apply(y(i, u), dense(j, v))
+                                                    - yang_apply(y(j, v), dense(i, u))).max()))
     return unitarity, braid, commute
 
 
@@ -197,10 +200,10 @@ def dense_block_reduction(params, n, i, u, v):
     """Reference: dense Y_i, Y_{i+1} sliced orbit by orbit in chain order."""
     tables = symmetric_group(n)
     tmap_i, tmap_i1 = tables.tmaps[i - 1], tables.tmaps[i]
-    y_i = build_yang_matrix(params, n, i, u).matrix
-    y_i1 = build_yang_matrix(params, n, i + 1, v).matrix
-    ref_1 = build_yang_matrix(params, 3, 1, u).matrix
-    ref_2 = build_yang_matrix(params, 3, 2, v).matrix
+    y_i = yang_matrix(params, n, i, u)
+    y_i1 = yang_matrix(params, n, i + 1, v)
+    ref_1 = yang_matrix(params, 3, 1, u)
+    ref_2 = yang_matrix(params, 3, 2, v)
     deviation = 0.0
     seen = np.zeros(tables.order, dtype=bool)
     for q in range(tables.order):

@@ -33,8 +33,8 @@ def toy_state(params=FAMILY1, k=K3, seed=0):
 
 
 def test_locate_wedge_examples():
-    assert locate_wedge(np.array([1.0, 2.0, 3.0])).ordering.images == (1, 2, 3)
-    assert locate_wedge(np.array([3.0, 1.0, 2.0])).ordering.images == (2, 3, 1)
+    assert locate_wedge(np.array([1.0, 2.0, 3.0])).images == (1, 2, 3)
+    assert locate_wedge(np.array([3.0, 1.0, 2.0])).images == (2, 3, 1)
     with pytest.raises(OnBoundary):
         locate_wedge(np.array([1.0, 1.0, 2.0]))
 
