@@ -6,7 +6,7 @@ closed-form two-body scattering amplitudes with an independent
 boundary-value oracle, the factorization identities and their coupling
 classification, N!-dimensional Yang-Baxter operators with coefficient
 propagation and a brute-force cross-check, and position-space
-eigenfunctions including the determinant form and the step-phase gauge
+eigenfunctions including the determinant tables and the step-phase gauge
 map to the plain delta gas.
 """
 
@@ -18,22 +18,18 @@ from .couplings import (CouplingParameters, GaugeData, boundary_matrix,
                         build_u_pm, check_symplectic, gauge_data,
                         integrable_family)
 from .errors import (DegenerateBoundary, NotGaugeFamily, NotIntegrable,
-                     OnBoundary, PointBetheError, PoleAtU, SingularSystem,
-                     WrongWedge)
+                     OnBoundary, PointBetheError, PoleAtU, SingularSystem)
 from .factorization import (FactorizationReport, GridSpec, ScanRow,
                             YangBaxterReport, block_reduction_check,
-                            check_factorization, check_factorization_panel,
-                            scan_couplings, scan_to_csv,
-                            yang_baxter_matrix_check)
+                            check_factorization_panel, scan_couplings,
+                            scan_to_csv, yang_baxter_matrix_check)
 from .permutations import (Permutation, SymmetricGroupTables, compose,
                            decompose, identity, symmetric_group,
                            transposition)
 from .scattering import AmplitudeSet, amplitudes, amplitudes_bvp_oracle
 from .wavefunction import (boundary_residual, boundary_samples,
                            determinant_bethe_state, determinant_coefficients,
-                           determinant_eigenfunction, evaluate, evaluate_grid,
-                           extend_by_statistics, gauge_map,
-                           gauge_transformed_state, locate_wedge,
+                           evaluate, evaluate_grid, gauge_transformed_state,
                            schrodinger_fd_residual)
 
 __version__ = "0.1.0"

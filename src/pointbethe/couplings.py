@@ -90,7 +90,12 @@ def boundary_matrix(params: CouplingParameters) -> np.ndarray:
 def contact_residuals(params: CouplingParameters, v_minus, d_minus, v_plus, d_plus):
     """Residuals (r1, r2) of the two contact conditions from the value and
     relative derivative just below (v_minus, d_minus) and just above
-    (v_plus, d_plus) the contact point; scalars or numpy arrays."""
+    (v_plus, d_plus) the contact point; scalars or numpy arrays.
+
+    d is (d/dx_j - d/dx_k) psi, twice the derivative psi' in the relative
+    coordinate x_j - x_k.  Where det(U_+) != 0 both residuals vanish exactly
+    when (d_plus/2, v_plus) = U (d_minus/2, v_minus), U = ``boundary_matrix``.
+    """
     c, lam, gamma, eta = params.astuple()
     v_avg = 0.5 * (v_plus + v_minus)
     d_avg = 0.5 * (d_plus + d_minus)

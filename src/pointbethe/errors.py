@@ -35,7 +35,3 @@ class NotIntegrable(PointBetheError):
 
 class OnBoundary(PointBetheError):
     """Two coordinates coincide within tolerance; the wedge is ambiguous."""
-
-
-class WrongWedge(PointBetheError):
-    """Coordinates are not in the required ordering sector."""

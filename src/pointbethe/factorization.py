@@ -9,9 +9,9 @@ families:
     family1:  lam = gamma = 0           (any c, eta)
     family2:  lam = 1/c, gamma = eta = 0
 
-``check_factorization`` evaluates all thirteen residuals; identity testing
-is randomized evaluation on a seeded (u, v) panel, which detects any
-violation of these rational identities with overwhelming probability.
+``check_factorization_panel`` evaluates all thirteen residuals; identity
+testing is randomized evaluation on a seeded (u, v) panel, which detects
+any violation of these rational identities with overwhelming probability.
 ``scan_couplings`` sweeps a coupling grid and cross-checks the verdict of
 ``couplings.integrable_family`` against the thresholded residuals.  The
 matrix-level relations for the N!-dimensional operators Y_i and the
@@ -100,11 +100,6 @@ def check_factorization_panel(params: CouplingParameters,
         params=params, samples=samples, residuals=res,
         reduced_condition_residuals=_reduced_conditions(params),
     )
-
-
-def check_factorization(params: CouplingParameters, u: float, v: float) -> FactorizationReport:
-    """Identity residuals at a single (u, v) point."""
-    return check_factorization_panel(params, [(u, v)])
 
 
 @dataclass(frozen=True)

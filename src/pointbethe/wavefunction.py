@@ -8,31 +8,34 @@ by the contact conditions.  ``boundary_residual`` measures exactly those
 constraints, with every derivative taken in closed form from the
 plane-wave expansion (finite differences could not tell 1e-10 from 1e-3).
 
-For the lam = 1/c family the identity-wedge eigenfunctions have the
-determinant form evaluated by ``determinant_eigenfunction``: the operator
+For the lam = 1/c family every eigenfunction is a determinant table,
+``determinant_bethe_state``.  In the identity wedge it is the operator
 product over pairs j > k of (d/dx_j - d/dx_k + c) applied to the free
 determinant det[exp(i k_m x_n)], which expands into the permutation sum
 
-    sum_P sgn(P) prod_{j>k} (i (k_{P(j)} - k_{P(k)}) + c) exp(i k_P . x).
+    sum_P sgn(P) prod_{j>k} (i (k_{P(j)} - k_{P(k)}) + c) exp(i k_P . x)
 
-Because that family is permutation invariant, a choice of exchange
-statistics extends the identity-wedge function to all of space
-(``extend_by_statistics``).  The (c, 0, 0, eta) family is instead related
-to the plain delta gas by a step-function phase (``gauge_map``).
+(``determinant_coefficients``); the column signs of the table extend it to
+all of space with Bose or Fermi statistics, so ``evaluate`` of the table is
+psi anywhere.  The (c, 0, 0, eta) family is instead related to the plain
+delta gas by the step phase exp(-i alpha sum_{j<k} step(x_j - x_k)), which
+is constant inside each wedge: ``gauge_transformed_state`` scales the
+table's columns by it.  The tests compare that table against the pointwise
+definition in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
 from . import _kernels
 from .bethe import BetheState, validate_momenta
 from .couplings import CouplingParameters, contact_residuals, gauge_data
-from .errors import NotGaugeFamily, OnBoundary, WrongWedge
-from .permutations import Permutation, rank_of, symmetric_group
+from .errors import OnBoundary
+from .permutations import rank_of, symmetric_group
 
 COINCIDENCE_TOL = 1e-12
 FD_STEP = 1e-4  # default step of schrodinger_fd_residual
@@ -40,22 +43,13 @@ FD_STEP = 1e-4  # default step of schrodinger_fd_residual
 Statistics = Literal["boson", "fermion"]
 
 
-def locate_wedge(x, tol: float = COINCIDENCE_TOL) -> Permutation:
-    """The wedge containing x, as the permutation Q with x_{Q(1)} < ... < x_{Q(N)};
-    OnBoundary on a tie, ValueError on a non-finite coordinate."""
-    x = _single_point(x)
-    if closest_gap(x) <= tol:
-        raise OnBoundary(f"coordinates {x} coincide within {tol}")
-    order = np.argsort(x, kind="stable")
-    return Permutation(tuple(int(v) + 1 for v in order))
-
-
-def _tie_orderings(x: np.ndarray, tol: float) -> np.ndarray:
-    """All sorting orders compatible with x, one row per wedge touching x."""
+def _tie_orderings(x: np.ndarray) -> np.ndarray:
+    """All sorting orders compatible with x, one row per wedge touching x;
+    coordinates within COINCIDENCE_TOL of their sorted neighbour tie."""
     order = np.argsort(x, kind="stable")
     groups: list[list[int]] = [[int(order[0])]]
     for idx in order[1:]:
-        if x[idx] - x[groups[-1][-1]] <= tol:
+        if x[idx] - x[groups[-1][-1]] <= COINCIDENCE_TOL:
             groups[-1].append(int(idx))
         else:
             groups.append([int(idx)])
@@ -69,11 +63,11 @@ def closest_gap(points) -> np.ndarray:
     return np.diff(np.sort(points, axis=-1), axis=-1).min(axis=-1, initial=np.inf)
 
 
-def _single_point(x, n: int | None = None) -> np.ndarray:
-    """x as a float array of finite coordinates, n of them if n is given;
-    ValueError naming the bad shape or the non-finite coordinates."""
+def _single_point(x, n: int) -> np.ndarray:
+    """x as a float array of n finite coordinates; ValueError naming the bad
+    shape or the non-finite coordinates."""
     x = np.asarray(x, dtype=np.float64)
-    if n is not None and x.shape != (n,):
+    if x.shape != (n,):
         raise ValueError(f"need {n} coordinates, got shape {x.shape}")
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
@@ -87,7 +81,7 @@ def evaluate(state: BetheState, x) -> complex:
     Raises ValueError unless x holds N finite coordinates.
     """
     x = _single_point(x, state.n)
-    orders = _tie_orderings(x, COINCIDENCE_TOL)
+    orders = _tie_orderings(x)
     waves = _kernels.plane_waves(state.k, state.tables.images, x[orders])
     columns = state.table.T[rank_of(orders)]
     return complex(np.mean((columns * waves).sum(axis=1)))
@@ -218,29 +212,13 @@ def determinant_coefficients(k, c: float) -> np.ndarray:
     return out
 
 
-def determinant_eigenfunction(k, c: float, x) -> complex:
-    """Identity-wedge eigenfunction of the (c, 1/c, 0, 0) model.
-
-    Evaluates the pair-operator product applied to det[exp(i k_m x_n)]
-    through its closed-form permutation expansion, with the normalization
-    constant fixed to 1.  Requires finite x strictly inside x_1 < ... < x_N.
-    """
-    k = validate_momenta(k)
-    x = _single_point(x, k.size)
-    if np.any(np.diff(x) <= 0):
-        raise WrongWedge(f"{x} is not strictly increasing")
-    tables = symmetric_group(k.size)
-    coeff = determinant_coefficients(k, c)
-    phases = (k[tables.images] * x[np.newaxis, :]).sum(axis=1)
-    return complex(np.sum(coeff * np.exp(1j * phases)))
-
-
 def determinant_bethe_state(k, c: float, statistics: Statistics) -> BetheState:
     """The determinant eigenfunction as a full coefficient table.
 
     Every column equals the determinant coefficients up to the statistics
     sign of the wedge: A_P(Q) = sigma(Q) coeff(P) with sigma = 1 for bosons
-    and sgn(Q) for fermions.
+    and sgn(Q) for fermions (Girardeau's Bose/Fermi mapping).  So psi is
+    even or odd under an exchange, and the fermion psi is 0 at a tie.
     """
     k = validate_momenta(k)
     if statistics not in ("boson", "fermion"):
@@ -253,46 +231,6 @@ def determinant_bethe_state(k, c: float, statistics: Statistics) -> BetheState:
     table = coeff[:, np.newaxis] * sigma[np.newaxis, :]
     params = CouplingParameters(c=c, lam=1.0 / c)
     return BetheState(params=params, k=k, table=table)
-
-
-def extend_by_statistics(psi_identity: Callable[[np.ndarray], complex],
-                         statistics: Statistics, x) -> complex:
-    """Extend an identity-wedge function to all of space by statistics.
-
-    psi(x) = sigma(Q) psi_identity(sorted x) with sigma = 1 for bosons and
-    sgn(Q) for fermions.  At coincidence points bosons continue smoothly
-    and fermions vanish (the two adjacent limits differ by a sign).  A
-    non-finite coordinate raises ValueError (through ``locate_wedge``).
-    """
-    if statistics not in ("boson", "fermion"):
-        raise ValueError(f"unknown statistics {statistics!r}")
-    x = np.asarray(x, dtype=np.float64)
-    try:
-        wedge = locate_wedge(x)
-    except OnBoundary:
-        if statistics == "fermion":
-            return 0.0 + 0.0j
-        order = np.argsort(x, kind="stable")
-        return complex(psi_identity(x[order]))
-    order0 = np.array(wedge.images) - 1
-    sigma = 1.0 if statistics == "boson" else float(wedge.sign)
-    return complex(sigma * psi_identity(x[order0]))
-
-
-def gauge_map(state: BetheState, x) -> complex:
-    """Step-phase image of psi(x), mapping (c, 0, 0, eta) to the delta gas.
-
-    Multiplies the state value by exp(-i alpha sum_{j<k} step(x_j - x_k))
-    where exp(i alpha) = (1 + i eta)/(1 - i eta).  Raises NotGaugeFamily
-    unless lam = gamma = 0, and ValueError unless x holds N finite coordinates.
-    """
-    gd = gauge_data(state.params)  # raises NotGaugeFamily outside the family
-    x = _single_point(x, state.n)
-    # the step sum is inv(Q) inside wedge Q; averaged over the wedges that
-    # touch x, each tied pair contributes step(0) = 1/2
-    orders = _tie_orderings(x, COINCIDENCE_TOL)
-    steps = state.tables.inversion_counts[rank_of(orders)].mean()
-    return complex(evaluate(state, x) * np.exp(-1j * gd.alpha * steps))
 
 
 def gauge_transformed_state(state: BetheState) -> BetheState:

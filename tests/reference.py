@@ -1,6 +1,7 @@
 """Paper-definition references the tests compare the package against: the
 scalar rank recursion, the right regular representation, the dense N! x N!
-Y_i(u) and the periodic pattern of its diagonals.  No command runs them."""
+Y_i(u), the periodic pattern of its diagonals and the pointwise step-phase
+gauge map.  No command runs them."""
 
 import math
 
@@ -8,9 +9,11 @@ import numpy as np
 
 from pointbethe._kernels import yang_apply
 from pointbethe.bethe import yang_parts
+from pointbethe.couplings import gauge_data
 from pointbethe.permutations import (Permutation, _cycle_digits, rank_of,
                                      symmetric_group)
 from pointbethe.scattering import amplitudes
+from pointbethe.wavefunction import evaluate
 
 
 def _cycle_to(n: int, nn: int) -> list[int]:
@@ -76,3 +79,15 @@ def build_s_diagonals_periodic(params, n: int, i: int, u: float):
     minus = k0 < n_digit * math.factorial(i - 1)
     return (np.where(minus, amp.s_r_minus, amp.s_r_plus),
             np.where(minus, amp.s_t_plus, amp.s_t_minus))
+
+
+def gauge_map(state, x) -> complex:
+    """psi(x) exp(-i alpha sum_{j<k} step(x_j - x_k)) for a (c, 0, 0, eta)
+    state, exp(i alpha) = (1 + i eta)/(1 - i eta), with the steps counted
+    from x and step(0) = 1/2.  Raises NotGaugeFamily off the family and
+    ValueError unless x holds N finite coordinates (through ``evaluate``)."""
+    alpha = gauge_data(state.params).alpha
+    value = evaluate(state, x)
+    x = np.asarray(x, dtype=np.float64)
+    steps = np.triu(np.heaviside(np.subtract.outer(x, x), 0.5), 1).sum()
+    return value * np.exp(-1j * alpha * steps)

@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from pointbethe import CouplingParameters, _kernels
 from pointbethe.bethe import bethe_state, coefficients_bc_oracle

@@ -105,16 +105,6 @@ def test_yang_matrix_inverse_identity(params):
         assert np.abs(y_m @ y_p - np.eye(6)).max() <= 1e-10
 
 
-@pytest.mark.parametrize("n", (3, 4))
-def test_yang_limit_matrix_form(n):
-    c, u = 1.7, 0.9
-    for i in range(1, n):
-        y = yang_matrix(CouplingParameters(c), n, i, u)
-        t_hat = regular_rep(transposition(n, i))
-        ref = (1j * u * t_hat + c * np.eye(math.factorial(n))) / (1j * u - c)
-        assert np.abs(y - ref).max() <= 1e-12
-
-
 def test_family2_yang_matrix_diagonal_unimodular():
     y = yang_matrix(FAMILY2, 3, 2, 1.3)
     assert np.abs(y - np.diag(np.diag(y))).max() <= 1e-14

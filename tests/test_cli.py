@@ -117,11 +117,6 @@ def test_missing_command_is_config_error(tmp_path):
     assert main(["--c", "1"]) == EXIT_CONFIG
 
 
-def test_n_guard(tmp_path):
-    status, _ = run_cli(["eigen", "--c", "1", "--N", "9"], tmp_path)
-    assert status == EXIT_CONFIG
-
-
 def _no_tables(*args, **kwargs):
     raise AssertionError("a table was built past the N guard")
 

@@ -3,7 +3,8 @@ import pytest
 
 from pointbethe.bethe import bethe_state
 from pointbethe.couplings import (CouplingParameters, boundary_matrix,
-                                  build_u_pm, check_symplectic, gauge_data,
+                                  build_u_pm, check_symplectic,
+                                  contact_residuals, gauge_data,
                                   integrable_family)
 from pointbethe.errors import DegenerateBoundary, NotGaugeFamily, NotIntegrable
 
@@ -67,6 +68,26 @@ def test_symplectic_relation_randomized():
         u = boundary_matrix(params)
         assert check_symplectic(u) <= 1e-12
         assert abs(abs(np.linalg.det(u)) - 1.0) <= 1e-12
+        checked += 1
+
+
+def test_boundary_matrix_states_the_contact_residuals():
+    # U maps (psi', psi) below the contact to above it, with psi' = d/2
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 500:
+        params = CouplingParameters(*rng.uniform(-2, 2, 4))
+        up, _ = build_u_pm(params)
+        if abs(np.linalg.det(up)) < 0.1:
+            continue
+        v_minus, d_minus = rng.normal(size=2) + 1j * rng.normal(size=2)
+        half_d_plus, v_plus = boundary_matrix(params) @ [d_minus / 2, v_minus]
+        d_plus = 2 * half_d_plus
+        scale = max(abs(v_minus), abs(d_minus), abs(v_plus), abs(d_plus))
+        r1, r2 = contact_residuals(params, v_minus, d_minus, v_plus, d_plus)
+        assert max(abs(r1), abs(r2)) <= 1e-12 * scale
+        r1, r2 = contact_residuals(params, v_minus, d_minus, v_plus + 1e-3 * scale, d_plus)
+        assert max(abs(r1), abs(r2)) >= 1e-6 * scale
         checked += 1
 
 

@@ -13,7 +13,6 @@ from pointbethe.couplings import CouplingParameters, integrable_family
 from pointbethe.errors import PoleAtU
 from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
                                       block_reduction_check,
-                                      check_factorization,
                                       check_factorization_panel,
                                       scan_couplings, scan_to_csv,
                                       yang_baxter_matrix_check)
@@ -30,7 +29,7 @@ UNIVERSAL_ROWS = (0, 1, 2, 3, 5, 6)
 
 
 def test_free_case_all_zero():
-    report = check_factorization(CouplingParameters(0.0), 0.9, 1.7)
+    report = check_factorization_panel(CouplingParameters(0.0), [(0.9, 1.7)])
     assert report.residuals.shape == (13,)
     assert report.max_residual <= 1e-14
 
@@ -61,21 +60,21 @@ def test_universal_rows_for_random_couplings():
 
 
 def test_reduced_condition_residuals():
-    report = check_factorization(CouplingParameters(2.0, 0.5, 0.3, 0.7), 1.0, 2.0)
+    report = check_factorization_panel(CouplingParameters(2.0, 0.5, 0.3, 0.7), [(1.0, 2.0)])
     c, lam, gamma, eta = 2.0, 0.5, 0.3, 0.7
     expected = (abs(gamma), abs(lam * (c * lam + eta**2 - 1)), abs(lam * eta))
     assert report.reduced_condition_residuals == pytest.approx(expected)
     for params in (FAMILY1, FAMILY2):
-        r = check_factorization(params, 1.0, 2.0).reduced_condition_residuals
+        r = check_factorization_panel(params, [(1.0, 2.0)]).reduced_condition_residuals
         assert max(r) == 0.0
 
 
 def test_pole_band_raises():
     with pytest.raises(PoleAtU):
-        check_factorization(CouplingParameters(0.0), 1e-15, 1.0)
+        check_factorization_panel(CouplingParameters(0.0), [(1e-15, 1.0)])
     # eta = 1e200 overflows the closed form into NaN, which the panel reads as inf
     with pytest.raises(PoleAtU):
-        check_factorization(CouplingParameters(1, 0, 0, 1e200), 0.9, 1.7)
+        check_factorization_panel(CouplingParameters(1, 0, 0, 1e200), [(0.9, 1.7)])
 
 
 def test_integrable_family_agrees_with_residual_thresholds_regardless_of_panel():
@@ -313,7 +312,7 @@ def test_non_finite_samples_are_refused(bad):
         block_reduction_check(params, 4, 1, bad, 0.2)
     # the panel blamed nan on the couplings as a pole and met inf with a RuntimeWarning
     with pytest.raises(ValueError, match=r"sample 0 \(0-based\) \(u, v\) = \((nan|-?inf), 1.0\)"):
-        check_factorization(CouplingParameters(2.0), bad, 1.0)
+        check_factorization_panel(CouplingParameters(2.0), [(bad, 1.0)])
     with pytest.raises(ValueError, match=r"sample 1 \(0-based\) \(u, v\) = \(0.3, "):
         check_factorization_panel(CouplingParameters(2.0, 0.5), [(0.9, 1.7), (0.3, bad)])
 

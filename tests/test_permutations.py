@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pointbethe.permutations import (Permutation, compose, decompose, identity,
                                      inversions, rank_of, symmetric_group,
                                      transposition)
-from pointbethe.wavefunction import locate_wedge
 from reference import rank, regular_rep, unrank
 
 # the rank order of S_3, largest permutation first
@@ -212,11 +211,10 @@ def test_rank_of_images_is_the_rank_order(n):
 
 @settings(deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6, unique=True))
-def test_rank_of_argsort_matches_locate_wedge(xs):
-    x = np.array(xs)
-    tables = symmetric_group(x.size)
-    got = rank_of(np.argsort(x, kind="stable"))
-    assert got == rank(locate_wedge(x, tol=0.0)) - 1
+def test_rank_of_argsort_matches_the_scalar_rank(xs):
+    # the wedge of x: Q with x_{Q(1)} < ... < x_{Q(N)}
+    order = np.argsort(np.array(xs), kind="stable")
+    assert rank_of(order) == rank(Permutation(tuple(int(v) + 1 for v in order))) - 1
 
 
 @given(st.data())

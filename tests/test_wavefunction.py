@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,18 +7,17 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pointbethe._kernels import MAX_DRAWS_PER_SAMPLE
+from pointbethe._kernels import MAX_DRAWS_PER_SAMPLE, plane_waves
 from pointbethe.bethe import BetheState, bethe_state
 from pointbethe.couplings import CouplingParameters
-from pointbethe.errors import NotGaugeFamily, OnBoundary, WrongWedge
-from pointbethe.permutations import Permutation, symmetric_group
+from pointbethe.errors import NotGaugeFamily, OnBoundary
+from pointbethe.permutations import rank_of, symmetric_group
 from pointbethe.wavefunction import (boundary_residual, boundary_samples,
                                      closest_gap, determinant_bethe_state,
-                                     determinant_coefficients,
-                                     determinant_eigenfunction, evaluate,
-                                     evaluate_grid, extend_by_statistics,
-                                     gauge_map, gauge_transformed_state,
-                                     locate_wedge, schrodinger_fd_residual)
+                                     determinant_coefficients, evaluate,
+                                     evaluate_grid, gauge_transformed_state,
+                                     schrodinger_fd_residual)
+from reference import gauge_map
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.3)
 FAMILY2 = CouplingParameters(1.7, 1.0 / 1.7)
@@ -30,13 +30,6 @@ def toy_state(params=FAMILY1, k=K3, seed=0):
     f = math.factorial(len(k))
     a = rng.normal(size=f) + 1j * rng.normal(size=f)
     return bethe_state(params, np.asarray(k, float), a)
-
-
-def test_locate_wedge_examples():
-    assert locate_wedge(np.array([1.0, 2.0, 3.0])).images == (1, 2, 3)
-    assert locate_wedge(np.array([3.0, 1.0, 2.0])).images == (2, 3, 1)
-    with pytest.raises(OnBoundary):
-        locate_wedge(np.array([1.0, 1.0, 2.0]))
 
 
 def test_evaluate_single_particle():
@@ -90,20 +83,7 @@ def test_evaluate_grid_refuses_non_finite_coordinates(bad):
         evaluate_grid(state, np.array([[0.1, bad, 1.2]]))
 
 
-def _extended_determinant(statistics):
-    def func(state, x):
-        return extend_by_statistics(lambda y: determinant_eigenfunction(K3, 2.0, y),
-                                    statistics, x)
-    return func
-
-
-@pytest.mark.parametrize("func", [
-    evaluate, gauge_map,
-    lambda state, x: locate_wedge(x),
-    lambda state, x: determinant_eigenfunction(K3, 2.0, x),
-    _extended_determinant("boson"), _extended_determinant("fermion"),
-], ids=["evaluate", "gauge_map", "locate_wedge", "determinant_eigenfunction",
-        "extend_by_statistics-boson", "extend_by_statistics-fermion"])
+@pytest.mark.parametrize("func", [evaluate, gauge_map], ids=["evaluate", "gauge_map"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_single_point_evaluators_refuse_non_finite_coordinates(func, bad):
     state = toy_state(CouplingParameters(2.0, 0.0, 0.0, 1.0))
@@ -258,13 +238,9 @@ def test_boundary_residual_refuses_an_empty_sample_list():
 
 
 def test_determinant_single_particle():
-    k = np.array([0.8])
-    assert determinant_eigenfunction(k, 1.0, np.array([0.3])) == pytest.approx(np.exp(0.8j * 0.3))
-
-
-def test_determinant_wrong_wedge():
-    with pytest.raises(WrongWedge):
-        determinant_eigenfunction(np.array([1.0, 2.0]), 1.0, np.array([1.0, 0.5]))
+    for statistics in ("boson", "fermion"):
+        state = determinant_bethe_state([0.8], 1.0, statistics)
+        assert evaluate(state, [0.3]) == pytest.approx(np.exp(0.8j * 0.3))
 
 
 def _sympy_determinant_oracle(kvals, c, xvals):
@@ -279,36 +255,46 @@ def _sympy_determinant_oracle(kvals, c, xvals):
     return complex(expr.subs(dict(zip(xs, xvals))).evalf(30))
 
 
+def _assert_tables_match_the_oracle(k, c, x, want, **tolerance):
+    # x lies in the identity wedge; its reversal lies in the wedge of the
+    # reversing permutation, whose sign the fermion table carries
+    n = len(k)
+    for statistics, sigma in (("boson", 1), ("fermion", (-1) ** (n * (n - 1) // 2))):
+        state = determinant_bethe_state(k, c, statistics)
+        assert evaluate(state, x) == pytest.approx(want, **tolerance)
+        assert evaluate(state, x[::-1]) == pytest.approx(sigma * want, **tolerance)
+
+
 @pytest.mark.parametrize("c", [0.0, 2.0])
 def test_determinant_two_particles_vs_symbolic_differentiation(c):
-    k = [1.0, -1.0]
-    x = [0.0, 1.0]
+    k = np.array([1.0, -1.0])
+    x = np.array([0.0, 1.0])
     want = _sympy_determinant_oracle(k, c, x)
-    got = determinant_eigenfunction(np.array(k, float), c, np.array(x, float))
-    assert got == pytest.approx(want, abs=1e-12)
+    if c == 0.0:
+        # there is no table at c = 0, where lambda = 1/c does not exist
+        got = determinant_coefficients(k, c) @ plane_waves(k, symmetric_group(2).images, x[None])[0]
+        assert got == pytest.approx(want, abs=1e-12)
+    else:
+        _assert_tables_match_the_oracle(k, c, x, want, abs=1e-12)
 
 
 def test_determinant_three_particles_vs_symbolic_differentiation():
-    k = [1.3, 0.2, -0.9]
-    x = [-0.7, 0.1, 1.2]
+    k = np.array([1.3, 0.2, -0.9])
+    x = np.array([-0.7, 0.1, 1.2])
     want = _sympy_determinant_oracle(k, 1.5, x)
-    got = determinant_eigenfunction(np.array(k, float), 1.5, np.array(x, float))
-    assert got == pytest.approx(want, rel=1e-10)
+    _assert_tables_match_the_oracle(k, 1.5, x, want, rel=1e-10)
 
 
-def test_extend_by_statistics_symmetry():
-    k = K3
-    c = 1.7
-    psi = lambda y: determinant_eigenfunction(k, c, y)
+def test_determinant_state_has_the_exchange_symmetry_of_its_statistics():
     x = np.array([0.9, -1.2, 0.3])
     swapped = x[[1, 0, 2]]
-    b_val = extend_by_statistics(psi, "boson", x)
-    assert extend_by_statistics(psi, "boson", swapped) == pytest.approx(b_val)
-    f_val = extend_by_statistics(psi, "fermion", x)
-    assert extend_by_statistics(psi, "fermion", swapped) == pytest.approx(-f_val)
-    assert extend_by_statistics(psi, "fermion", np.array([0.4, 0.4, 1.0])) == 0.0
-    with pytest.raises(ValueError):
-        extend_by_statistics(psi, "anyon", x)
+    boson = determinant_bethe_state(K3, 1.7, "boson")
+    fermion = determinant_bethe_state(K3, 1.7, "fermion")
+    assert evaluate(boson, swapped) == pytest.approx(evaluate(boson, x), rel=1e-14)
+    assert evaluate(fermion, swapped) == pytest.approx(-evaluate(fermion, x), rel=1e-14)
+    assert evaluate(fermion, [0.4, 0.4, 1.0]) == 0.0
+    with pytest.raises(ValueError, match="unknown statistics 'anyon'"):
+        determinant_bethe_state(K3, 1.7, "anyon")
 
 
 def test_determinant_state_needs_nonzero_c():
@@ -321,8 +307,6 @@ def test_determinant_form_refuses_a_non_finite_c(c):
     # these returned all-NaN coefficients and a NaN psi
     with pytest.raises(ValueError, match=r"determinant coupling c = -?(nan|inf) is not finite"):
         determinant_coefficients([0.3, -0.4, 1.1], c)
-    with pytest.raises(ValueError, match="is not finite"):
-        determinant_eigenfunction([0.3, -0.4], c, [0.1, 0.5])
     with pytest.raises(ValueError, match="is not finite"):
         determinant_bethe_state([0.3, -0.4], c, "fermion")
 
@@ -339,16 +323,6 @@ def test_determinant_state_satisfies_boundary_conditions(statistics, n):
             r1, r2 = boundary_residual(state, j, kk,
                                        boundary_samples(n, j, kk, rng, count=25))
             assert r1 <= 1e-9 and r2 <= 1e-9
-
-
-def test_determinant_state_matches_pointwise_extension():
-    c = 1.7
-    state = determinant_bethe_state(K3, c, "fermion")
-    psi = lambda y: determinant_eigenfunction(K3, c, y)
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        x = rng.uniform(-2, 2, 3)
-        assert evaluate(state, x) == pytest.approx(extend_by_statistics(psi, "fermion", x))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -455,6 +429,20 @@ def test_gauge_map_equals_the_transformed_state_at_generic_points(n, data):
     want = evaluate(gauge_transformed_state(state), x)
     # roundoff relative to sum |A_P(Q)|, which bounds |psi|
     assert abs(gauge_map(state, x) - want) <= 1e-12 * max(1.0, np.abs(state.table).sum())
+
+
+def test_gauge_map_catches_corrupted_step_counts(monkeypatch):
+    # the reference counts the steps from x, so a fault in the inversion
+    # counts that scale the transformed table's columns no longer cancels
+    state = toy_state()
+    x = np.array([0.9, -1.2, 0.3])
+    want = gauge_map(state, x)
+    assert evaluate(gauge_transformed_state(state), x) == pytest.approx(want, rel=1e-12)
+    counts = state.tables.inversion_counts.copy()
+    counts[rank_of(np.argsort(x))] += 1
+    monkeypatch.setitem(state.__dict__, "tables",
+                        dataclasses.replace(state.tables, inversion_counts=counts))
+    assert abs(evaluate(gauge_transformed_state(state), x) - want) >= 0.1 * abs(want)
 
 
 def test_schrodinger_residual_second_order():
