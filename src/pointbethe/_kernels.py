@@ -19,6 +19,8 @@ builds the parts of every Y step it can take before its rank-order pass.
 
 Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
+* ``columns[(F, F)]``: the coefficient table transposed and C-contiguous,
+  ``columns[q, p]`` = A_P(Q), so a wedge's column is one contiguous row.
 * ``tmaps[(N-1, F)]``, ``asc[(N-1, F)]``: right-multiplication index map
   and ascent flags per transposition site.
 * ``last_site[(F,)]``: last letter of each canonical word, -1 for the
@@ -120,13 +122,17 @@ def plane_waves(k, images, xq) -> np.ndarray:
     return waves
 
 
-def eval_grid(points, k, table, images) -> np.ndarray:
-    """Bethe-ansatz wavefunction on a batch of generic (tie-free) points."""
+def eval_grid(points, k, columns, images) -> np.ndarray:
+    """Bethe-ansatz wavefunction on a batch of generic (tie-free) points.
+
+    ``columns`` is the transposed table ``BetheState.columns``: each point
+    reads the one contiguous row of its wedge.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     order = np.argsort(points, axis=1, kind="stable")  # wedge images per point
     xq = np.take_along_axis(points, order, axis=1)
     waves = plane_waves(k, images, xq)
-    return (table.T[rank_of(order)] * waves).sum(axis=1)
+    return (columns[rank_of(order)] * waves).sum(axis=1)
 
 
 def step_parts(tables: SymmetricGroupTables, s: int, sr_plus, sr_minus, st_plus, st_minus):

@@ -142,6 +142,11 @@ class BetheState:
     """Momenta, couplings and the full coefficient table A_P(Q).
 
     ``table[p, q]`` is A_P(Q) with both indices 0-based in rank order.
+    ``columns`` is the same table as a C-contiguous transpose,
+    ``columns[q, p]`` = A_P(Q), so the wedge column A_.(Q) is one
+    contiguous row: a view when the table is Fortran-ordered, one copy
+    made on first use otherwise.  The tables the library builds are
+    read-only, so that copy can never go stale.
     """
 
     params: CouplingParameters
@@ -160,6 +165,10 @@ class BetheState:
     def tables(self) -> SymmetricGroupTables:
         return symmetric_group(self.n)
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return np.ascontiguousarray(self.table.T)
+
 
 def bethe_state(params: CouplingParameters, k, a_identity) -> BetheState:
     """Build the full table by propagating A_I to every P in rank order.
@@ -173,6 +182,7 @@ def bethe_state(params: CouplingParameters, k, a_identity) -> BetheState:
     a = _coefficient_vector(a_identity, tables.order)
     srp, srm, stp, stm = _kernels.pair_amplitude_tables(params, k)
     table = _kernels.propagate_table(a, tables, srp, srm, stp, stm)
+    table.flags.writeable = False
     return BetheState(params=params, k=k, table=table)
 
 

@@ -7,6 +7,8 @@ average of the adjacent wedge limits and derivative jumps are constrained
 by the contact conditions.  ``boundary_residual`` measures exactly those
 constraints, with every derivative taken in closed form from the
 plane-wave expansion (finite differences could not tell 1e-10 from 1e-3).
+Every reader here gathers whole wedge columns A_.(Q), and takes them from
+``BetheState.columns``, where each is one contiguous row.
 
 For the lam = 1/c family every eigenfunction is a determinant table,
 ``determinant_bethe_state``.  In the identity wedge it is the operator
@@ -83,7 +85,7 @@ def evaluate(state: BetheState, x) -> complex:
     x = _single_point(x, state.n)
     orders = _tie_orderings(x)
     waves = _kernels.plane_waves(state.k, state.tables.images, x[orders])
-    columns = state.table.T[rank_of(orders)]
+    columns = state.columns[rank_of(orders)]
     return complex(np.mean((columns * waves).sum(axis=1)))
 
 
@@ -102,7 +104,7 @@ def evaluate_grid(state: BetheState, points) -> np.ndarray:
     if ties.any():
         raise OnBoundary(f"evaluate_grid: point {points[ties.argmax()]} has coordinates "
                          f"within {COINCIDENCE_TOL}")
-    return _kernels.eval_grid(points, state.k, state.table, state.tables.images)
+    return _kernels.eval_grid(points, state.k, state.columns, state.tables.images)
 
 
 def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
@@ -173,13 +175,13 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
 
     waves = _kernels.plane_waves(state.k, tables.images, np.take_along_axis(x, order, axis=1))
     # relative momentum factor i(k_{P(i)} - k_{P(i+1)}) per sample and row P
-    k_p = state.k[tables.images]
-    du = 1j * (k_p[:, site] - k_p[:, site + 1]).T
+    k_at = state.k[tables.images.T]  # k_at[i, p] = k_{P(i+1)}
+    du = 1j * (k_at[site] - k_at[site + 1])
 
     # below the boundary (x_j = x_kk - 0+) the state is the wedge-Q sum;
     # above it the wedge-QT_i sum; at coincidence the exponents agree
-    below = state.table.T[q_idx] * waves
-    above = state.table.T[qt_idx] * waves
+    below = state.columns[q_idx] * waves
+    above = state.columns[qt_idx] * waves
     v_minus = below.sum(axis=1)
     d_minus = (below * du).sum(axis=1)
     v_plus = above.sum(axis=1)
@@ -229,6 +231,7 @@ def determinant_bethe_state(k, c: float, statistics: Statistics) -> BetheState:
     coeff = determinant_coefficients(k, c)
     sigma = np.ones(tables.order) if statistics == "boson" else tables.signs.astype(float)
     table = coeff[:, np.newaxis] * sigma[np.newaxis, :]
+    table.flags.writeable = False
     params = CouplingParameters(c=c, lam=1.0 / c)
     return BetheState(params=params, k=k, table=table)
 
@@ -242,11 +245,10 @@ def gauge_transformed_state(state: BetheState) -> BetheState:
     gd = gauge_data(state.params)
     tables = state.tables
     col_phase = np.exp(-1j * gd.alpha * tables.inversion_counts)
-    return BetheState(
-        params=CouplingParameters(c=gd.c_tilde),
-        k=state.k,
-        table=state.table * col_phase[np.newaxis, :],
-    )
+    # Fortran order makes the mapped state's ``columns`` a free view
+    table = np.multiply(state.table, col_phase[np.newaxis, :], order="F")
+    table.flags.writeable = False
+    return BetheState(params=CouplingParameters(c=gd.c_tilde), k=state.k, table=table)
 
 
 def schrodinger_fd_residual(state: BetheState, x, h: float = FD_STEP) -> float:

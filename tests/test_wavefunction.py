@@ -196,6 +196,8 @@ def test_boundary_residual_detects_corruption():
     bad_table = state.table.copy()
     bad_table[2, 3] += 1e-2  # column 3 is one of the wedges adjacent to x1 = x2
     bad = BetheState(params=state.params, k=state.k, table=bad_table)
+    # a hand-built state may hold a writeable C-ordered table
+    assert bad_table.flags.writeable and bad.columns[3, 2] == bad_table[2, 3]
     rng = np.random.default_rng(4)
     r1, r2 = boundary_residual(bad, 1, 2, boundary_samples(3, 1, 2, rng, count=25))
     assert max(r1, r2) >= 1e-4
@@ -209,6 +211,51 @@ def test_boundary_residual_batch_matches_single_samples(params):
         samples = boundary_samples(4, j, kk, rng, count=20)
         singles = [boundary_residual(state, j, kk, [x]) for x in samples]
         assert boundary_residual(state, j, kk, samples) == tuple(map(max, zip(*singles)))
+
+
+def test_columns_is_the_contiguous_transpose_of_the_table():
+    state = toy_state()
+    assert state.columns.flags.c_contiguous
+    assert np.array_equal(state.columns, state.table.T)
+    # the mapped table is written Fortran-ordered, so its columns are a
+    # view and a gauge check holds two tables, not three
+    mapped = gauge_transformed_state(state)
+    assert mapped.columns.flags.c_contiguous
+    assert np.array_equal(mapped.columns, mapped.table.T)
+    assert np.shares_memory(mapped.columns, mapped.table)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: toy_state().table,
+    lambda: gauge_transformed_state(toy_state()).table,
+    lambda: determinant_bethe_state(K3, 1.5, "fermion").table,
+], ids=["bethe_state", "gauge_transformed_state", "determinant_bethe_state"])
+def test_library_tables_are_read_only(build):
+    # an in-place write would leave a cached ``columns`` stale
+    table = build()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2], ids=["family1", "family2"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_results_do_not_depend_on_the_table_layout(params, n):
+    k = np.linspace(1.2, -1.1, n) + np.random.default_rng(n).uniform(-0.1, 0.1, n)
+    table = toy_state(params, k, seed=n).table
+    c_state, f_state = [BetheState(params=params, k=k, table=layout(table))
+                        for layout in (np.ascontiguousarray, np.asfortranarray)]
+    assert c_state.table.flags.c_contiguous and f_state.table.flags.f_contiguous
+    rng = np.random.default_rng(20 + n)
+    for j, kk in ((1, 2), (2, n), (n - 1, n)):
+        samples = boundary_samples(n, j, kk, rng, count=20)
+        assert boundary_residual(c_state, j, kk, samples) == \
+            boundary_residual(f_state, j, kk, samples)
+    points = rng.uniform(-3.0, 3.0, (40, n))
+    assert np.array_equal(evaluate_grid(c_state, points), evaluate_grid(f_state, points))
+    tie = points[0].copy()
+    tie[1] = tie[0]  # a point on x1 = x2 averages two wedges
+    for x in (points[1], tie):
+        assert evaluate(c_state, x) == evaluate(f_state, x)
 
 
 def test_boundary_residual_input_checks():
