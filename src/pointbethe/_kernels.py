@@ -27,6 +27,12 @@ Layout contracts (all indices 0-based):
   identity.
 * amplitude pair tables ``srp, srm, stp, stm[(N, N)]``: entry (a, b) is
   the amplitude at u = k[a] - k[b].
+* Y-step parts ``diag, off[(F,)]`` from ``step_parts``, or ``[(S, F)]``
+  for a stack of S steps built from (S, 1) amplitude columns, with
+  ``tmap[(F,)]``.  ``yang_apply`` takes a target vector (F,) or matrix
+  (F, F) with (F,) parts, and a stack (S, F, F) with (S, F) parts, step
+  s acting on matrix s; entry for entry it does what the one-step call
+  does, so a stack gives the same bits as S separate calls.
 * Panel kernels return np.inf for residuals whose amplitudes hit the
   pole guard or overflow; callers translate that to PoleAtU.
 """
@@ -149,13 +155,17 @@ def step_parts(tables: SymmetricGroupTables, s: int, sr_plus, sr_minus, st_plus,
 
 
 def yang_apply(parts, target: np.ndarray) -> np.ndarray:
-    """Left-multiply the sparse Y given by ``parts`` onto a vector or matrix.
+    """Left-multiply the sparse Y given by ``parts`` onto a vector, a
+    matrix or a stack of matrices.
 
-    O(N!) per vector column, against O(N!^2) for the dense form.
+    ``diag`` and ``off`` are (F,), or (S, F) for a stack of S steps; a
+    ``target`` with more axes than they have is a matrix (F, F) or a
+    stack (S, F, F), and Y acts on each of its columns.  O(N!) per vector
+    column, against O(N!^2) for the dense form.
     """
     diag, off, tmap = parts
-    if target.ndim == 2:
-        diag, off = diag[:, np.newaxis], off[:, np.newaxis]
+    if target.ndim > diag.ndim:
+        return diag[..., np.newaxis] * target + off[..., np.newaxis] * target[..., tmap, :]
     return diag * target + off * target[tmap]
 
 
@@ -211,8 +221,10 @@ def sample_panel(seed: int, count: int = 100, box: float = 5.0, min_sep: float =
     """Reproducible (u, v) panel in [-box, box]^2 avoiding pole bands.
 
     Rejects draws with |u|, |v| or |u+v| below min_sep so the identity
-    residuals stay well-conditioned for every coupling choice.  Raises
-    ValueError after MAX_DRAWS_PER_SAMPLE * count draws.
+    residuals stay well-conditioned for every coupling choice.  Candidates
+    are drawn ``count`` at a time, which reads the generator's stream in
+    the order of a draw-and-test loop, so the panel is the one that loop
+    gives.  Raises ValueError after MAX_DRAWS_PER_SAMPLE * count draws.
     """
     rng = np.random.default_rng(seed)
     out = np.empty((count, 2), dtype=np.float64)
@@ -223,10 +235,11 @@ def sample_panel(seed: int, count: int = 100, box: float = 5.0, min_sep: float =
                 f"sample_panel: {draws} draws in [-box, box]^2 with box={box} gave only "
                 f"{got} of {count} points with |u|, |v|, |u+v| >= min_sep={min_sep}"
             )
-        draws += 1
-        u, v = rng.uniform(-box, box, 2)
-        if min(abs(u), abs(v), abs(u + v)) < min_sep:
-            continue
-        out[got] = (u, v)
-        got += 1
+        draws += count
+        uv = rng.uniform(-box, box, (count, 2))
+        u, v = uv.T
+        good = uv[(np.abs(u) >= min_sep) & (np.abs(v) >= min_sep)
+                  & (np.abs(u + v) >= min_sep)][:count - got]
+        out[got:got + len(good)] = good
+        got += len(good)
     return out

@@ -47,7 +47,6 @@ from . import _kernels
 from .couplings import CouplingParameters, contact_residuals, integrable_family
 from .errors import NotIntegrable
 from .permutations import Permutation, SymmetricGroupTables, decompose, symmetric_group
-from .scattering import amplitudes
 
 MIN_MOMENTUM_GAP = 1e-12
 ORACLE_MAX_N = 4  # largest N that coefficients_bc_oracle solves
@@ -79,20 +78,6 @@ def _coefficient_vector(a, order: int, name: str = "coefficient vector") -> np.n
     if bad.size:
         raise ValueError(f"{name} is non-finite at 0-based indices {bad.tolist()}")
     return a
-
-
-def yang_parts(params: CouplingParameters, n: int, i: int, u: float):
-    """Sparse form of Y_i(u): (diagonal, off-diagonal, column map).
-
-    Row Q holds ``diag[q]`` at column Q and ``off[q]`` at column
-    ``tmap[q]`` = rank index of Q T_i; all other entries vanish.  Apply it
-    with ``_kernels.yang_apply``.
-    """
-    if not 1 <= i < n:
-        raise ValueError(f"site {i} out of range for N={n}")
-    amp = amplitudes(params, u)
-    return _kernels.step_parts(symmetric_group(n), i - 1, amp.s_r_plus, amp.s_r_minus,
-                               amp.s_t_plus, amp.s_t_minus)
 
 
 def _check_propagation_allowed(params: CouplingParameters, n: int) -> None:
@@ -356,12 +341,14 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
 
     basis = _odd_site_null_basis(params, tables, k)
     width = basis.shape[2]
-    # the rows of the even sites times B are B's residuals, as (P, Q, e) rows;
-    # the pins read B's identity-wedge column
+    # the rows of the even sites times B are B's residuals, as (P, Q, e) rows,
+    # evaluated on four column blocks of B so that their temporaries stay
+    # small; the pins read B's identity-wedge column
     reduced = [np.empty((0, width), dtype=np.complex128)]
     for s in range(1, n - 1, 2):
-        reduced.append(np.stack(_site_residuals(params, k, tables, basis, s),
-                                axis=2).reshape(-1, width))
+        blocks = [np.stack(_site_residuals(params, k, tables, block, s), axis=2)
+                  for block in np.array_split(basis, 4, axis=2)]
+        reduced.append(np.concatenate(blocks, axis=3).reshape(-1, width))
     reduced = np.concatenate(reduced)
     system = np.concatenate([reduced, basis[:, 0]])
     rhs = np.concatenate([np.zeros(len(reduced)), pinned_column])

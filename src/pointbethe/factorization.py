@@ -23,6 +23,7 @@ S_2, S_3 and S_4.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,10 +32,11 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import yang_apply
-from .bethe import MAX_N, yang_parts
+from .bethe import MAX_N
 from .couplings import CouplingParameters, integrable_family
 from .errors import PoleAtU
 from .permutations import rank_of, symmetric_group
+from .scattering import amplitudes
 
 PASS_TOL = 1e-8    # below: point counts as satisfying the identities
 FAIL_FLOOR = 1e-3  # above: point counts as violating them
@@ -209,34 +211,49 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
     Unitarity, braid and commute act on m = 2, 3, 4 positions.  Where the
     orbit structure holds at each of a relation's position sets, its N!-row
     products repeat the rows of the S_m products, so the relation is formed
-    once per sample on the m! x m! identity.  It is inf where the structure
-    fails and 0.0 for N < m.  Empty or non-finite samples raise ValueError.
+    once, on a stack of S_m identities, one per sample: the same bits as
+    forming it sample by sample.  It is inf where the structure fails and
+    0.0 for N < m.  The amplitudes at each argument u, -u, v and u+v are
+    evaluated for every sample on first use by a relation that runs, so a
+    pole raises PoleAtU at the first sample of the first such argument
+    that meets it.  Empty or non-finite samples raise ValueError.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"matrix check supported for 2 <= N <= {MAX_N}")
     samples = _finite_samples(samples)
     tables = symmetric_group(n)
+    arguments = {"u": [u for u, v in samples], "-u": [-u for u, v in samples],
+                 "v": [v for u, v in samples], "u+v": [u + v for u, v in samples]}
 
-    def product(m, *steps):  # Y_{i_L}(w_L) ... Y_{i_1}(w_1) on the S_m identity
-        out = np.eye(math.factorial(m), dtype=np.complex128)
+    @functools.cache
+    def columns(w):  # S_R^+, S_R^-, S_T^+, S_T^- at argument w of every sample, (S, 1) each
+        amps = [amplitudes(params, x) for x in arguments[w]]
+        return [np.array([[getattr(a, name)] for a in amps])
+                for name in ("s_r_plus", "s_r_minus", "s_t_plus", "s_t_minus")]
+
+    def product(m, *steps):  # Y_{i_L}(w_L) ... Y_{i_1}(w_1) on the stacked S_m identities
+        group = symmetric_group(m)
+        out = np.broadcast_to(np.eye(group.order, dtype=np.complex128),
+                              (len(samples), group.order, group.order))
         for i, w in steps:
-            out = yang_apply(yang_parts(params, m, i, w), out)
+            out = yang_apply(_kernels.step_parts(group, i - 1, *columns(w)), out)
         return out
 
     relations = (
         ([[i - 1, i] for i in range(1, n)],
-         lambda u, v: product(2, (1, u), (1, -u)) - product(2)),
+         lambda: product(2, (1, "u"), (1, "-u")) - product(2)),
         ([[i - 1, i, i + 1] for i in range(1, n - 1)],
-         lambda u, v: product(3, (1, u), (2, u + v), (1, v))
-         - product(3, (2, v), (1, u + v), (2, u))),
+         lambda: product(3, (1, "u"), (2, "u+v"), (1, "v"))
+         - product(3, (2, "v"), (1, "u+v"), (2, "u"))),
         ([[i - 1, i, j - 1, j] for i in range(1, n) for j in range(i + 2, n)],
-         lambda u, v: product(4, (3, v), (1, u)) - product(4, (1, u), (3, v))),
+         lambda: product(4, (3, "v"), (1, "u")) - product(4, (1, "u"), (3, "v"))),
     )
     maxima = []
     for sets, residual in relations:
-        holds = all(_orbit_structure_holds(tables, p) for p in sets)
-        values = [np.abs(residual(u, v)).max() for u, v in samples] if sets and holds else []
-        maxima.append(float(np.max(values, initial=0.0)) if holds else math.inf)
+        if not all(_orbit_structure_holds(tables, p) for p in sets):
+            maxima.append(math.inf)
+        else:
+            maxima.append(float(np.abs(residual()).max()) if sets else 0.0)
     return YangBaxterReport(n, *maxima, samples=samples)
 
 

@@ -1,15 +1,17 @@
 """Paper-definition references the tests compare the package against: the
-scalar rank recursion, the right regular representation, the dense N! x N!
-Y_i(u), the periodic pattern of its diagonals and the pointwise step-phase
-gauge map.  No command runs them."""
+scalar rank recursion, the right regular representation, the sparse and
+the dense N! x N! Y_i(u) at one u, the periodic pattern of its diagonals,
+the Yang-Baxter relations formed one sample at a time, the (u, v) panel
+drawn one candidate at a time and the pointwise step-phase gauge map.  No
+command runs them."""
 
 import math
 
 import numpy as np
 
-from pointbethe._kernels import yang_apply
-from pointbethe.bethe import yang_parts
+from pointbethe._kernels import MAX_DRAWS_PER_SAMPLE, step_parts, yang_apply
 from pointbethe.couplings import gauge_data
+from pointbethe.factorization import _orbit_structure_holds
 from pointbethe.permutations import (Permutation, _cycle_digits, rank_of,
                                      symmetric_group)
 from pointbethe.scattering import amplitudes
@@ -59,9 +61,75 @@ def regular_rep(r: Permutation) -> np.ndarray:
     return np.eye(tables.order, dtype=np.int64)[cols]
 
 
+def yang_parts(params, n: int, i: int, u: float):
+    """Sparse form of Y_i(u): (diagonal, off-diagonal, column map).
+
+    Row Q holds ``diag[q]`` at column Q and ``off[q]`` at column
+    ``tmap[q]`` = rank index of Q T_i; all other entries vanish.  Apply it
+    with ``_kernels.yang_apply``.
+    """
+    if not 1 <= i < n:
+        raise ValueError(f"site {i} out of range for N={n}")
+    amp = amplitudes(params, u)
+    return step_parts(symmetric_group(n), i - 1, amp.s_r_plus, amp.s_r_minus,
+                      amp.s_t_plus, amp.s_t_minus)
+
+
 def yang_matrix(params, n: int, i: int, u: float) -> np.ndarray:
     """Dense N! x N! Y_i(u): the sparse step applied to the identity."""
     return yang_apply(yang_parts(params, n, i, u), np.eye(math.factorial(n), dtype=complex))
+
+
+def yang_baxter_per_sample(params, n: int, samples) -> tuple[float, float, float]:
+    """(unitarity, braid, commute) maxima of ``yang_baxter_matrix_check``,
+    each relation formed one (u, v) sample at a time on the S_m identity
+    with one ``yang_parts`` per step, on (u, v) as Python floats."""
+    samples = [(float(u), float(v)) for u, v in samples]
+    tables = symmetric_group(n)
+
+    def product(m, *steps):  # Y_{i_L}(w_L) ... Y_{i_1}(w_1) on the S_m identity
+        out = np.eye(math.factorial(m), dtype=np.complex128)
+        for i, w in steps:
+            out = yang_apply(yang_parts(params, m, i, w), out)
+        return out
+
+    relations = (
+        ([[i - 1, i] for i in range(1, n)],
+         lambda u, v: product(2, (1, u), (1, -u)) - product(2)),
+        ([[i - 1, i, i + 1] for i in range(1, n - 1)],
+         lambda u, v: product(3, (1, u), (2, u + v), (1, v))
+         - product(3, (2, v), (1, u + v), (2, u))),
+        ([[i - 1, i, j - 1, j] for i in range(1, n) for j in range(i + 2, n)],
+         lambda u, v: product(4, (3, v), (1, u)) - product(4, (1, u), (3, v))),
+    )
+    maxima = []
+    for sets, residual in relations:
+        holds = all(_orbit_structure_holds(tables, p) for p in sets)
+        values = [np.abs(residual(u, v)).max() for u, v in samples] if sets and holds else []
+        maxima.append(float(np.max(values, initial=0.0)) if holds else math.inf)
+    return tuple(maxima)
+
+
+def sample_panel_one_by_one(seed: int, count: int = 100, box: float = 5.0,
+                            min_sep: float = 0.25) -> np.ndarray:
+    """``_kernels.sample_panel`` as a draw-and-test loop, one (u, v)
+    candidate per ``rng.uniform`` call."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, 2), dtype=np.float64)
+    got = draws = 0
+    while got < count:
+        if draws == MAX_DRAWS_PER_SAMPLE * count:
+            raise ValueError(
+                f"sample_panel: {draws} draws in [-box, box]^2 with box={box} gave only "
+                f"{got} of {count} points with |u|, |v|, |u+v| >= min_sep={min_sep}"
+            )
+        draws += 1
+        u, v = rng.uniform(-box, box, 2)
+        if min(abs(u), abs(v), abs(u + v)) < min_sep:
+            continue
+        out[got] = (u, v)
+        got += 1
+    return out
 
 
 def build_s_diagonals_periodic(params, n: int, i: int, u: float):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointbethe import cli, factorization
+from pointbethe._kernels import sample_panel
 from pointbethe.bethe import bethe_state
 from pointbethe.cli import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK,
                             EXIT_RESIDUAL, main)
@@ -207,6 +208,16 @@ def test_overflowing_coupling_is_degenerate(tmp_path, capsys, command):
     assert report == ""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("degenerate input: PoleAtU:")
+
+
+def test_yb_check_overflow_names_the_first_sample(tmp_path, capsys):
+    status, report = run_cli(["yb-check", "--N", "3", "--c", "2", "--eta", "1e200"], tmp_path)
+    assert status == EXIT_DEGENERATE
+    assert report == ""
+    u = float(sample_panel(0, 100)[0, 0])  # the CLI's default seed
+    assert capsys.readouterr().err == (
+        f"degenerate input: PoleAtU: amplitudes at u={u} are not finite for couplings "
+        "(2.0, 0.0, 0.0, 1e+200)\n")
 
 
 def test_unknown_flag_is_config_error():

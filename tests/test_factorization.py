@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from pointbethe import bethe, factorization
+from pointbethe import factorization
 from pointbethe._kernels import sample_panel, yang_apply
-from pointbethe.bethe import yang_parts
 from pointbethe.couplings import CouplingParameters, integrable_family
 from pointbethe.errors import PoleAtU
 from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
@@ -17,7 +16,8 @@ from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
                                       scan_couplings, scan_to_csv,
                                       yang_baxter_matrix_check)
 from pointbethe.permutations import symmetric_group
-from reference import yang_matrix
+import reference
+from reference import yang_baxter_per_sample, yang_matrix, yang_parts
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.5)
 FAMILY2 = CouplingParameters(2.0, 0.5)
@@ -232,6 +232,41 @@ def test_orbit_packed_relations_equal_dense_reference(params, n):
         assert report.braid >= 1e-3
 
 
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2, CouplingParameters(2.0, gamma=0.3)],
+                         ids=["family1", "family2", "gamma0.3"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stacked_relations_equal_the_per_sample_loop(params, n):
+    panel = sample_panel(40 + n, 25)
+    report = yang_baxter_matrix_check(params, n, panel)
+    assert (report.unitarity, report.braid, report.commute) == \
+        yang_baxter_per_sample(params, n, panel)
+    if params.gamma and n >= 3:
+        assert report.braid >= 1e-3
+
+
+@settings(deadline=None, max_examples=30)
+@given(couplings=st.tuples(*[st.floats(-3.0, 3.0)] * 4), n=st.integers(2, 5),
+       samples=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                        min_size=1, max_size=6))
+def test_panel_maxima_are_the_max_of_single_sample_checks(couplings, n, samples):
+    params = CouplingParameters(*couplings)
+    try:
+        singles = [yang_baxter_matrix_check(params, n, [sample]) for sample in samples]
+    except PoleAtU:
+        reject()
+    report = yang_baxter_matrix_check(params, n, samples)
+    for name in ("unitarity", "braid", "commute"):
+        assert getattr(report, name) == max(getattr(single, name) for single in singles)
+
+
+def test_amplitudes_are_evaluated_only_where_a_relation_runs():
+    # N = 2 runs unitarity alone, at u and -u; v = 0 is a pole for c = 0
+    report = yang_baxter_matrix_check(CouplingParameters(c=0.0), 2, [(1.0, 0.0)])
+    assert (report.unitarity, report.braid, report.commute) == (0.0, 0.0, 0.0)
+    with pytest.raises(PoleAtU, match="at u=0.0"):
+        yang_baxter_matrix_check(CouplingParameters(c=0.0), 3, [(1.0, 0.0)])
+
+
 @pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
 @pytest.mark.parametrize("n", [4, 5])
 def test_orbit_packed_block_reduction_equals_dense_reference(params, n):
@@ -261,7 +296,7 @@ def _flip_ascent(tables):
 def test_orbit_structure_check_catches_corrupted_tables(monkeypatch, params, corrupt):
     real = symmetric_group
     bad = corrupt(real(5))
-    for module in (factorization, bethe):
+    for module in (factorization, reference):
         monkeypatch.setattr(module, "symmetric_group", lambda n: bad if n == 5 else real(n))
     panel = sample_panel(5, 4)
     report = yang_baxter_matrix_check(params, 5, panel)

@@ -1,5 +1,5 @@
 """Numpy kernels: pole marking, pair-table layout, plane waves, the table
-fill and bounded sampling."""
+fill, stacked Y steps and bounded sampling."""
 
 import math
 
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pointbethe import _kernels
 from pointbethe.couplings import CouplingParameters
 from pointbethe.permutations import symmetric_group
+from reference import sample_panel_one_by_one
 
 
 def test_panel_marks_poles_with_inf():
@@ -62,6 +63,78 @@ def test_sample_panel_gives_up_on_an_empty_domain(run_python):
     )
     assert proc.returncode == 0, proc.stderr
     assert "box=0.2" in proc.stdout and "min_sep=0.25" in proc.stdout
+
+
+class _CountingRng:
+    """A generator that counts the (u, v) candidates drawn from it."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def uniform(self, low, high, size):
+        out = self.rng.uniform(low, high, size)
+        self.draws += out.size // 2
+        return out
+
+
+def test_sample_panel_gives_up_after_its_draw_budget(monkeypatch):
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(_CountingRng(real(seed))) or made[-1])
+    with pytest.raises(ValueError) as info:
+        _kernels.sample_panel(0, 10, box=0.2)
+    assert made[0].draws == _kernels.MAX_DRAWS_PER_SAMPLE * 10
+    assert str(info.value) == (
+        "sample_panel: 10000 draws in [-box, box]^2 with box=0.2 gave only 0 of 10 "
+        "points with |u|, |v|, |u+v| >= min_sep=0.25")
+
+
+def _panel_or_error(sampler, seed, count, box, min_sep):
+    try:
+        return sampler(seed, count, box=box, min_sep=min_sep).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_sample_panel_equals_the_one_by_one_draw_on_many_seeds():
+    for seed in range(300):
+        assert _kernels.sample_panel(seed).tobytes() == sample_panel_one_by_one(seed).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 12),
+       # (box, min_sep): the CLI's domain, a sparse one, and one where
+       # fewer than one candidate in a thousand is kept
+       domain=st.sampled_from([(5.0, 0.25), (1.0, 0.9), (0.26, 0.25)]))
+def test_sample_panel_equals_the_one_by_one_draw(seed, count, domain):
+    assert _panel_or_error(_kernels.sample_panel, seed, count, *domain) == \
+        _panel_or_error(sample_panel_one_by_one, seed, count, *domain)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_yang_apply_on_a_stack_equals_one_call_per_matrix(data):
+    n = data.draw(st.integers(2, 4))
+    stack = data.draw(st.integers(1, 6))
+    site = data.draw(st.integers(0, n - 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    tables = symmetric_group(n)
+    f = tables.order
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    amps = [cplx(stack, 1) for _ in range(4)]  # S_R^+, S_R^-, S_T^+, S_T^- columns
+    if data.draw(st.booleans()):
+        target = cplx(stack, f, f)
+    else:  # the stacked identities the Yang-Baxter check starts from
+        target = np.broadcast_to(np.eye(f, dtype=np.complex128), (stack, f, f))
+    stacked = _kernels.yang_apply(_kernels.step_parts(tables, site, *amps), target)
+    single = [_kernels.yang_apply(_kernels.step_parts(tables, site, *(a[j, 0] for a in amps)),
+                                  target[j]) for j in range(stack)]
+    assert stacked.shape == (stack, f, f)
+    assert stacked.tobytes() == np.array(single).tobytes()
 
 
 def _direct_plane_waves(k, images, xq):
