@@ -9,7 +9,10 @@ and filling the full coefficient table over all N! momentum permutations.
 the whole (u, v) panel at once; a block holds at most PANEL_BLOCK_ENTRIES
 rows x samples, so memory stays flat in the grid size, and each of the
 thirteen identities is reduced to its per-row maximum as soon as it is
-formed.  Results are bit-identical to evaluating one row at a time.
+formed.  Each argument u, -u, v, u+v takes one ``amplitude_arrays``
+call for both particle orders, and products that two identities share
+are formed once; results are bit-identical to evaluating one row, one
+sign and one identity at a time.
 
 ``plane_waves`` is the one place that forms the waves exp(i k_P . x_Q);
 ``eval_grid``, ``wavefunction.evaluate`` and ``boundary_residual`` use it.
@@ -53,34 +56,41 @@ MAX_DRAWS_PER_SAMPLE = 1000
 # A panel call broadcasts a block of grid rows against the whole (u, v)
 # sample panel: couplings as (B, 1) columns, samples as (M,) rows.  Blocks
 # hold at most PANEL_BLOCK_ENTRIES grid-row x sample entries (at least one
-# row), which caps each complex (B, M) temporary at 64 kB, and the sixteen
-# amplitude arrays of a block at 1 MB, whatever the grid size.
+# row), which caps each complex (B, M) temporary at 64 kB, the sixteen
+# amplitude arrays of a block at 1 MB and the seven shared identity
+# products at 448 kB, whatever the grid size.
 PANEL_BLOCK_ENTRIES = 4096
 
 
-def _identities(a):
+def _identities(stp_u, srp_u, stm_u, srm_u, stp_mu, srp_mu, stm_mu, srm_mu,
+                stp_v, srp_v, stm_v, srm_v, stp_w, srp_w, stm_w, srm_w):
     """The thirteen factorization identities, one (B, M) residual at a time.
 
-    Each is bilinear or trilinear in the amplitude evaluations at u, -u, v
-    and u+v; they are written out explicitly to keep the kernel flat, and
-    yielded one by one so the caller can reduce each before the next is
-    formed.
+    Each is bilinear or trilinear in the amplitudes at u, -u, v and w = u+v,
+    written out explicitly and yielded one by one so the caller can reduce
+    each before the next is formed.  A product two identities share is
+    formed once, in its left-to-right order, so the bits do not change.
     """
-    (stp_u, srp_u, stp_mu, srp_mu, stp_v, srp_v, stp_w, srp_w,
-     stm_u, srm_u, stm_mu, srm_mu, stm_v, srm_v, stm_w, srm_w) = a
     yield srp_u * srp_mu + stm_u * stp_mu - 1.0
     yield srm_u * srm_mu + stp_u * stm_mu - 1.0
     yield srp_u * stm_mu + stm_u * srm_mu
     yield srm_u * stp_mu + stp_u * srp_mu
-    yield srm_v * srp_w * srm_u - srp_u * srm_w * srp_v
+    srm_v_srp_w = srm_v * srp_w
+    yield srm_v_srp_w * srm_u - srp_u * srm_w * srp_v
     yield srp_v * stp_w * stm_u - stp_u * stm_w * srp_v
     yield srm_v * stm_w * stp_u - stm_u * stp_w * srm_v
-    yield srp_v * srp_w * stm_u + stm_v * srp_w * srm_u - srp_u * stm_w * srp_v
-    yield srm_v * srp_w * stp_u + stp_v * srp_w * srp_u - srp_u * stp_w * srp_v
-    yield srm_v * srm_w * stp_u + stp_v * srm_w * srp_u - srm_u * stp_w * srm_v
-    yield srp_v * srm_w * stm_u + stm_v * srp_w * srm_u - srm_u * stm_w * srp_v
-    yield srp_v * srm_w * stm_u + stm_v * srm_w * srm_u - srm_u * stm_w * srm_v
-    yield srm_v * srp_w * stp_u + stp_v * srm_w * srp_u - srp_u * stp_w * srm_v
+    stm_v_srp_w_srm_u = stm_v * srp_w * srm_u
+    yield srp_v * srp_w * stm_u + stm_v_srp_w_srm_u - srp_u * stm_w * srp_v
+    srm_v_srp_w_stp_u = srm_v_srp_w * stp_u
+    srp_u_stp_w = srp_u * stp_w
+    yield srm_v_srp_w_stp_u + stp_v * srp_w * srp_u - srp_u_stp_w * srp_v
+    stp_v_srm_w_srp_u = stp_v * srm_w * srp_u
+    yield srm_v * srm_w * stp_u + stp_v_srm_w_srp_u - srm_u * stp_w * srm_v
+    srp_v_srm_w_stm_u = srp_v * srm_w * stm_u
+    srm_u_stm_w = srm_u * stm_w
+    yield srp_v_srm_w_stm_u + stm_v_srp_w_srm_u - srm_u_stm_w * srp_v
+    yield srp_v_srm_w_stm_u + stm_v * srm_w * srm_u - srm_u_stm_w * srm_v
+    yield srm_v_srp_w_stp_u + stp_v_srm_w_srp_u - srp_u_stp_w * srm_v
 
 
 def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -99,13 +109,12 @@ def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray)
         for start in range(0, params_grid.shape[0], step):
             c, lam, gamma, eta = params_grid[start:start + step, :, np.newaxis].transpose(1, 0, 2)
             amps, ok = [], True
-            for sign in (1.0, -1.0):
-                for x in samples:
-                    s_t, s_r, good = amplitude_arrays(c, lam, sign * gamma, sign * eta, x)
-                    amps += (s_t, s_r)
-                    ok = ok & good
+            for x in samples:
+                *s, good = amplitude_arrays(c, lam, gamma, eta, x)
+                amps += s
+                ok = ok & good
             block = out[start:start + step]
-            for e, r in enumerate(_identities(amps)):
+            for e, r in enumerate(_identities(*amps)):
                 block[:, e] = np.abs(r).max(axis=1)
             block[~ok.all(axis=1)] = np.inf
     out[np.isnan(out)] = np.inf

@@ -14,6 +14,7 @@ with J the standard antisymmetric form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ class CouplingParameters:
     def __post_init__(self):
         for name in ("c", "lam", "gamma", "eta"):
             v = getattr(self, name)
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"coupling {name} must be finite, got {v}")
 
     def flipped(self) -> "CouplingParameters":

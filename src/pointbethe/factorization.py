@@ -134,11 +134,11 @@ class ScanRow:
         return self.max_residual <= PASS_TOL
 
 
-def classify(params: CouplingParameters, panel_residuals: np.ndarray) -> ScanRow:
+def classify(params: CouplingParameters, max_residual: float) -> ScanRow:
     """The scan row of one grid point: its ``integrable_family`` verdict
     beside the largest of its panel residuals.  ``perfbench/tracing.py``
     times the scan's per-row work under this name."""
-    return ScanRow(params, integrable_family(params), float(panel_residuals.max()))
+    return ScanRow(params, integrable_family(params), max_residual)
 
 
 def scan_couplings(grid: GridSpec) -> list[ScanRow]:
@@ -150,9 +150,9 @@ def scan_couplings(grid: GridSpec) -> list[ScanRow]:
     panel = _kernels.sample_panel(grid.seed, grid.panel_size)
     points = list(grid.points())
     params_grid = np.array(points, dtype=np.float64)
-    res = _kernels.factorization_panel(params_grid, panel[:, 0], panel[:, 1])
-    return [classify(CouplingParameters(*point), point_res)
-            for point, point_res in zip(points, res)]
+    maxima = _kernels.factorization_panel(params_grid, panel[:, 0], panel[:, 1]).max(axis=1)
+    return [classify(CouplingParameters(*point), max_residual)
+            for point, max_residual in zip(points, maxima.tolist())]
 
 
 def scan_to_csv(rows: list[ScanRow]) -> str:

@@ -9,10 +9,12 @@ amplitudes have the closed form
 
 and the minus amplitudes are the same expressions with
 (gamma, eta) -> (-gamma, -eta); they describe scattering with the two
-particles' roles exchanged.  ``amplitudes_bvp_oracle`` rederives the same
-numbers by substituting the two-particle plane-wave ansatz into the contact
-boundary conditions and solving the resulting 2x2 linear system; it shares
-no algebra with the closed form and is used to validate it.
+particles' roles exchanged.  D(u) sees them only through gamma^2 and
+eta^2, so one D(u) and one pole-guard test serve both particle orders.
+``amplitudes_bvp_oracle`` rederives the same numbers by substituting the
+two-particle plane-wave ansatz into the contact boundary conditions and
+solving the resulting 2x2 linear system; it shares no algebra with the
+closed form and is used to validate it.
 
 For real u the denominator can only vanish at u = 0 with c = 0; bound-state
 poles sit at complex u and are out of scope, but a guard band around any
@@ -44,33 +46,31 @@ class AmplitudeSet:
 
 
 def _closed_form(c, lam, gamma, eta, u):
-    """Numerators of S_T and S_R and the denominator D(u).
+    """Numerators of S_T^+, S_R^+, S_T^-, S_R^- and their shared D(u).
 
     The one home of the amplitude formula; works on Python scalars and on
-    numpy arrays of u alike.
+    numpy arrays of u alike.  Each sign's numerators are the same
+    expressions, on (gamma, eta) and then on (-gamma, -eta).
     """
-    den = 1j * lam * u * u - (gamma * gamma + eta * eta + c * lam + 1.0) * u - 1j * c
-    num_t = (gamma * gamma + eta * eta - 2j * eta + c * lam - 1.0) * u
-    num_r = 1j * lam * u * u + 2.0 * gamma * u + 1j * c
-    return num_t, num_r, den
-
-
-def _amplitude_pair(c: float, lam: float, gamma: float, eta: float, u: float):
-    num_t, num_r, den = _closed_form(c, lam, gamma, eta, u)
-    if abs(den) <= POLE_GUARD * max(1.0, u * u):
-        raise PoleAtU(f"amplitude denominator {den:.3e} at u={u}")
-    return num_t / den, num_r / den
+    quad = 1j * lam * u * u
+    den = quad - (gamma * gamma + eta * eta + c * lam + 1.0) * u - 1j * c
+    nums = []
+    for g, e in ((gamma, eta), (-gamma, -eta)):
+        nums += ((g * g + e * e - 2j * e + c * lam - 1.0) * u, quad + 2.0 * g * u + 1j * c)
+    return (*nums, den)
 
 
 def amplitude_arrays(c: float, lam: float, gamma: float, eta: float, u: np.ndarray):
-    """(S_T, S_R, ok) over an array of u; ``ok`` is False inside the pole guard.
-
-    Entries where ``ok`` is False hold finite filler, not amplitudes.
+    """(S_T^+, S_R^+, S_T^-, S_R^-, ok) over an array of u; ``ok`` is False
+    inside the pole guard, where entries hold filler, not amplitudes.  The
+    couplings must broadcast against u to the shape of the result.
     """
-    num_t, num_r, den = _closed_form(c, lam, gamma, eta, u)
+    *nums, den = _closed_form(c, lam, gamma, eta, u)
     ok = np.abs(den) > POLE_GUARD * np.maximum(1.0, u * u)
     safe = np.where(ok, den, 1.0)
-    return num_t / safe, num_r / safe, ok
+    for num in nums:
+        np.divide(num, safe, out=num)
+    return (*nums, ok)
 
 
 def amplitudes(params: CouplingParameters, u: float) -> AmplitudeSet:
@@ -81,12 +81,13 @@ def amplitudes(params: CouplingParameters, u: float) -> AmplitudeSet:
     """
     if not np.isfinite(u):
         raise ValueError(f"relative momentum u = {u} is not finite")
-    c, lam, gamma, eta = params.astuple()
-    s_t_plus, s_r_plus = _amplitude_pair(c, lam, gamma, eta, u)
-    s_t_minus, s_r_minus = _amplitude_pair(c, lam, -gamma, -eta, u)
-    if not all(map(cmath.isfinite, (s_t_plus, s_r_plus, s_t_minus, s_r_minus))):
+    *nums, den = _closed_form(*params.astuple(), u)
+    if abs(den) <= POLE_GUARD * max(1.0, u * u):
+        raise PoleAtU(f"amplitude denominator {den:.3e} at u={u}")
+    amps = [num / den for num in nums]
+    if not all(map(cmath.isfinite, amps)):
         raise PoleAtU(f"amplitudes at u={u} are not finite for couplings {params.astuple()}")
-    return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus, float(u))
+    return AmplitudeSet(*amps, float(u))
 
 
 def _solve_bc_system(params: CouplingParameters, k1, k2):

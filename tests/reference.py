@@ -2,19 +2,21 @@
 scalar rank recursion, the right regular representation, the sparse and
 the dense N! x N! Y_i(u) at one u, the periodic pattern of its diagonals,
 the Yang-Baxter relations formed one sample at a time, the (u, v) panel
-drawn one candidate at a time and the pointwise step-phase gauge map.  No
+drawn one candidate at a time, the factorization panel formed one
+particle order at a time and the pointwise step-phase gauge map.  No
 command runs them."""
 
 import math
 
 import numpy as np
 
-from pointbethe._kernels import MAX_DRAWS_PER_SAMPLE, step_parts, yang_apply
+from pointbethe._kernels import (MAX_DRAWS_PER_SAMPLE, PANEL_BLOCK_ENTRIES,
+                                 step_parts, yang_apply)
 from pointbethe.couplings import gauge_data
 from pointbethe.factorization import _orbit_structure_holds
 from pointbethe.permutations import (Permutation, _cycle_digits, rank_of,
                                      symmetric_group)
-from pointbethe.scattering import amplitudes
+from pointbethe.scattering import POLE_GUARD, amplitudes
 from pointbethe.wavefunction import evaluate
 
 
@@ -129,6 +131,60 @@ def sample_panel_one_by_one(seed: int, count: int = 100, box: float = 5.0,
             continue
         out[got] = (u, v)
         got += 1
+    return out
+
+
+def _amplitude_arrays_one_sign(c, lam, gamma, eta, u):
+    """(S_T, S_R, ok) of one particle order over an array of u: the closed
+    form of ``scattering`` with its own denominator and pole guard."""
+    den = 1j * lam * u * u - (gamma * gamma + eta * eta + c * lam + 1.0) * u - 1j * c
+    num_t = (gamma * gamma + eta * eta - 2j * eta + c * lam - 1.0) * u
+    num_r = 1j * lam * u * u + 2.0 * gamma * u + 1j * c
+    ok = np.abs(den) > POLE_GUARD * np.maximum(1.0, u * u)
+    safe = np.where(ok, den, 1.0)
+    return num_t / safe, num_r / safe, ok
+
+
+def factorization_panel_per_sign(params_grid, us, vs) -> np.ndarray:
+    """``_kernels.factorization_panel`` with one amplitude call per sign and
+    argument, and the thirteen identities written out term by term."""
+    params_grid = np.atleast_2d(np.asarray(params_grid, dtype=np.float64))
+    us = np.atleast_1d(np.asarray(us, dtype=np.float64))
+    vs = np.atleast_1d(np.asarray(vs, dtype=np.float64))
+    out = np.empty((params_grid.shape[0], 13), dtype=np.float64)
+    step = max(1, PANEL_BLOCK_ENTRIES // max(1, len(us)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, params_grid.shape[0], step):
+            c, lam, gamma, eta = params_grid[start:start + step, :, np.newaxis].transpose(1, 0, 2)
+            amps, ok = [], True
+            for sign in (1.0, -1.0):
+                for x in (us, -us, vs, us + vs):
+                    s_t, s_r, good = _amplitude_arrays_one_sign(c, lam, sign * gamma,
+                                                                sign * eta, x)
+                    amps += (s_t, s_r)
+                    ok = ok & good
+            (stp_u, srp_u, stp_mu, srp_mu, stp_v, srp_v, stp_w, srp_w,
+             stm_u, srm_u, stm_mu, srm_mu, stm_v, srm_v, stm_w, srm_w) = amps
+            residuals = (
+                srp_u * srp_mu + stm_u * stp_mu - 1.0,
+                srm_u * srm_mu + stp_u * stm_mu - 1.0,
+                srp_u * stm_mu + stm_u * srm_mu,
+                srm_u * stp_mu + stp_u * srp_mu,
+                srm_v * srp_w * srm_u - srp_u * srm_w * srp_v,
+                srp_v * stp_w * stm_u - stp_u * stm_w * srp_v,
+                srm_v * stm_w * stp_u - stm_u * stp_w * srm_v,
+                srp_v * srp_w * stm_u + stm_v * srp_w * srm_u - srp_u * stm_w * srp_v,
+                srm_v * srp_w * stp_u + stp_v * srp_w * srp_u - srp_u * stp_w * srp_v,
+                srm_v * srm_w * stp_u + stp_v * srm_w * srp_u - srm_u * stp_w * srm_v,
+                srp_v * srm_w * stm_u + stm_v * srp_w * srm_u - srm_u * stm_w * srp_v,
+                srp_v * srm_w * stm_u + stm_v * srm_w * srm_u - srm_u * stm_w * srm_v,
+                srm_v * srp_w * stp_u + stp_v * srm_w * srp_u - srp_u * stp_w * srm_v,
+            )
+            block = out[start:start + step]
+            for e, r in enumerate(residuals):
+                block[:, e] = np.abs(r).max(axis=1)
+            block[~ok.all(axis=1)] = np.inf
+    out[np.isnan(out)] = np.inf
     return out
 
 

@@ -214,9 +214,9 @@ def test_relation_residual_catches_a_wrong_amplitude_formula(monkeypatch):
     # so a check through the same amplitudes passes the table built from them
     closed_form = scattering._closed_form
 
-    def wrong(c, lam, gamma, eta, u):
-        num_t, num_r, den = closed_form(c, lam, gamma, eta, u)
-        return num_t + 4j * eta * u, num_r, den
+    def wrong(c, lam, gamma, eta, u):  # the same wrong formula for both particle orders
+        num_t_plus, num_r_plus, num_t_minus, num_r_minus, den = closed_form(c, lam, gamma, eta, u)
+        return num_t_plus + 4j * eta * u, num_r_plus, num_t_minus - 4j * eta * u, num_r_minus, den
 
     monkeypatch.setattr(scattering, "_closed_form", wrong)
     rng = np.random.default_rng(8)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,17 @@ from pointbethe.errors import DegenerateBoundary, NotGaugeFamily, NotIntegrable
 
 
 def test_params_must_be_finite():
-    with pytest.raises(ValueError):
-        CouplingParameters(np.nan)
-    with pytest.raises(ValueError):
-        CouplingParameters(1.0, eta=np.inf)
+    for index, name in enumerate(("c", "lam", "gamma", "eta")):
+        for bad in (math.nan, math.inf, -np.inf, np.float64("nan")):
+            values = [1.0, 0.0, 0.0, 0.0]
+            values[index] = bad
+            with pytest.raises(ValueError, match=f"^coupling {name} must be finite, got {bad}$"):
+                CouplingParameters(*values)
+
+
+def test_params_accept_numpy_scalars_and_ints():
+    params = CouplingParameters(np.float64(2.0), np.int64(0), 1, np.float32(0.5))
+    assert params.astuple() == (2.0, 0, 1, 0.5)
 
 
 def test_u_pm_free_case():

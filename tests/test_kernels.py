@@ -1,6 +1,7 @@
 """Numpy kernels: pole marking, pair-table layout, plane waves, the table
 fill, stacked Y steps and bounded sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from pointbethe import _kernels
 from pointbethe.couplings import CouplingParameters
 from pointbethe.permutations import symmetric_group
-from reference import sample_panel_one_by_one
+from reference import factorization_panel_per_sign, sample_panel_one_by_one
 
 
 def test_panel_marks_poles_with_inf():
@@ -37,6 +38,45 @@ def test_blocked_panel_matches_row_by_row_calls(panel_size):
     assert np.array_equal(res, single)
     assert np.isinf(res[poles]).all()
     assert np.isfinite(np.delete(res, poles, axis=0)).all()
+
+
+SCAN_GRID = np.array(list(itertools.product(
+    (-2, -1, 0.5, 1, 2), (-0.5, 0, 0.5, 1, 2), (-1, -0.5, 0, 0.5, 1), (-1, -0.5, 0, 0.5, 1))),
+    dtype=np.float64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 17])
+def test_panel_equals_the_per_sign_reference_on_the_scan_grid(seed):
+    # one amplitude call per argument for both particle orders, and the
+    # shared identity products, give the bits of forming each sign and
+    # each identity on its own
+    panel = _kernels.sample_panel(seed, 100)
+    got = _kernels.factorization_panel(SCAN_GRID, panel[:, 0], panel[:, 1])
+    assert got.tobytes() == factorization_panel_per_sign(SCAN_GRID, panel[:, 0],
+                                                         panel[:, 1]).tobytes()
+
+
+_couplings = st.one_of(st.sampled_from([0.0, 1e150, -1e150, 1e200, -1e200]),
+                       st.floats(-3.0, 3.0))
+_momenta = st.one_of(st.sampled_from([0.0, 1e-15, -1e-15]), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_couplings, _couplings, _couplings, _couplings),
+                     min_size=1, max_size=12),
+       samples=st.lists(st.tuples(_momenta, _momenta), min_size=1, max_size=8),
+       pole_row=st.booleans())
+def test_panel_equals_the_per_sign_reference(rows, samples, pole_row):
+    # c = 0 rows meet their pole at u = 0, lam = 0 rows drop the quadratic
+    # term, and couplings of 1e150 and beyond overflow entries to inf
+    grid = np.array(rows + [(0.0, 0.0, 0.0, 0.0)] * pole_row, dtype=np.float64)
+    us, vs = np.array(samples, dtype=np.float64).T
+    if pole_row:
+        us[0] = 0.0
+    got = _kernels.factorization_panel(grid, us, vs)
+    assert got.tobytes() == factorization_panel_per_sign(grid, us, vs).tobytes()
+    if pole_row:
+        assert np.isinf(got[-1]).all()
 
 
 def test_pair_amplitude_tables_layout():

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import PoleAtU
-from pointbethe.scattering import amplitudes, amplitudes_bvp_oracle
+from pointbethe.scattering import amplitude_arrays, amplitudes, amplitudes_bvp_oracle
 
 
 def _rel_err(a, b):
@@ -18,12 +22,34 @@ def test_free_particles_full_transmission():
     assert amp.s_r_minus == pytest.approx(0.0)
 
 
-def test_minus_amplitudes_flip_gamma_eta():
-    p = CouplingParameters(1.3, -0.4, 0.8, -0.2)
-    amp = amplitudes(p, 1.9)
-    flipped = amplitudes(p.flipped(), 1.9)
-    assert amp.s_t_minus == flipped.s_t_plus
-    assert amp.s_r_minus == flipped.s_r_plus
+_couplings = st.one_of(st.sampled_from([0.0, 1e150, -1e200]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=_couplings, lam=_couplings, gamma=_couplings, eta=_couplings,
+       us=st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), min_size=1, max_size=6))
+@example(c=1.3, lam=-0.4, gamma=0.8, eta=-0.2, us=[1.9])
+def test_minus_amplitudes_flip_gamma_eta(c, lam, gamma, eta, us):
+    # the shared denominator rests on this: D(u) sees gamma and eta only
+    # through their squares, so flipping both leaves its bits alone
+    params = CouplingParameters(c, lam, gamma, eta)
+    for u in us:
+        try:
+            amp = amplitudes(params, u)
+        except PoleAtU as err:
+            with pytest.raises(PoleAtU, match=re.escape(str(err).split(" for couplings")[0])):
+                amplitudes(params.flipped(), u)
+            continue
+        flipped = amplitudes(params.flipped(), u)
+        assert amp.s_t_minus == flipped.s_t_plus and amp.s_r_minus == flipped.s_r_plus
+        assert amp.s_t_plus == flipped.s_t_minus and amp.s_r_plus == flipped.s_r_minus
+    u = np.array(us)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stp, srp, stm, srm, ok = amplitude_arrays(c, lam, gamma, eta, u)
+        f_stp, f_srp, f_stm, f_srm, f_ok = amplitude_arrays(c, lam, -gamma, -eta, u)
+    assert stm.tobytes() == f_stp.tobytes() and srm.tobytes() == f_srp.tobytes()
+    assert stp.tobytes() == f_stm.tobytes() and srp.tobytes() == f_srm.tobytes()
+    assert np.array_equal(ok, f_ok)
 
 
 @pytest.mark.parametrize("c,eta,u", [(2.0, 1.3, 0.7), (1.0, -0.5, -2.1), (0.4, 2.0, 3.3)])
