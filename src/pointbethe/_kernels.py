@@ -22,6 +22,11 @@ builds the parts of every Y step it can take before its rank-order pass.
 
 Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
+* ``waves[(M, F)]`` from ``plane_waves``: C-contiguous, row m the waves
+  of point m, so a product with a stack of wedge rows is unit-stride.
+* ``relative_momenta[(N-1, F)]`` (``BetheState.relative_momenta``):
+  entry (s, p) is 1j * (k_{P(s+1)} - k_{P(s+2)}), the relative derivative
+  factor of wave P across site s + 1.
 * ``columns[(F, F)]``: the coefficient table transposed and C-contiguous,
   ``columns[q, p]`` = A_P(Q), so a wedge's column is one contiguous row.
 * ``tmaps[(N-1, F)]``, ``asc[(N-1, F)]``: right-multiplication index map
@@ -128,13 +133,17 @@ def plane_waves(k, images, xq) -> np.ndarray:
     factors exp(i k[a] xq[m, j]) of its row: M N^2 exponentials and
     (N-1) M N! complex products, not M N! exponentials of summed phases.
     All of it is elementwise, not a matrix product, so a row gives the
-    same bits alone or in any batch.
+    same bits alone or in any batch.  The factors are laid out
+    [position, momentum, point], so each gather copies whole rows of M
+    points into an (F, M) product, and one transposing copy returns the
+    waves C-contiguous: every product with a stack of wedge rows then
+    runs at unit stride.
     """
-    factors = np.exp(1j * (k[np.newaxis, np.newaxis, :] * xq[:, :, np.newaxis]))
-    waves = factors[:, 0, images[:, 0]]
+    factors = np.exp(1j * (k[np.newaxis, :, np.newaxis] * xq.T[:, np.newaxis, :]))
+    waves = factors[0].take(images[:, 0], axis=0)
     for j in range(1, images.shape[1]):
-        waves *= factors[:, j, images[:, j]]
-    return waves
+        waves *= factors[j].take(images[:, j], axis=0)
+    return waves.T.copy()
 
 
 def eval_grid(points, k, columns, images) -> np.ndarray:
@@ -186,19 +195,27 @@ def propagate_table(a_identity, tables: SymmetricGroupTables,
     last letter i of the word for P leaves the word for its parent
     P T_i, whose rank is smaller.  So one pass in rank order finds every
     parent row ready, and each row goes through exactly the operations
-    of stepping along its whole word.
+    of stepping along its whole word.  The plan of the pass (each row's
+    parent, step and site) is read from the tables as Python ints first,
+    and each row is written in place with the products and the sum of
+    ``yang_apply``, so the bits are those of one ``yang_apply`` per row.
     """
-    # the parts of every step, indexed [site, ka, kb], built at once
+    n = tables.n
+    # the parts of every step, indexed [site, ka, kb] and flattened, built at once
     diag, off, _ = step_parts(tables, np.s_[:, np.newaxis, np.newaxis],
                               srp[..., np.newaxis], srm[..., np.newaxis],
                               stp[..., np.newaxis], stm[..., np.newaxis])
+    diag, off = diag.reshape(-1, tables.order), off.reshape(-1, tables.order)
+    rows = np.arange(1, tables.order)
+    sites = tables.last_site[1:]
+    parents = tables.tmaps[sites, rows]
+    steps = (sites * n + tables.images[parents, sites]) * n + tables.images[parents, sites + 1]
     out = np.empty((tables.order, tables.order), dtype=np.complex128)
     out[0] = a_identity
-    for p in range(1, tables.order):
-        s = tables.last_site[p]
-        parent = tables.tmaps[s, p]
-        ka, kb = tables.images[parent, s], tables.images[parent, s + 1]
-        out[p] = yang_apply((diag[s, ka, kb], off[s, ka, kb], tables.tmaps[s]), out[parent])
+    for p, parent, step, s in zip(rows.tolist(), parents.tolist(), steps.tolist(), sites.tolist()):
+        src, row = out[parent], out[p]
+        np.multiply(diag[step], src, out=row)
+        row += off[step] * src[tables.tmaps[s]]
     return out
 
 

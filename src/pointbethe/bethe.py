@@ -131,7 +131,11 @@ class BetheState:
     ``columns[q, p]`` = A_P(Q), so the wedge column A_.(Q) is one
     contiguous row: a view when the table is Fortran-ordered, one copy
     made on first use otherwise.  The tables the library builds are
-    read-only, so that copy can never go stale.
+    read-only, so that copy can never go stale.  ``relative_momenta``,
+    read-only and also made on first use, is the (N-1, N!) table
+    1j * (k_{P(s+1)} - k_{P(s+2)}) at 0-based row s and column rank(P):
+    the relative derivative factor of wave P across site s + 1, which
+    every boundary check of the state reads.
     """
 
     params: CouplingParameters
@@ -153,6 +157,13 @@ class BetheState:
     @cached_property
     def columns(self) -> np.ndarray:
         return np.ascontiguousarray(self.table.T)
+
+    @cached_property
+    def relative_momenta(self) -> np.ndarray:
+        k_at = self.k[self.tables.images.T]  # k_at[i, p] = k_{P(i+1)}
+        du = 1j * (k_at[:-1] - k_at[1:])
+        du.flags.writeable = False
+        return du
 
 
 def bethe_state(params: CouplingParameters, k, a_identity) -> BetheState:

@@ -40,7 +40,7 @@ from .factorization import (GridSpec, block_reduction_check, scan_couplings,
 from .scattering import amplitudes, amplitudes_bvp_oracle
 from .wavefunction import (FD_STEP, boundary_residual, boundary_samples,
                            closest_gap, evaluate_grid, gauge_transformed_state,
-                           schrodinger_fd_residual)
+                           schrodinger_fd_residuals)
 
 COMMANDS = ("scatter", "yb-check", "scan", "coeffs", "eigen", "gauge")
 
@@ -334,8 +334,7 @@ def run_eigen(cfg: RunConfig) -> int:
     worst = _pair_lines(cfg, state, "boundary", rng)
     # the stencil must not reach across a coincidence plane
     fd_points = points[closest_gap(points) > FD_STEP][:5]
-    fd_residuals = [schrodinger_fd_residual(state, x) for x in fd_points]
-    fd = _worst(*fd_residuals) if fd_residuals else math.nan
+    fd = _worst(*schrodinger_fd_residuals(state, fd_points)) if len(fd_points) else math.nan
     cfg.lines.append(f"free-equation finite-difference residual: {fd:.3e}")
     return _close(cfg, worst, "boundary residual")
 

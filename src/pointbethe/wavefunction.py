@@ -144,17 +144,22 @@ def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
 def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[float, float]:
     """Max residuals of the two contact conditions for the pair (j, kk).
 
-    Each sample must lie on x_j = x_kk with the remaining coordinates away
-    from the common value.  Limits from the two adjacent wedges and their
-    relative derivatives are evaluated analytically and combined with the
-    averaged-value regularization, for all samples at once.
+    ``samples`` has shape (M, N), M >= 1, and each sample must lie on
+    x_j = x_kk with the remaining coordinates away from the common value;
+    anything else raises ValueError.  Limits from the two adjacent wedges
+    and their relative derivatives are evaluated analytically and combined
+    with the averaged-value regularization, for all samples at once: each
+    sample reads two contiguous wedge rows of ``state.columns``, its
+    C-contiguous plane waves and its row of ``state.relative_momenta``.
     """
     n = state.n
     if not 1 <= j < kk <= n:
         raise ValueError(f"need 1 <= j < k <= N, got ({j}, {kk})")
     if len(samples) == 0:
         raise ValueError("need at least one sample on the plane")
-    x = np.asarray(samples, dtype=np.float64).reshape(len(samples), n)
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"need samples of shape (M, {n}), got {x.shape}")
     off = ~np.isfinite(x).all(axis=1) | (np.abs(x[:, j - 1] - x[:, kk - 1]) > COINCIDENCE_TOL)
     if off.any():
         raise ValueError(f"sample {x[off.argmax()]} is not a finite point on x_{j} = x_{kk}")
@@ -175,17 +180,20 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
 
     waves = _kernels.plane_waves(state.k, tables.images, np.take_along_axis(x, order, axis=1))
     # relative momentum factor i(k_{P(i)} - k_{P(i+1)}) per sample and row P
-    k_at = state.k[tables.images.T]  # k_at[i, p] = k_{P(i+1)}
-    du = 1j * (k_at[site] - k_at[site + 1])
+    du = state.relative_momenta[site]
 
     # below the boundary (x_j = x_kk - 0+) the state is the wedge-Q sum;
-    # above it the wedge-QT_i sum; at coincidence the exponents agree
-    below = state.columns[q_idx] * waves
-    above = state.columns[qt_idx] * waves
+    # above it the wedge-QT_i sum; at coincidence the exponents agree.
+    # The gathered rows are fresh copies, so the products run in place.
+    below = state.columns[q_idx]
+    below *= waves
     v_minus = below.sum(axis=1)
-    d_minus = (below * du).sum(axis=1)
+    below *= du
+    d_minus = below.sum(axis=1)
+    above = state.columns[qt_idx]
+    above *= waves
     v_plus = above.sum(axis=1)
-    d_plus = (above * (-du)).sum(axis=1)
+    d_plus = -(above * du).sum(axis=1)
 
     r1, r2 = contact_residuals(state.params, v_minus, d_minus, v_plus, d_plus)
     # hypot gives the bits of the scalar abs(); np.abs on complex arrays
@@ -259,13 +267,37 @@ def schrodinger_fd_residual(state: BetheState, x, h: float = FD_STEP) -> float:
     stencil would then reach across a coincidence plane, where psi has a
     derivative jump.
     """
+    x = _single_point(x, state.n)
+    return schrodinger_fd_residuals(state, x[np.newaxis], h)[0]
+
+
+def schrodinger_fd_residuals(state: BetheState, points, h: float = FD_STEP) -> np.ndarray:
+    """``schrodinger_fd_residual`` at every row of an (M, N) array of points.
+
+    The 2N + 1 stencil points of all rows go through one ``evaluate_grid``
+    call, which evaluates each row alone, so entry m has the bits of the
+    single-point call at points[m].  Raises ValueError unless h is finite
+    and positive and the points have shape (M, N) and finite coordinates,
+    and OnBoundary for a point with two coordinates within h.
+    """
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"finite-difference step h={h} must be finite and > 0")
-    x = _single_point(x, state.n)
-    if closest_gap(x) <= h:
-        raise OnBoundary(f"coordinates of {x} lie within the finite-difference step h={h}")
-    steps = h * np.eye(state.n)
-    vals = evaluate_grid(state, np.vstack([x, x + steps, x - steps]))
-    center, plus, minus = vals[0], vals[1:state.n + 1], vals[state.n + 1:]
-    lap = np.sum((plus - 2 * center + minus) / h**2)
-    return abs(lap + state.energy * center)
+    n = state.n
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != n:
+        raise ValueError(f"need points of shape (M, {n}), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("schrodinger_fd_residuals: points hold non-finite coordinates")
+    near = closest_gap(points) <= h
+    if near.any():
+        raise OnBoundary(f"coordinates of {points[near.argmax()]} lie within the "
+                         f"finite-difference step h={h}")
+    steps = h * np.eye(n)
+    stencils = np.concatenate([points[:, np.newaxis], points[:, np.newaxis] + steps,
+                               points[:, np.newaxis] - steps], axis=1)
+    vals = evaluate_grid(state, stencils.reshape(-1, n)).reshape(len(points), 2 * n + 1)
+    center, plus, minus = vals[:, 0], vals[:, 1:n + 1], vals[:, n + 1:]
+    lap = np.sum((plus - 2 * center[:, np.newaxis] + minus) / h**2, axis=1)
+    z = lap + state.energy * center
+    # hypot gives the bits of the scalar abs()
+    return np.hypot(z.real, z.imag)

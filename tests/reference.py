@@ -3,8 +3,10 @@ scalar rank recursion, the right regular representation, the sparse and
 the dense N! x N! Y_i(u) at one u, the periodic pattern of its diagonals,
 the Yang-Baxter relations formed one sample at a time, the (u, v) panel
 drawn one candidate at a time, the factorization panel formed one
-particle order at a time and the pointwise step-phase gauge map.  No
-command runs them."""
+particle order at a time, the plane waves gathered point-major, the
+boundary residuals with their relative momenta gathered per call, the
+finite-difference residual of one point and the pointwise step-phase
+gauge map.  No command runs them."""
 
 import math
 
@@ -12,12 +14,12 @@ import numpy as np
 
 from pointbethe._kernels import (MAX_DRAWS_PER_SAMPLE, PANEL_BLOCK_ENTRIES,
                                  step_parts, yang_apply)
-from pointbethe.couplings import gauge_data
+from pointbethe.couplings import contact_residuals, gauge_data
 from pointbethe.factorization import _orbit_structure_holds
 from pointbethe.permutations import (Permutation, _cycle_digits, rank_of,
                                      symmetric_group)
 from pointbethe.scattering import POLE_GUARD, amplitudes
-from pointbethe.wavefunction import evaluate
+from pointbethe.wavefunction import evaluate, evaluate_grid
 
 
 def _cycle_to(n: int, nn: int) -> list[int]:
@@ -215,3 +217,49 @@ def gauge_map(state, x) -> complex:
     x = np.asarray(x, dtype=np.float64)
     steps = np.triu(np.heaviside(np.subtract.outer(x, x), 0.5), 1).sum()
     return value * np.exp(-1j * alpha * steps)
+
+
+def plane_waves_point_major(k, images, xq) -> np.ndarray:
+    """``_kernels.plane_waves`` with its factors laid out [point, position,
+    momentum] and gathered with one fancy index per position, which leaves
+    the (M, F) waves Fortran-ordered."""
+    factors = np.exp(1j * (k[np.newaxis, np.newaxis, :] * xq[:, :, np.newaxis]))
+    waves = factors[:, 0, images[:, 0]]
+    for j in range(1, images.shape[1]):
+        waves *= factors[:, j, images[:, j]]
+    return waves
+
+
+def boundary_residual_gathered(state, j: int, kk: int, samples) -> tuple[float, float]:
+    """``wavefunction.boundary_residual`` on valid samples, with point-major
+    plane waves, the relative momenta gathered from the momenta in every
+    call, and each product with the wedge rows in a fresh array."""
+    x = np.asarray(samples, dtype=np.float64).reshape(len(samples), state.n)
+    tables = state.tables
+    pinned = x.copy()
+    pinned[:, kk - 1] = x[:, j - 1]
+    order = np.argsort(pinned, axis=1, kind="stable")
+    site = (order == j - 1).argmax(axis=1)
+    q_idx = rank_of(order)
+    qt_idx = tables.tmaps[site, q_idx]
+    waves = plane_waves_point_major(state.k, tables.images, np.take_along_axis(x, order, axis=1))
+    k_at = state.k[tables.images.T]
+    du = 1j * (k_at[site] - k_at[site + 1])
+    below = state.columns[q_idx] * waves
+    above = state.columns[qt_idx] * waves
+    v_minus = below.sum(axis=1)
+    d_minus = (below * du).sum(axis=1)
+    v_plus = above.sum(axis=1)
+    d_plus = (above * (-du)).sum(axis=1)
+    r1, r2 = contact_residuals(state.params, v_minus, d_minus, v_plus, d_plus)
+    return float(np.hypot(r1.real, r1.imag).max()), float(np.hypot(r2.real, r2.imag).max())
+
+
+def schrodinger_fd_residual_one_point(state, x, h: float) -> float:
+    """|FD Laplacian psi + E psi| at one valid point x, its 2N + 1 stencil
+    points in one ``evaluate_grid`` call and the result a scalar abs()."""
+    steps = h * np.eye(state.n)
+    vals = evaluate_grid(state, np.vstack([x, x + steps, x - steps]))
+    center, plus, minus = vals[0], vals[1:state.n + 1], vals[state.n + 1:]
+    lap = np.sum((plus - 2 * center + minus) / h**2)
+    return abs(lap + state.energy * center)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -16,8 +17,11 @@ from pointbethe.wavefunction import (boundary_residual, boundary_samples,
                                      closest_gap, determinant_bethe_state,
                                      determinant_coefficients, evaluate,
                                      evaluate_grid, gauge_transformed_state,
-                                     schrodinger_fd_residual)
-from reference import gauge_map
+                                     schrodinger_fd_residual,
+                                     schrodinger_fd_residuals)
+from reference import (boundary_residual_gathered, gauge_map,
+                       plane_waves_point_major,
+                       schrodinger_fd_residual_one_point)
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.3)
 FAMILY2 = CouplingParameters(1.7, 1.0 / 1.7)
@@ -256,6 +260,42 @@ def test_results_do_not_depend_on_the_table_layout(params, n):
     tie[1] = tie[0]  # a point on x1 = x2 averages two wedges
     for x in (points[1], tie):
         assert evaluate(c_state, x) == evaluate(f_state, x)
+
+
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2], ids=["family1", "family2"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "random"])
+def test_contiguous_waves_and_in_place_sums_give_the_reference_bits(params, n, unit):
+    rng = np.random.default_rng(30 + n)
+    k = np.linspace(1.4, -1.3, n) + rng.uniform(-0.05, 0.05, n)
+    f = math.factorial(n)
+    a = np.eye(f, 1, dtype=complex)[:, 0] if unit else rng.normal(size=f) + 1j * rng.normal(size=f)
+    state = bethe_state(params, k, a)
+    images = state.tables.images
+    xq = np.sort(rng.uniform(-3.0, 3.0, (40, n)), axis=1)
+    waves = plane_waves(k, images, xq)
+    assert waves.flags.c_contiguous
+    assert waves.tobytes() == plane_waves_point_major(k, images, xq).tobytes()
+    du = state.relative_momenta
+    assert du.shape == (n - 1, f) and not du.flags.writeable
+    for i in range(n - 1):
+        assert du[i].tobytes() == (1j * (k[images[:, i]] - k[images[:, i + 1]])).tobytes()
+    for j, kk in itertools.combinations(range(1, n + 1), 2):
+        samples = boundary_samples(n, j, kk, rng, count=20)
+        assert boundary_residual(state, j, kk, samples) == \
+            boundary_residual_gathered(state, j, kk, samples)
+
+
+@pytest.mark.parametrize("samples, shape", [
+    (np.zeros((2, 3, 1)), r"\(2, 3, 1\)"),
+    (np.zeros((2, 4)), r"\(2, 4\)"),
+    (np.zeros(3), r"\(3,\)"),
+], ids=["extra-axis", "wrong-size", "one-point-unwrapped"])
+def test_boundary_residual_names_a_bad_sample_shape(samples, shape):
+    # a (2, 3, 1) array was reshaped silently, and a wrong size failed with
+    # numpy's bare "cannot reshape"
+    with pytest.raises(ValueError, match=r"need samples of shape \(M, 3\), got " + shape):
+        boundary_residual(toy_state(), 1, 2, samples)
 
 
 def test_boundary_residual_input_checks():
@@ -533,3 +573,27 @@ def test_schrodinger_residual_refuses_a_bad_step(h):
     # h = 0 returned nan; h = nan was blamed on the point's coordinates
     with pytest.raises(ValueError, match=r"finite-difference step h="):
         schrodinger_fd_residual(toy_state(), np.array([0.3, 1.1, -1.0]), h=h)
+
+
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2], ids=["family1", "family2"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_fd_residual_batch_equals_the_single_point_calls(params, n):
+    k = np.linspace(1.2, -1.1, n) + np.random.default_rng(n).uniform(-0.1, 0.1, n)
+    state = toy_state(params, k, seed=n)
+    points = np.random.default_rng(40 + n).uniform(-3.0, 3.0, (12, n))
+    points = points[closest_gap(points) > 1e-3]
+    batch = schrodinger_fd_residuals(state, points)
+    singles = [schrodinger_fd_residual(state, x) for x in points]
+    before = [schrodinger_fd_residual_one_point(state, x, 1e-4) for x in points]
+    assert batch.tobytes() == np.array(singles).tobytes() == np.array(before).tobytes()
+
+
+@pytest.mark.parametrize("points, error, message", [
+    (np.zeros((2, 2)), ValueError, r"need points of shape \(M, 3\), got \(2, 2\)"),
+    (np.array([[0.3, np.inf, -1.0]]), ValueError, r"non-finite"),
+    (np.array([[0.3, 1.1, -1.0], [0.3, 0.3 + 3e-5, -1.0]]), OnBoundary,
+     r"coordinates of \[ ?0\.3 .*finite-difference step h=0\.0001"),
+])
+def test_fd_residual_batch_refuses_bad_points(points, error, message):
+    with pytest.raises(error, match=message):
+        schrodinger_fd_residuals(toy_state(), points)
