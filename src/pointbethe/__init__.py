@@ -1,24 +1,22 @@
 """Coordinate Bethe ansatz machinery for 1D gases with point interactions.
 
 The library covers the four-parameter family of local two-body
-interactions: boundary matrices and their self-adjointness relation,
-closed-form two-body scattering amplitudes with an independent
-boundary-value oracle, the factorization identities and their coupling
-classification, N!-dimensional Yang-Baxter operators with coefficient
-propagation and a brute-force cross-check, and position-space
-eigenfunctions including the determinant tables and the step-phase gauge
-map to the plain delta gas.
+interactions: their contact conditions as residuals, closed-form two-body
+scattering amplitudes with an independent boundary-value oracle, the
+factorization identities and their coupling classification, N!-dimensional
+Yang-Baxter operators with coefficient propagation and a brute-force
+cross-check, and position-space eigenfunctions including the determinant
+tables and the step-phase gauge map to the plain delta gas.
 """
 
 from ._kernels import BACKEND
 from .bethe import (BetheState, OracleResult, bethe_state,
                     coefficients_bc_oracle, propagate,
                     state_relation_residual, validate_momenta)
-from .couplings import (CouplingParameters, GaugeData, boundary_matrix,
-                        build_u_pm, check_symplectic, gauge_data,
+from .couplings import (CouplingParameters, GaugeData, gauge_data,
                         integrable_family)
-from .errors import (DegenerateBoundary, NotGaugeFamily, NotIntegrable,
-                     OnBoundary, PointBetheError, PoleAtU, SingularSystem)
+from .errors import (NotGaugeFamily, NotIntegrable, OnBoundary,
+                     PointBetheError, PoleAtU, SingularSystem)
 from .factorization import (FactorizationReport, GridSpec, ScanRow,
                             YangBaxterReport, block_reduction_check,
                             check_factorization_panel, scan_couplings,

@@ -363,8 +363,11 @@ def run(cfg: RunConfig) -> int:
     status = _RUNNERS[cfg.command](cfg)
     report = "\n".join(cfg.header() + cfg.lines) + "\n"
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {cfg.output_path}: {exc}") from exc
     else:
         sys.stdout.write(report)
     return status

@@ -7,9 +7,8 @@ are hbar = 2m = 1 so the kinetic term is -d^2/dx^2, ``c`` carries dimension
 of momentum, ``lam`` inverse momentum, and ``gamma``, ``eta`` are
 dimensionless.
 
-The boundary conditions across the contact point are encoded by the 2x2
-matrix U = (U_+)^{-1} U_-; self-adjointness is the relation U^dag J U = J
-with J the standard antisymmetric form.
+The couplings enter through two linear contact conditions across the
+contact point; ``contact_residuals`` is their one encoding.
 """
 
 from __future__ import annotations
@@ -19,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBoundary, NotGaugeFamily
+from .errors import NotGaugeFamily
 
-J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-
-_DET_TOL = 1e-12
 FAMILY_TOL = 1e-9
 
 
@@ -59,43 +55,15 @@ class GaugeData:
     alpha: float
 
 
-def build_u_pm(params: CouplingParameters) -> tuple[np.ndarray, np.ndarray]:
-    """The matrices U_+ and U_- whose quotient gives the boundary matrix.
-
-    U_pm = [[1 +- (gamma - i eta), -+ c/2], [-+ 2 lam, 1 -+ (gamma + i eta)]].
-    """
-    c, lam, gamma, eta = params.astuple()
-    g_minus = gamma - 1j * eta
-    g_plus = gamma + 1j * eta
-    u_plus = np.array([[1 + g_minus, -c / 2], [-2 * lam, 1 - g_plus]])
-    u_minus = np.array([[1 - g_minus, c / 2], [2 * lam, 1 + g_plus]])
-    return u_plus, u_minus
-
-
-def boundary_matrix(params: CouplingParameters) -> np.ndarray:
-    """Boundary matrix U = (U_+)^{-1} U_- relating one-sided limits of
-    (psi', psi) across the contact point.
-
-    Raises DegenerateBoundary when det(U_+) vanishes; e.g. (c, 1/c, 0, 0)
-    has separated boundary conditions and no U of this form.
-    """
-    u_plus, u_minus = build_u_pm(params)
-    det = u_plus[0, 0] * u_plus[1, 1] - u_plus[0, 1] * u_plus[1, 0]
-    if abs(det) <= _DET_TOL:
-        raise DegenerateBoundary(
-            f"det(U_+) = {det:.3e} for couplings {params.astuple()}"
-        )
-    return np.linalg.solve(u_plus, u_minus)
-
-
 def contact_residuals(params: CouplingParameters, v_minus, d_minus, v_plus, d_plus):
     """Residuals (r1, r2) of the two contact conditions from the value and
     relative derivative just below (v_minus, d_minus) and just above
     (v_plus, d_plus) the contact point; scalars or numpy arrays.
 
     d is (d/dx_j - d/dx_k) psi, twice the derivative psi' in the relative
-    coordinate x_j - x_k.  Where det(U_+) != 0 both residuals vanish exactly
-    when (d_plus/2, v_plus) = U (d_minus/2, v_minus), U = ``boundary_matrix``.
+    coordinate x_j - x_k.  On family 2 (gamma = eta = 0, c lam = 1) both
+    vanish exactly when d_plus = c v_plus and d_minus = -c v_minus: two
+    Robin conditions, so the two sides of the contact decouple.
     """
     c, lam, gamma, eta = params.astuple()
     v_avg = 0.5 * (v_plus + v_minus)
@@ -103,12 +71,6 @@ def contact_residuals(params: CouplingParameters, v_minus, d_minus, v_plus, d_pl
     r1 = (d_plus - d_minus) - 2 * c * v_avg + 2 * (gamma - 1j * eta) * d_avg
     r2 = (v_plus - v_minus) - 2 * lam * d_avg - 2 * (gamma + 1j * eta) * v_avg
     return r1, r2
-
-
-def check_symplectic(u: np.ndarray) -> float:
-    """Max-norm residual of U^dag J U - J; zero for any physical U."""
-    u = np.asarray(u, dtype=complex)
-    return float(np.abs(u.conj().T @ J @ u - J).max())
 
 
 def integrable_family(params: CouplingParameters) -> str | None:

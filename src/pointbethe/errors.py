@@ -10,11 +10,6 @@ class PointBetheError(Exception):
     """Base class for domain-specific failures."""
 
 
-class DegenerateBoundary(PointBetheError):
-    """det(U_+) vanishes: the boundary matrix U = (U_+)^{-1} U_- is undefined
-    (separated or otherwise limiting boundary conditions)."""
-
-
 class NotGaugeFamily(PointBetheError):
     """Gauge data requested for couplings outside the (c, 0, 0, eta) family."""
 

@@ -44,27 +44,15 @@ FAIL_FLOOR = 1e-3  # above: point counts as violating them
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Per-identity max residuals over the evaluated samples.
-
-    ``reduced_condition_residuals`` holds (|gamma|, |lam*(c*lam + eta^2 - 1)|,
-    |lam*eta|), the absolute values of the real/imaginary split of the
-    reduced solvability conditions; all three vanish exactly on the two
-    integrable families.
-    """
+    """Per-identity max residuals over the evaluated samples."""
 
     params: CouplingParameters
     samples: list[tuple[float, float]]
     residuals: np.ndarray
-    reduced_condition_residuals: tuple[float, float, float]
 
     @property
     def max_residual(self) -> float:
         return float(self.residuals.max())
-
-
-def _reduced_conditions(params: CouplingParameters) -> tuple[float, float, float]:
-    c, lam, gamma, eta = params.astuple()
-    return (abs(gamma), abs(lam * (c * lam + eta**2 - 1.0)), abs(lam * eta))
 
 
 def _finite_sample(u, v, name: str = "sample") -> tuple[float, float]:
@@ -98,10 +86,7 @@ def check_factorization_panel(params: CouplingParameters,
     res = _kernels.factorization_panel(grid, us, vs)[0]
     if not np.all(np.isfinite(res)):
         raise PoleAtU(f"amplitude pole inside the sample panel for {params.astuple()}")
-    return FactorizationReport(
-        params=params, samples=samples, residuals=res,
-        reduced_condition_residuals=_reduced_conditions(params),
-    )
+    return FactorizationReport(params=params, samples=samples, residuals=res)
 
 
 @dataclass(frozen=True)
@@ -114,6 +99,13 @@ class GridSpec:
     eta_values: tuple[float, ...]
     seed: int = 0
     panel_size: int = 100
+
+    def __post_init__(self):
+        for name in ("c_values", "lam_values", "gamma_values", "eta_values"):
+            if not getattr(self, name):
+                raise ValueError(f"grid axis {name} is empty")
+        if self.panel_size < 1:
+            raise ValueError(f"panel_size must be >= 1, got {self.panel_size}")
 
     def points(self):
         return itertools.product(self.c_values, self.lam_values,

@@ -1,5 +1,6 @@
 """Paper-definition references the tests compare the package against: the
-scalar rank recursion, the right regular representation, the sparse and
+contact conditions in U-matrix form with their self-adjointness relation,
+the scalar rank recursion, the right regular representation, the sparse and
 the dense N! x N! Y_i(u) at one u, the periodic pattern of its diagonals,
 the Yang-Baxter relations formed one sample at a time, the (u, v) panel
 drawn one candidate at a time, the factorization panel formed one
@@ -20,6 +21,26 @@ from pointbethe.permutations import (Permutation, _cycle_digits, rank_of,
                                      symmetric_group)
 from pointbethe.scattering import POLE_GUARD, amplitudes
 from pointbethe.wavefunction import evaluate, evaluate_grid
+
+
+J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+
+
+def u_pm(params) -> tuple[np.ndarray, np.ndarray]:
+    """U_+ and U_- of the contact conditions U_+ (psi'_+, psi_+) =
+    U_- (psi'_-, psi_-), psi' = d/2 as in ``contact_residuals``:
+    U_pm = [[1 +- (gamma - i eta), -+ c/2], [-+ 2 lam, 1 -+ (gamma + i eta)]].
+    The boundary matrix U = (U_+)^{-1} U_- exists only where det U_+ != 0."""
+    c, lam, gamma, eta = params.astuple()
+    g_minus, g_plus = gamma - 1j * eta, gamma + 1j * eta
+    return (np.array([[1 + g_minus, -c / 2], [-2 * lam, 1 - g_plus]]),
+            np.array([[1 - g_minus, c / 2], [2 * lam, 1 + g_plus]]))
+
+
+def symplectic_residual(u) -> float:
+    """Max-norm residual of U^dag J U - J; zero for a self-adjoint contact."""
+    u = np.asarray(u, dtype=complex)
+    return float(np.abs(u.conj().T @ J @ u - J).max())
 
 
 def _cycle_to(n: int, nn: int) -> list[int]:

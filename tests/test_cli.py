@@ -220,6 +220,15 @@ def test_yb_check_overflow_names_the_first_sample(tmp_path, capsys):
         "(2.0, 0.0, 0.0, 1e+200)\n")
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "report.txt"
+    assert main(["scatter", "--c", "2", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write report to {out}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_unknown_flag_is_config_error():
     assert main(["scatter", "--nope", "1"]) == EXIT_CONFIG
 

@@ -59,16 +59,6 @@ def test_universal_rows_for_random_couplings():
         assert max(res[r] for r in UNIVERSAL_ROWS) <= 1e-10
 
 
-def test_reduced_condition_residuals():
-    report = check_factorization_panel(CouplingParameters(2.0, 0.5, 0.3, 0.7), [(1.0, 2.0)])
-    c, lam, gamma, eta = 2.0, 0.5, 0.3, 0.7
-    expected = (abs(gamma), abs(lam * (c * lam + eta**2 - 1)), abs(lam * eta))
-    assert report.reduced_condition_residuals == pytest.approx(expected)
-    for params in (FAMILY1, FAMILY2):
-        r = check_factorization_panel(params, [(1.0, 2.0)]).reduced_condition_residuals
-        assert max(r) == 0.0
-
-
 def test_pole_band_raises():
     with pytest.raises(PoleAtU):
         check_factorization_panel(CouplingParameters(0.0), [(1e-15, 1.0)])
@@ -133,6 +123,20 @@ def test_scan_deterministic_for_fixed_seed():
     grid = GridSpec(c_values=(1.0, -0.5), lam_values=(0.0, 0.7),
                     gamma_values=(0.0, 0.2), eta_values=(1.0,), seed=21)
     assert scan_to_csv(scan_couplings(grid)) == scan_to_csv(scan_couplings(grid))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("c_values", (), "grid axis c_values is empty"),
+    ("lam_values", (), "grid axis lam_values is empty"),
+    ("gamma_values", (), "grid axis gamma_values is empty"),
+    ("eta_values", (), "grid axis eta_values is empty"),
+    ("panel_size", 0, "panel_size must be >= 1, got 0"),
+    ("panel_size", -2, "panel_size must be >= 1, got -2"),
+])
+def test_grid_refuses_an_empty_axis_or_panel(field, value, message):
+    axes = dict(c_values=(0.0,), lam_values=(0.0,), gamma_values=(0.0,), eta_values=(0.0,))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GridSpec(**{**axes, field: value})
 
 
 @pytest.mark.parametrize("params,n", [(FAMILY1, 3), (FAMILY2, 4)])
