@@ -17,8 +17,10 @@ sign and one identity at a time.
 ``plane_waves`` is the one place that forms the waves exp(i k_P . x_Q);
 ``eval_grid``, ``wavefunction.evaluate`` and ``boundary_residual`` use it.
 Each wave is a product of the N^2 phase factors exp(i k_a x_j) of its
-point, so M points cost M N^2 exponentials, not M N!.  ``propagate_table``
-builds the parts of every Y step it can take before its rank-order pass.
+point, so M points cost M N^2 exponentials, not M N!.  Every Y step,
+the table fill's included, is ``yang_apply`` on ``step_parts``; every
+rejection sampler is ``uniform_accepted``; every array gathered from
+scalar ``amplitudes`` calls comes from ``amplitude_columns``.
 
 Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
@@ -33,8 +35,8 @@ Layout contracts (all indices 0-based):
   and ascent flags per transposition site.
 * ``last_site[(F,)]``: last letter of each canonical word, -1 for the
   identity.
-* amplitude pair tables ``srp, srm, stp, stm[(N, N)]``: entry (a, b) is
-  the amplitude at u = k[a] - k[b].
+* amplitudes ``[(4, M)]`` and pair tables ``[(4, N, N)]``: S_R^+, S_R^-,
+  S_T^+, S_T^- in ``step_parts`` order; pair entry (a, b) is at u = k[a] - k[b].
 * Y-step parts ``diag, off[(F,)]`` from ``step_parts``, or ``[(S, F)]``
   for a stack of S steps built from (S, 1) amplitude columns, with
   ``tmap[(F,)]``.  ``yang_apply`` takes a target vector (F,) or matrix
@@ -46,6 +48,8 @@ Layout contracts (all indices 0-based):
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -196,76 +200,80 @@ def propagate_table(a_identity, tables: SymmetricGroupTables,
     P T_i, whose rank is smaller.  So one pass in rank order finds every
     parent row ready, and each row goes through exactly the operations
     of stepping along its whole word.  The plan of the pass (each row's
-    parent, step and site) is read from the tables as Python ints first,
-    and each row is written in place with the products and the sum of
-    ``yang_apply``, so the bits are those of one ``yang_apply`` per row.
+    parent, site and momentum pair) is read from the tables as Python
+    ints first; the parts of each distinct step are built on first use.
     """
-    n = tables.n
-    # the parts of every step, indexed [site, ka, kb] and flattened, built at once
-    diag, off, _ = step_parts(tables, np.s_[:, np.newaxis, np.newaxis],
-                              srp[..., np.newaxis], srm[..., np.newaxis],
-                              stp[..., np.newaxis], stm[..., np.newaxis])
-    diag, off = diag.reshape(-1, tables.order), off.reshape(-1, tables.order)
     rows = np.arange(1, tables.order)
     sites = tables.last_site[1:]
     parents = tables.tmaps[sites, rows]
-    steps = (sites * n + tables.images[parents, sites]) * n + tables.images[parents, sites + 1]
+    plan = np.stack([rows, parents, sites, tables.images[parents, sites],
+                     tables.images[parents, sites + 1]], axis=1).tolist()
+    parts = functools.cache(lambda s, a, b: step_parts(tables, s, srp[a, b], srm[a, b],
+                                                       stp[a, b], stm[a, b]))
     out = np.empty((tables.order, tables.order), dtype=np.complex128)
     out[0] = a_identity
-    for p, parent, step, s in zip(rows.tolist(), parents.tolist(), steps.tolist(), sites.tolist()):
-        src, row = out[parent], out[p]
-        np.multiply(diag[step], src, out=row)
-        row += off[step] * src[tables.tmaps[s]]
+    for p, parent, s, a, b in plan:
+        out[p] = yang_apply(parts(s, a, b), out[parent])
     return out
 
 
-def pair_amplitude_tables(params, k):
-    """Amplitude lookup tables over ordered momentum pairs.
+def amplitude_columns(params, us) -> np.ndarray:
+    """S_R^+, S_R^-, S_T^+, S_T^- at each u of ``us``, shape (4, len(us)),
+    from one ``amplitudes`` call per u in order: the first pole raises."""
+    out = np.empty((4, len(us)), dtype=np.complex128)
+    for j, u in enumerate(us):
+        amp = amplitudes(params, u)
+        out[:, j] = amp.s_r_plus, amp.s_r_minus, amp.s_t_plus, amp.s_t_minus
+    return out
 
-    Entry (a, b), a != b, holds the amplitude at u = k[a] - k[b]; the
-    diagonal is unused.  Raises PoleAtU via the scalar evaluator.
-    """
+
+def pair_amplitude_tables(params, k) -> np.ndarray:
+    """``amplitude_columns`` at u = k[a] - k[b] in entry [:, a, b], a != b,
+    evaluated in row-major order; the diagonal is 0 and unused."""
     k = np.asarray(k, dtype=np.float64)
-    n = len(k)
-    srp = np.zeros((n, n), dtype=np.complex128)
-    srm = np.zeros((n, n), dtype=np.complex128)
-    stp = np.zeros((n, n), dtype=np.complex128)
-    stm = np.zeros((n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            amp = amplitudes(params, k[a] - k[b])
-            srp[a, b] = amp.s_r_plus
-            srm[a, b] = amp.s_r_minus
-            stp[a, b] = amp.s_t_plus
-            stm[a, b] = amp.s_t_minus
-    return srp, srm, stp, stm
+    pairs = ~np.eye(len(k), dtype=bool)
+    out = np.zeros((4, len(k), len(k)), dtype=np.complex128)
+    out[:, pairs] = amplitude_columns(params, (k[:, np.newaxis] - k)[pairs])
+    return out
+
+
+def uniform_accepted(rng: np.random.Generator, count: int, width: int, box: float,
+                     accept, what: str, condition: str) -> np.ndarray:
+    """The first ``count`` rows of [-box, box]^width that ``accept`` (a row
+    mask of a (B, width) batch) keeps, drawn ``count`` at a time.  The rows
+    and the state ``rng`` is left in are those of a draw-and-test loop.
+    Raises ValueError after MAX_DRAWS_PER_SAMPLE * count draws."""
+    out = np.empty((count, width), dtype=np.float64)
+    got = draws = 0
+    while got < count:
+        if draws == MAX_DRAWS_PER_SAMPLE * count:
+            raise ValueError(
+                f"{what}: {draws} draws in [-box, box]^{width} with box={box} gave only "
+                f"{got} of {count} points with {condition}"
+            )
+        before = rng.bit_generator.state
+        x = rng.uniform(-box, box, (count, width))
+        good = np.flatnonzero(accept(x))[:count - got]
+        draws += count
+        if got + len(good) == count:
+            # rewind and redraw only the rows up to the last one used
+            rng.bit_generator.state = before
+            rng.uniform(-box, box, (good[-1] + 1, width))
+        out[got:got + len(good)] = x[good]
+        got += len(good)
+    return out
 
 
 def sample_panel(seed: int, count: int = 100, box: float = 5.0, min_sep: float = 0.25) -> np.ndarray:
     """Reproducible (u, v) panel in [-box, box]^2 avoiding pole bands.
 
     Rejects draws with |u|, |v| or |u+v| below min_sep so the identity
-    residuals stay well-conditioned for every coupling choice.  Candidates
-    are drawn ``count`` at a time, which reads the generator's stream in
-    the order of a draw-and-test loop, so the panel is the one that loop
-    gives.  Raises ValueError after MAX_DRAWS_PER_SAMPLE * count draws.
+    residuals stay well-conditioned for every coupling choice.  The panel
+    is the one a draw-and-test loop gives (``uniform_accepted``), which
+    raises ValueError after MAX_DRAWS_PER_SAMPLE * count draws.
     """
-    rng = np.random.default_rng(seed)
-    out = np.empty((count, 2), dtype=np.float64)
-    got = draws = 0
-    while got < count:
-        if draws == MAX_DRAWS_PER_SAMPLE * count:
-            raise ValueError(
-                f"sample_panel: {draws} draws in [-box, box]^2 with box={box} gave only "
-                f"{got} of {count} points with |u|, |v|, |u+v| >= min_sep={min_sep}"
-            )
-        draws += count
-        uv = rng.uniform(-box, box, (count, 2))
-        u, v = uv.T
-        good = uv[(np.abs(u) >= min_sep) & (np.abs(v) >= min_sep)
-                  & (np.abs(u + v) >= min_sep)][:count - got]
-        out[got:got + len(good)] = good
-        got += len(good)
-    return out
+    def accept(uv):
+        return np.abs([uv[:, 0], uv[:, 1], uv[:, 0] + uv[:, 1]]).min(axis=0) >= min_sep
+
+    return uniform_accepted(np.random.default_rng(seed), count, 2, box, accept, "sample_panel",
+                            f"|u|, |v|, |u+v| >= min_sep={min_sep}")

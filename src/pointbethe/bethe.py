@@ -107,15 +107,14 @@ def propagate(params: CouplingParameters, k, a_identity, p: Permutation,
     a = _coefficient_vector(a_identity, tables.order)
     if word is None:
         word = decompose(p)
-    srp, srm, stp, stm = _kernels.pair_amplitude_tables(params, k)
+    amps = _kernels.pair_amplitude_tables(params, k)
     run = np.arange(n)
     for pos, i in enumerate(word):
         if not 1 <= i < n:
             raise ValueError(f"word letter {i} at 0-based position {pos} is outside 1..{n - 1}")
         s = i - 1
         ka, kb = run[s], run[s + 1]
-        parts = _kernels.step_parts(tables, s, srp[ka, kb], srm[ka, kb], stp[ka, kb], stm[ka, kb])
-        a = _kernels.yang_apply(parts, a)
+        a = _kernels.yang_apply(_kernels.step_parts(tables, s, *amps[:, ka, kb]), a)
         run[s], run[s + 1] = kb, ka
     if tuple(run + 1) != p.images:
         raise ValueError(f"word {word} does not multiply out to {p.images}")
@@ -130,9 +129,10 @@ class BetheState:
     ``columns`` is the same table as a C-contiguous transpose,
     ``columns[q, p]`` = A_P(Q), so the wedge column A_.(Q) is one
     contiguous row: a view when the table is Fortran-ordered, one copy
-    made on first use otherwise.  The tables the library builds are
-    read-only, so that copy can never go stale.  ``relative_momenta``,
-    read-only and also made on first use, is the (N-1, N!) table
+    made on first use otherwise.  Every array of a state is read-only: a
+    ``k`` or ``table`` that is not a read-only owner of its data is copied
+    in its layout and frozen, so no cached copy can go stale.
+    ``relative_momenta``, also made on first use, is the (N-1, N!) table
     1j * (k_{P(s+1)} - k_{P(s+2)}) at 0-based row s and column rank(P):
     the relative derivative factor of wave P across site s + 1, which
     every boundary check of the state reads.
@@ -141,6 +141,14 @@ class BetheState:
     params: CouplingParameters
     k: np.ndarray
     table: np.ndarray
+
+    def __post_init__(self):
+        for name in ("k", "table"):
+            x = getattr(self, name)
+            if not isinstance(x, np.ndarray) or x.flags.writeable or not x.flags.owndata:
+                x = np.array(x, order="K")
+                x.flags.writeable = False
+                object.__setattr__(self, name, x)
 
     @property
     def n(self) -> int:
@@ -176,8 +184,7 @@ def bethe_state(params: CouplingParameters, k, a_identity) -> BetheState:
     _check_propagation_allowed(params, n)
     tables = symmetric_group(n)
     a = _coefficient_vector(a_identity, tables.order)
-    srp, srm, stp, stm = _kernels.pair_amplitude_tables(params, k)
-    table = _kernels.propagate_table(a, tables, srp, srm, stp, stm)
+    table = _kernels.propagate_table(a, tables, *_kernels.pair_amplitude_tables(params, k))
     table.flags.writeable = False
     return BetheState(params=params, k=k, table=table)
 

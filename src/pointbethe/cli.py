@@ -23,6 +23,7 @@ classifies against the fixed PASS_TOL 1e-8 and FAIL_FLOOR 1e-3.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -108,18 +109,15 @@ def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
     return vals
 
 
-def _parse_number(text: str, key: str, kind=int):
+def _parse_number(text: str, key: str, kind=int, ok=lambda value: True, rule: str = ""):
+    """``text`` as a ``kind``; a value that fails ``ok`` is refused as not ``rule``."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as exc:
         raise ConfigError(f"field {key}: cannot parse {text!r}") from exc
-
-
-def _parse_tol(text: str, key: str) -> float:
-    tol = _parse_number(text, key, float)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"field {key}: must be finite and > 0, got {text!r}")
-    return tol
+    if not ok(value):
+        raise ConfigError(f"field {key}: must be {rule}, got {text!r}")
+    return value
 
 
 # flag name = config-file key -> (RunConfig attribute, parser of the raw text)
@@ -130,8 +128,9 @@ FIELDS = {
     "eta": ("eta", _parse_float_list),
     "N": ("n_particles", _parse_number),
     "k": ("momenta", _parse_float_list),
-    "seed": ("seed", _parse_number),
-    "tol": ("tolerance", _parse_tol),
+    "seed": ("seed", functools.partial(_parse_number, ok=lambda seed: seed >= 0, rule=">= 0")),
+    "tol": ("tolerance", functools.partial(_parse_number, kind=float, rule="finite and > 0",
+                                           ok=lambda tol: math.isfinite(tol) and tol > 0)),
     "out": ("output_path", lambda text, key: text),
 }
 

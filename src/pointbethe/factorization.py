@@ -36,7 +36,6 @@ from .bethe import MAX_N
 from .couplings import CouplingParameters, integrable_family
 from .errors import PoleAtU
 from .permutations import rank_of, symmetric_group
-from .scattering import amplitudes
 
 PASS_TOL = 1e-8    # below: point counts as satisfying the identities
 FAIL_FLOOR = 1e-3  # above: point counts as violating them
@@ -219,9 +218,7 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
 
     @functools.cache
     def columns(w):  # S_R^+, S_R^-, S_T^+, S_T^- at argument w of every sample, (S, 1) each
-        amps = [amplitudes(params, x) for x in arguments[w]]
-        return [np.array([[getattr(a, name)] for a in amps])
-                for name in ("s_r_plus", "s_r_minus", "s_t_plus", "s_t_minus")]
+        return _kernels.amplitude_columns(params, arguments[w])[..., np.newaxis]
 
     def product(m, *steps):  # Y_{i_L}(w_L) ... Y_{i_1}(w_1) on the stacked S_m identities
         group = symmetric_group(m)

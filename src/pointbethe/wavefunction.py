@@ -112,33 +112,18 @@ def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
     """Random points on the hyperplane x_j = x_kk with other coordinates
     generic (kept min_gap away from the common value and each other).
 
-    Candidates are drawn ``count`` at a time; ``rng`` is left as if they
-    had been drawn one by one up to the last accepted one, so the samples
-    and the generator state match a draw-and-test loop.  Raises
-    ValueError unless 1 <= j < kk <= n, and after MAX_DRAWS_PER_SAMPLE * count draws.
+    The rows and the state ``rng`` is left in are those of a
+    draw-and-test loop (``_kernels.uniform_accepted``): the test ignores
+    x_kk, which is set to x_j after acceptance.  Raises ValueError unless
+    1 <= j < kk <= n, and after MAX_DRAWS_PER_SAMPLE * count draws.
     """
     if not 1 <= j < kk <= n:
         raise ValueError(f"need 1 <= j < k <= N, got ({j}, {kk})")
-    out = []
-    draws = 0
-    keep = [a for a in range(n) if a != kk - 1]  # x_kk repeats x_j
-    while len(out) < count:
-        if draws == _kernels.MAX_DRAWS_PER_SAMPLE * count:
-            raise ValueError(
-                f"boundary_samples: {draws} draws in [-box, box]^{n} with box={box} gave "
-                f"only {len(out)} of {count} points with gaps above min_gap={min_gap}"
-            )
-        before = rng.bit_generator.state
-        x = rng.uniform(-box, box, (count, n))
-        x[:, kk - 1] = x[:, j - 1]
-        good = np.flatnonzero(closest_gap(x[:, keep]) > min_gap)[:count - len(out)]
-        draws += count
-        if len(out) + len(good) == count:
-            # rewind and redraw only the rows up to the last one used
-            rng.bit_generator.state = before
-            rng.uniform(-box, box, (good[-1] + 1, n))
-        out.extend(x[good])
-    return out
+    keep = [a for a in range(n) if a != kk - 1]
+    x = _kernels.uniform_accepted(rng, count, n, box, lambda c: closest_gap(c[:, keep]) > min_gap,
+                                  "boundary_samples", f"gaps above min_gap={min_gap}")
+    x[:, kk - 1] = x[:, j - 1]  # x_kk repeats x_j
+    return list(x)
 
 
 def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[float, float]:

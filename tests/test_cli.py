@@ -358,6 +358,18 @@ def test_flag_and_config_file_give_the_same_error(tmp_path, capsys, key, value):
     assert by_flag == by_file
 
 
+@pytest.mark.parametrize("via_file", [False, True], ids=["flag", "file"])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_negative_seed_is_refused_by_every_command(tmp_path, capsys, monkeypatch,
+                                                   command, via_file):
+    # refused while parsing: no command starts, whether it reads the seed or not
+    monkeypatch.setattr(cli, "_RUNNERS", {})
+    base = {"c": "2", "eta": "1", "N": "3"}
+    status, report, err = _run_route(tmp_path, capsys, command, base, "seed", "-1", via_file)
+    assert (status, report) == (EXIT_CONFIG, "")
+    assert err == "config error: field seed: must be >= 0, got '-1'\n"
+
+
 def test_coeffs_csv_parses_back_to_the_table(tmp_path):
     status, report = run_cli(["coeffs", "--N", "3", "--c", "2", "--eta", "1.3",
                               "--k", "1.4,-0.2,0.7"], tmp_path)

@@ -3,6 +3,7 @@ fill, stacked Y steps and bounded sampling."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from pointbethe import _kernels
 from pointbethe.couplings import CouplingParameters
+from pointbethe.errors import PoleAtU
 from pointbethe.permutations import symmetric_group
+from pointbethe.scattering import amplitudes
 from reference import factorization_panel_per_sign, sample_panel_one_by_one
 
 
@@ -83,13 +86,35 @@ def test_pair_amplitude_tables_layout():
     params = CouplingParameters(1.2, 0.0, 0.3, -0.4)
     k = np.array([0.9, -0.7, 1.6])
     srp, srm, stp, stm = _kernels.pair_amplitude_tables(params, k)
-    from pointbethe.scattering import amplitudes
     amp = amplitudes(params, k[2] - k[0])
     assert srp[2, 0] == amp.s_r_plus
     assert srm[2, 0] == amp.s_r_minus
     assert stp[2, 0] == amp.s_t_plus
     assert stm[2, 0] == amp.s_t_minus
     assert srp[1, 1] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_pair_amplitude_tables_equal_the_nested_scalar_loop(n):
+    params = CouplingParameters(1.3, 0.4, -0.2, 0.7)
+    k = np.linspace(1.5, -1.5, n) + np.random.default_rng(n).uniform(-0.05, 0.05, n)
+    ref = np.zeros((4, n, n), dtype=np.complex128)
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                amp = amplitudes(params, k[a] - k[b])
+                ref[:, a, b] = amp.s_r_plus, amp.s_r_minus, amp.s_t_plus, amp.s_t_minus
+    got = _kernels.pair_amplitude_tables(params, k)
+    assert got.shape == (4, n, n)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_pair_amplitude_tables_raise_at_the_first_pair():
+    # a coupling of 1e200 overflows the amplitudes at every u: the first
+    # pair in row-major order is (0, 1)
+    k = np.array([0.9, -0.7, 1.6])
+    with pytest.raises(PoleAtU, match=re.escape(f"at u={k[0] - k[1]} ")):
+        _kernels.pair_amplitude_tables(CouplingParameters(1.0, 0.0, 0.0, 1e200), k)
 
 
 def test_sample_panel_gives_up_on_an_empty_domain(run_python):
@@ -110,6 +135,10 @@ class _CountingRng:
 
     def __init__(self, rng):
         self.rng, self.draws = rng, 0
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
 
     def uniform(self, low, high, size):
         out = self.rng.uniform(low, high, size)
@@ -150,6 +179,50 @@ def test_sample_panel_equals_the_one_by_one_draw_on_many_seeds():
 def test_sample_panel_equals_the_one_by_one_draw(seed, count, domain):
     assert _panel_or_error(_kernels.sample_panel, seed, count, *domain) == \
         _panel_or_error(sample_panel_one_by_one, seed, count, *domain)
+
+
+def _accepted_one_by_one(rng, count, width, box, accept, what, condition):
+    # one candidate per draw, tested as it comes
+    out = []
+    draws = 0
+    while len(out) < count:
+        if draws == _kernels.MAX_DRAWS_PER_SAMPLE * count:
+            raise ValueError(
+                f"{what}: {draws} draws in [-box, box]^{width} with box={box} gave only "
+                f"{len(out)} of {count} points with {condition}"
+            )
+        draws += 1
+        x = rng.uniform(-box, box, (1, width))
+        if accept(x)[0]:
+            out.append(x[0])
+    return np.array(out, dtype=np.float64).reshape(count, width)
+
+
+def _accepted_or_error(sampler, rng, *args):
+    try:
+        return sampler(rng, *args).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 12), width=st.integers(1, 6),
+       # keep rows whose every coordinate is at least ``floor`` from 0:
+       # all, about one in two per coordinate, and none (an empty domain)
+       floor=st.sampled_from([0.0, 0.5, 1.5]))
+def test_uniform_accepted_equals_the_one_by_one_draw(seed, count, width, floor):
+    def accept(x):
+        return np.abs(x).min(axis=1) >= floor
+
+    args = (count, width, 1.0, accept, "sampler", f"|x_i| >= {floor}")
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _accepted_or_error(_kernels.uniform_accepted, rng, *args)
+    assert got == _accepted_or_error(_accepted_one_by_one, ref_rng, *args)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if floor > 1.0 and count:
+        assert got == (f"sampler: {_kernels.MAX_DRAWS_PER_SAMPLE * count} draws in "
+                       f"[-box, box]^{width} with box=1.0 gave only 0 of {count} points "
+                       f"with |x_i| >= {floor}")
 
 
 @settings(deadline=None, max_examples=40)
@@ -217,7 +290,7 @@ def _row_by_row_table(a_identity, tables, srp, srm, stp, stm):
 @pytest.mark.parametrize("params", [CouplingParameters(2.0, 0.0, 0.0, 1.3),
                                     CouplingParameters(1.7, 1.0 / 1.7)],
                          ids=["family1", "family2"])
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("unit", [True, False], ids=["unit", "random"])
 def test_prebuilt_step_parts_fill_equals_row_by_row_fill(params, n, unit):
     rng = np.random.default_rng(n)
@@ -228,5 +301,5 @@ def test_prebuilt_step_parts_fill_equals_row_by_row_fill(params, n, unit):
     if not unit:
         a = rng.normal(size=tables.order) + 1j * rng.normal(size=tables.order)
     amps = _kernels.pair_amplitude_tables(params, k)
-    assert np.array_equal(_kernels.propagate_table(a, tables, *amps),
-                          _row_by_row_table(a, tables, *amps))
+    assert _kernels.propagate_table(a, tables, *amps).tobytes() == \
+        _row_by_row_table(a, tables, *amps).tobytes()

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pointbethe import _kernels
 from pointbethe._kernels import MAX_DRAWS_PER_SAMPLE, plane_waves
 from pointbethe.bethe import BetheState, bethe_state
 from pointbethe.couplings import CouplingParameters
@@ -200,7 +201,7 @@ def test_boundary_residual_detects_corruption():
     bad_table = state.table.copy()
     bad_table[2, 3] += 1e-2  # column 3 is one of the wedges adjacent to x1 = x2
     bad = BetheState(params=state.params, k=state.k, table=bad_table)
-    # a hand-built state may hold a writeable C-ordered table
+    # a hand-built state may be given a writeable C-ordered table
     assert bad_table.flags.writeable and bad.columns[3, 2] == bad_table[2, 3]
     rng = np.random.default_rng(4)
     r1, r2 = boundary_residual(bad, 1, 2, boundary_samples(3, 1, 2, rng, count=25))
@@ -239,6 +240,33 @@ def test_library_tables_are_read_only(build):
     table = build()
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 0.0
+
+
+def test_a_state_does_not_alias_the_callers_arrays():
+    ref = toy_state()
+    k, table = ref.k.copy(), ref.table.copy()
+    state = BetheState(params=ref.params, k=k, table=table)
+    assert not (state.k.flags.writeable or state.table.flags.writeable)
+    rng = np.random.default_rng(6)
+    points = rng.uniform(-3.0, 3.0, (20, 3))
+    samples = boundary_samples(3, 1, 3, rng, count=20)
+    evaluate_grid(state, points)  # caches ``columns`` before the writes
+    table *= 2
+    k += 1.0
+    assert np.array_equal(evaluate_grid(state, points), evaluate_grid(ref, points))
+    assert boundary_residual(state, 1, 3, samples) == boundary_residual(ref, 1, 3, samples)
+    assert np.array_equal(state.relative_momenta, ref.relative_momenta)
+
+
+def test_bethe_state_keeps_the_table_it_fills(monkeypatch):
+    filled = []
+    fill = _kernels.propagate_table
+    monkeypatch.setattr(_kernels, "propagate_table",
+                        lambda *args: filled.append(fill(*args)) or filled[-1])
+    state = toy_state()
+    assert np.shares_memory(state.table, filled[0])
+    # a read-only table that owns its data is kept as it is
+    assert BetheState(params=state.params, k=state.k, table=state.table).table is state.table
 
 
 @pytest.mark.parametrize("params", [FAMILY1, FAMILY2], ids=["family1", "family2"])
