@@ -168,9 +168,7 @@ def step_parts(tables: SymmetricGroupTables, s: int, sr_plus, sr_minus, st_plus,
 
     Row Q holds ``diag[q]`` at column Q and ``off[q]`` at column
     ``tmap[q]`` = rank index of Q T_{s+1}: S_R^+ and S_T^- where
-    Q(s+1) < Q(s+2), S_R^- and S_T^+ elsewhere.  ``s`` may also index
-    several sites of ``tables.asc`` and ``tables.tmaps`` at once, with
-    amplitudes that broadcast against the selected rows.
+    Q(s+1) < Q(s+2), S_R^- and S_T^+ elsewhere.
     """
     asc = tables.asc[s]
     return np.where(asc, sr_plus, sr_minus), np.where(asc, st_minus, st_plus), tables.tmaps[s]

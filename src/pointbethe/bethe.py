@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _kernels
 from .couplings import CouplingParameters, contact_residuals, integrable_family
-from .errors import NotIntegrable
+from .errors import NotIntegrable, finite_array, whole_number
 from .permutations import Permutation, SymmetricGroupTables, decompose, symmetric_group
 
 MIN_MOMENTUM_GAP = 1e-12
@@ -54,30 +54,14 @@ MAX_N = 6  # largest N of the N! x N! tables the commands and the matrix check b
 
 
 def validate_momenta(k) -> np.ndarray:
-    """Momenta as a float array; requires finite entries with pairwise gaps above 1e-12."""
-    k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    if k.ndim != 1 or k.size < 1:
-        raise ValueError("momenta must be a 1D array with at least one entry")
-    bad = np.flatnonzero(~np.isfinite(k))
-    if bad.size:
-        raise ValueError(f"momenta {k} are non-finite at 0-based indices {bad.tolist()}")
-    n = k.size
+    """Momenta as a fresh float array: at least one, finite, pairwise gaps above 1e-12."""
+    k = finite_array(k, "momenta", (None,))
+    n = whole_number(k.size, "number of momenta", 1)
     for a in range(n):
         for b in range(a + 1, n):
             if abs(k[a] - k[b]) <= MIN_MOMENTUM_GAP:
                 raise ValueError(f"momenta k[{a}]={k[a]} and k[{b}]={k[b]} coincide")
     return k
-
-
-def _coefficient_vector(a, order: int, name: str = "coefficient vector") -> np.ndarray:
-    """A copy of a as a complex vector of ``order`` finite entries, else a ValueError."""
-    a = np.array(a, dtype=np.complex128)
-    if a.shape != (order,):
-        raise ValueError(f"{name} must have length {order}")
-    bad = np.flatnonzero(~np.isfinite(a))
-    if bad.size:
-        raise ValueError(f"{name} is non-finite at 0-based indices {bad.tolist()}")
-    return a
 
 
 def _check_propagation_allowed(params: CouplingParameters, n: int) -> None:
@@ -104,15 +88,13 @@ def propagate(params: CouplingParameters, k, a_identity, p: Permutation,
         raise ValueError(f"permutation size {p.n} != number of momenta {n}")
     _check_propagation_allowed(params, n)
     tables = symmetric_group(n)
-    a = _coefficient_vector(a_identity, tables.order)
+    a = finite_array(a_identity, "coefficient vector", (tables.order,), np.complex128)
     if word is None:
         word = decompose(p)
     amps = _kernels.pair_amplitude_tables(params, k)
     run = np.arange(n)
     for pos, i in enumerate(word):
-        if not 1 <= i < n:
-            raise ValueError(f"word letter {i} at 0-based position {pos} is outside 1..{n - 1}")
-        s = i - 1
+        s = whole_number(i, f"word letter at 0-based position {pos}", 1, n - 1) - 1
         ka, kb = run[s], run[s + 1]
         a = _kernels.yang_apply(_kernels.step_parts(tables, s, *amps[:, ka, kb]), a)
         run[s], run[s + 1] = kb, ka
@@ -183,7 +165,7 @@ def bethe_state(params: CouplingParameters, k, a_identity) -> BetheState:
     n = k.size
     _check_propagation_allowed(params, n)
     tables = symmetric_group(n)
-    a = _coefficient_vector(a_identity, tables.order)
+    a = finite_array(a_identity, "coefficient vector", (tables.order,), np.complex128)
     table = _kernels.propagate_table(a, tables, *_kernels.pair_amplitude_tables(params, k))
     table.flags.writeable = False
     return BetheState(params=params, k=k, table=table)
@@ -350,12 +332,10 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     312 x 144 at N = 4.
     """
     k = validate_momenta(k)
-    n = k.size
-    if n > ORACLE_MAX_N:
-        raise ValueError(f"brute-force oracle is limited to N <= {ORACLE_MAX_N}")
+    n = whole_number(k.size, "number of oracle momenta N", 1, ORACLE_MAX_N)
     tables = symmetric_group(n)
     f = tables.order
-    pinned_column = _coefficient_vector(pinned_column, f, "pinned column")
+    pinned_column = finite_array(pinned_column, "pinned column", (f,), np.complex128)
 
     basis = _odd_site_null_basis(params, tables, k)
     width = basis.shape[2]

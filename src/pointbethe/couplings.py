@@ -13,12 +13,11 @@ contact point; ``contact_residuals`` is their one encoding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotGaugeFamily
+from .errors import NotGaugeFamily, finite_array
 
 FAMILY_TOL = 1e-9
 
@@ -34,9 +33,7 @@ class CouplingParameters:
 
     def __post_init__(self):
         for name in ("c", "lam", "gamma", "eta"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"coupling {name} must be finite, got {v}")
+            finite_array(getattr(self, name), f"coupling {name}")
 
     def flipped(self) -> "CouplingParameters":
         """Couplings with (gamma, eta) -> (-gamma, -eta), i.e. the same

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from . import _kernels
 from ._kernels import yang_apply
 from .bethe import MAX_N
 from .couplings import CouplingParameters, integrable_family
-from .errors import PoleAtU
+from .errors import PoleAtU, finite_array, whole_number
 from .permutations import rank_of, symmetric_group
 
 PASS_TOL = 1e-8    # below: point counts as satisfying the identities
@@ -46,7 +46,6 @@ class FactorizationReport:
     """Per-identity max residuals over the evaluated samples."""
 
     params: CouplingParameters
-    samples: list[tuple[float, float]]
     residuals: np.ndarray
 
     @property
@@ -54,21 +53,11 @@ class FactorizationReport:
         return float(self.residuals.max())
 
 
-def _finite_sample(u, v, name: str = "sample") -> tuple[float, float]:
-    """(u, v) as floats; ValueError naming the sample unless both are finite."""
-    u, v = float(u), float(v)
-    if not (math.isfinite(u) and math.isfinite(v)):
-        raise ValueError(f"{name} (u, v) = ({u}, {v}) is not finite")
-    return u, v
-
-
-def _finite_samples(samples) -> list[tuple[float, float]]:
-    """samples as (u, v) float pairs; ValueError if there are none or one is not finite."""
-    samples = [_finite_sample(u, v, f"sample {index} (0-based)")
-               for index, (u, v) in enumerate(samples)]
-    if not samples:
+def _finite_samples(samples) -> np.ndarray:
+    """samples as a fresh (S, 2) array of (u, v) rows: at least one, all finite."""
+    if len(samples) == 0:
         raise ValueError("need at least one (u, v) sample")
-    return samples
+    return finite_array(samples, "samples", (None, 2))
 
 
 def check_factorization_panel(params: CouplingParameters,
@@ -79,13 +68,11 @@ def check_factorization_panel(params: CouplingParameters,
     inside the panel raises PoleAtU.
     """
     samples = _finite_samples(samples)
-    us = np.array([s[0] for s in samples])
-    vs = np.array([s[1] for s in samples])
     grid = np.array([params.astuple()])
-    res = _kernels.factorization_panel(grid, us, vs)[0]
+    res = _kernels.factorization_panel(grid, samples[:, 0], samples[:, 1])[0]
     if not np.all(np.isfinite(res)):
         raise PoleAtU(f"amplitude pole inside the sample panel for {params.astuple()}")
-    return FactorizationReport(params=params, samples=samples, residuals=res)
+    return FactorizationReport(params=params, residuals=res)
 
 
 @dataclass(frozen=True)
@@ -103,8 +90,8 @@ class GridSpec:
         for name in ("c_values", "lam_values", "gamma_values", "eta_values"):
             if not getattr(self, name):
                 raise ValueError(f"grid axis {name} is empty")
-        if self.panel_size < 1:
-            raise ValueError(f"panel_size must be >= 1, got {self.panel_size}")
+        whole_number(self.panel_size, "panel_size", 1)
+        whole_number(self.seed, "seed", 0)
 
     def points(self):
         return itertools.product(self.c_values, self.lam_values,
@@ -166,7 +153,6 @@ class YangBaxterReport:
     unitarity: float   # Y_i(-u) Y_i(u) = 1
     braid: float       # Y_i(v) Y_{i+1}(u+v) Y_i(u) = Y_{i+1}(u) Y_i(u+v) Y_{i+1}(v)
     commute: float     # [Y_i(u), Y_j(v)] = 0 for |i-j| > 1
-    samples: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def max_residual(self) -> float:
@@ -209,12 +195,11 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
     pole raises PoleAtU at the first sample of the first such argument
     that meets it.  Empty or non-finite samples raise ValueError.
     """
-    if not 2 <= n <= MAX_N:
-        raise ValueError(f"matrix check supported for 2 <= N <= {MAX_N}")
-    samples = _finite_samples(samples)
+    n = whole_number(n, "N", 2, MAX_N)
+    us, vs = _finite_samples(samples).T.tolist()
     tables = symmetric_group(n)
-    arguments = {"u": [u for u, v in samples], "-u": [-u for u, v in samples],
-                 "v": [v for u, v in samples], "u+v": [u + v for u, v in samples]}
+    arguments = {"u": us, "-u": [-u for u in us],
+                 "v": vs, "u+v": [u + v for u, v in zip(us, vs)]}
 
     @functools.cache
     def columns(w):  # S_R^+, S_R^-, S_T^+, S_T^- at argument w of every sample, (S, 1) each
@@ -223,7 +208,7 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
     def product(m, *steps):  # Y_{i_L}(w_L) ... Y_{i_1}(w_1) on the stacked S_m identities
         group = symmetric_group(m)
         out = np.broadcast_to(np.eye(group.order, dtype=np.complex128),
-                              (len(samples), group.order, group.order))
+                              (len(us), group.order, group.order))
         for i, w in steps:
             out = yang_apply(_kernels.step_parts(group, i - 1, *columns(w)), out)
         return out
@@ -243,7 +228,7 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
             maxima.append(math.inf)
         else:
             maxima.append(float(np.abs(residual()).max()) if sets else 0.0)
-    return YangBaxterReport(n, *maxima, samples=samples)
+    return YangBaxterReport(n, *maxima)
 
 
 def block_reduction_check(params: CouplingParameters, n: int, i: int,
@@ -254,9 +239,7 @@ def block_reduction_check(params: CouplingParameters, n: int, i: int,
     orbit structure at positions i-1, i, i+1 holds: 0.0 then, inf otherwise,
     whatever params, u and v are.  A non-finite u or v raises ValueError.
     """
-    if n < 4:
-        raise ValueError("block reduction needs N >= 4")
-    if not 1 <= i <= n - 2:
-        raise ValueError(f"need 1 <= i <= N-2, got i={i}, N={n}")
-    _finite_sample(u, v)
+    n = whole_number(n, "N", 4)
+    i = whole_number(i, "site i", 1, n - 2)
+    finite_array((u, v), "sample (u, v)", (2,))
     return 0.0 if _orbit_structure_holds(symmetric_group(n), [i - 1, i, i + 1]) else math.inf

@@ -31,6 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import whole_number
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -56,8 +58,7 @@ class Permutation:
 
     def right_t(self, i: int) -> "Permutation":
         """Right-multiply by the adjacent transposition T_i (1 <= i < N)."""
-        if not 1 <= i < self.n:
-            raise ValueError(f"transposition index {i} out of range for N={self.n}")
+        whole_number(i, "transposition index i", 1, self.n - 1)
         img = list(self.images)
         img[i - 1], img[i] = img[i], img[i - 1]
         return Permutation(tuple(img))
@@ -149,11 +150,11 @@ def rank_of(orders0) -> np.ndarray:
     return math.factorial(n) - 1 - code
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 and True reach the check instead of the entries of 2 and 1
+@lru_cache(maxsize=None, typed=True)
 def symmetric_group(n: int) -> SymmetricGroupTables:
     """Tables for S_n in rank order.  Cost and memory grow like N!."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    whole_number(n, "n", 1)
     order = math.factorial(n)
     # permutations of a descending input come in descending lexicographic order
     reversed_forms = np.array(list(itertools.permutations(range(n - 1, -1, -1))), dtype=np.int64)

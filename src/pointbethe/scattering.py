@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import CouplingParameters, contact_residuals
-from .errors import PoleAtU, SingularSystem
+from .errors import PoleAtU, SingularSystem, finite_array
 
 POLE_GUARD = 1e-12
 
@@ -79,8 +79,7 @@ def amplitudes(params: CouplingParameters, u: float) -> AmplitudeSet:
     Raises PoleAtU inside the denominator's guard band or where the formula
     overflows (huge couplings), and ValueError for a non-finite u.
     """
-    if not np.isfinite(u):
-        raise ValueError(f"relative momentum u = {u} is not finite")
+    finite_array(u, "relative momentum u")
     *nums, den = _closed_form(*params.astuple(), u)
     if abs(den) <= POLE_GUARD * max(1.0, u * u):
         raise PoleAtU(f"amplitude denominator {den:.3e} at u={u}")
@@ -121,9 +120,7 @@ def amplitudes_bvp_oracle(params: CouplingParameters, k1: float, k2: float) -> A
     Requires finite k1 != k2.  The minus amplitudes come from re-solving with
     (gamma, eta) flipped, which corresponds to exchanging the two particles.
     """
-    for name, k in (("k1", k1), ("k2", k2)):
-        if not np.isfinite(k):
-            raise ValueError(f"oracle momentum {name} = {k} is not finite")
+    finite_array((k1, k2), "oracle momenta (k1, k2)", (2,))
     if k1 == k2:
         raise ValueError("oracle needs distinct momenta k1 != k2")
     s_t_plus, s_r_plus = _solve_bc_system(params, k1, k2)

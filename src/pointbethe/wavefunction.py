@@ -29,6 +29,7 @@ definition in ``tests/reference.py``.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Literal
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from . import _kernels
 from .bethe import BetheState, validate_momenta
 from .couplings import CouplingParameters, contact_residuals, gauge_data
-from .errors import OnBoundary
+from .errors import OnBoundary, finite_array, whole_number
 from .permutations import rank_of, symmetric_group
 
 COINCIDENCE_TOL = 1e-12
@@ -65,24 +66,12 @@ def closest_gap(points) -> np.ndarray:
     return np.diff(np.sort(points, axis=-1), axis=-1).min(axis=-1, initial=np.inf)
 
 
-def _single_point(x, n: int) -> np.ndarray:
-    """x as a float array of n finite coordinates; ValueError naming the bad
-    shape or the non-finite coordinates."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise ValueError(f"need {n} coordinates, got shape {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"x = {x} has non-finite coordinates at 0-based indices {bad.tolist()}")
-    return x
-
-
 def evaluate(state: BetheState, x) -> complex:
     """psi(x); on coincidence hyperplanes, the average of wedge limits.
 
     Raises ValueError unless x holds N finite coordinates.
     """
-    x = _single_point(x, state.n)
+    x = finite_array(x, "point x", (state.n,))
     orders = _tie_orderings(x)
     waves = _kernels.plane_waves(state.k, state.tables.images, x[orders])
     columns = state.columns[rank_of(orders)]
@@ -92,19 +81,21 @@ def evaluate(state: BetheState, x) -> complex:
 def evaluate_grid(state: BetheState, points) -> np.ndarray:
     """Batched evaluation at generic (tie-free) points via the hot kernel.
 
-    Raises ValueError for non-finite coordinates and OnBoundary for a point
-    with two coordinates within COINCIDENCE_TOL; ``evaluate`` handles those.
+    Raises ValueError unless points is an (M, N) array of finite values, and
+    OnBoundary for coordinates within COINCIDENCE_TOL (see ``evaluate``).
     """
-    points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != state.n:
-        raise ValueError(f"need points of shape (M, {state.n}), got {points.shape}")
-    if not np.isfinite(points).all():
-        raise ValueError("evaluate_grid: points hold non-finite coordinates")
+    points = finite_array(points, "points", (None, state.n))
     ties = closest_gap(points) <= COINCIDENCE_TOL
     if ties.any():
         raise OnBoundary(f"evaluate_grid: point {points[ties.argmax()]} has coordinates "
                          f"within {COINCIDENCE_TOL}")
     return _kernels.eval_grid(points, state.k, state.columns, state.tables.images)
+
+
+def _pair(n, j, kk) -> tuple[int, int]:
+    """The plane x_j = x_kk as whole numbers 1 <= j < kk <= n."""
+    j = whole_number(j, "pair index j", 1, n - 1)
+    return j, whole_number(kk, "pair index k", j + 1, n)
 
 
 def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
@@ -114,11 +105,12 @@ def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
 
     The rows and the state ``rng`` is left in are those of a
     draw-and-test loop (``_kernels.uniform_accepted``): the test ignores
-    x_kk, which is set to x_j after acceptance.  Raises ValueError unless
-    1 <= j < kk <= n, and after MAX_DRAWS_PER_SAMPLE * count draws.
+    x_kk, which is set to x_j after acceptance.  Raises ValueError for an n,
+    pair or count that is not whole and in range, and after MAX_DRAWS_PER_SAMPLE * count draws.
     """
-    if not 1 <= j < kk <= n:
-        raise ValueError(f"need 1 <= j < k <= N, got ({j}, {kk})")
+    n = whole_number(n, "N", 2)
+    j, kk = _pair(n, j, kk)
+    count = whole_number(count, "count", 1)
     keep = [a for a in range(n) if a != kk - 1]
     x = _kernels.uniform_accepted(rng, count, n, box, lambda c: closest_gap(c[:, keep]) > min_gap,
                                   "boundary_samples", f"gaps above min_gap={min_gap}")
@@ -137,17 +129,13 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     sample reads two contiguous wedge rows of ``state.columns``, its
     C-contiguous plane waves and its row of ``state.relative_momenta``.
     """
-    n = state.n
-    if not 1 <= j < kk <= n:
-        raise ValueError(f"need 1 <= j < k <= N, got ({j}, {kk})")
+    j, kk = _pair(state.n, j, kk)
     if len(samples) == 0:
         raise ValueError("need at least one sample on the plane")
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != n:
-        raise ValueError(f"need samples of shape (M, {n}), got {x.shape}")
-    off = ~np.isfinite(x).all(axis=1) | (np.abs(x[:, j - 1] - x[:, kk - 1]) > COINCIDENCE_TOL)
+    x = finite_array(samples, "samples", (None, state.n))
+    off = np.abs(x[:, j - 1] - x[:, kk - 1]) > COINCIDENCE_TOL
     if off.any():
-        raise ValueError(f"sample {x[off.argmax()]} is not a finite point on x_{j} = x_{kk}")
+        raise ValueError(f"sample {x[off.argmax()]} is not a point on x_{j} = x_{kk}")
     # with x_kk dropped, any remaining tie is a third collision or a second plane
     ties = closest_gap(np.delete(x, kk - 1, axis=1)) <= COINCIDENCE_TOL
     if ties.any():
@@ -193,8 +181,7 @@ def determinant_coefficients(k, c: float) -> np.ndarray:
     A non-finite c raises ValueError.
     """
     k = validate_momenta(k)
-    if not np.isfinite(c):
-        raise ValueError(f"determinant coupling c = {c} is not finite")
+    finite_array(c, "determinant coupling c")
     tables = symmetric_group(k.size)
     out = np.empty(tables.order, dtype=np.complex128)
     for p_idx in range(tables.order):
@@ -218,10 +205,11 @@ def determinant_bethe_state(k, c: float, statistics: Statistics) -> BetheState:
     k = validate_momenta(k)
     if statistics not in ("boson", "fermion"):
         raise ValueError(f"unknown statistics {statistics!r}")
-    if c == 0:
-        raise ValueError("determinant_bethe_state: c = 0 has no lambda = 1/c")
+    coeff = determinant_coefficients(k, c)  # refuses a non-finite c
+    # 1/c overflows for a tiny c; float division then gives inf without numpy's warning
+    if c == 0 or not math.isfinite(1.0 / float(c)):
+        raise ValueError(f"determinant coupling c = {c} has no finite lambda = 1/c")
     tables = symmetric_group(k.size)
-    coeff = determinant_coefficients(k, c)
     sigma = np.ones(tables.order) if statistics == "boson" else tables.signs.astype(float)
     table = coeff[:, np.newaxis] * sigma[np.newaxis, :]
     table.flags.writeable = False
@@ -252,7 +240,7 @@ def schrodinger_fd_residual(state: BetheState, x, h: float = FD_STEP) -> float:
     stencil would then reach across a coincidence plane, where psi has a
     derivative jump.
     """
-    x = _single_point(x, state.n)
+    x = finite_array(x, "point x", (state.n,))
     return schrodinger_fd_residuals(state, x[np.newaxis], h)[0]
 
 
@@ -265,14 +253,11 @@ def schrodinger_fd_residuals(state: BetheState, points, h: float = FD_STEP) -> n
     and positive and the points have shape (M, N) and finite coordinates,
     and OnBoundary for a point with two coordinates within h.
     """
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"finite-difference step h={h} must be finite and > 0")
+    finite_array(h, "finite-difference step h")
+    if not h > 0:
+        raise ValueError(f"finite-difference step h must be > 0, got {h}")
     n = state.n
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != n:
-        raise ValueError(f"need points of shape (M, {n}), got {points.shape}")
-    if not np.isfinite(points).all():
-        raise ValueError("schrodinger_fd_residuals: points hold non-finite coordinates")
+    points = finite_array(points, "points", (None, n))
     near = closest_gap(points) <= h
     if near.any():
         raise OnBoundary(f"coordinates of {points[near.argmax()]} lie within the "

@@ -42,9 +42,10 @@ def test_validate_momenta_rejects_coincident():
 def test_validate_momenta_rejects_non_finite(bad):
     # a NaN gap compares False with the coincidence threshold, so only an
     # explicit check keeps NaN rows out of the table
-    with pytest.raises(ValueError, match=r"non-finite at 0-based indices \[1\]"):
+    message = r"^momenta must be finite, got non-finite entries at 0-based indices \[1\]$"
+    with pytest.raises(ValueError, match=message):
         validate_momenta([1.0, bad, 0.3])
-    with pytest.raises(ValueError, match=r"non-finite"):
+    with pytest.raises(ValueError, match=message):
         bethe_state(FAMILY1, [1.0, bad, 0.3], np.eye(6)[0])
 
 
@@ -53,12 +54,12 @@ def test_non_finite_coefficients_are_refused(bad):
     # a NaN in A_I used to come back as NaN rows and a NaN oracle residual
     a = np.eye(6, dtype=complex)[0]
     a[[2, 4]] = bad
-    message = r"non-finite at 0-based indices \[2, 4\]"
-    with pytest.raises(ValueError, match=message):
+    message = r" must be finite, got non-finite entries at 0-based indices \[2, 4\]$"
+    with pytest.raises(ValueError, match="^coefficient vector" + message):
         bethe_state(FAMILY1, K3, a)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="^coefficient vector" + message):
         propagate(FAMILY1, K3, a, Permutation((3, 1, 2)))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="^pinned column" + message):
         coefficients_bc_oracle(FAMILY1, K3, a)
 
 
@@ -159,11 +160,18 @@ def test_propagate_rejects_wrong_word():
         propagate(FAMILY1, K3, np.zeros(6), Permutation((3, 2, 1)), word=[1, 2])
 
 
-@pytest.mark.parametrize("word, message", [([0], "letter 0 at 0-based position 0"),
-                                           ([1, 2], "letter 2 at 0-based position 1")])
+# the ids keep the names these cases had under the earlier messages
+@pytest.mark.parametrize("word, message", [
+    ([0], r"position 0 must be a whole number in 1\.\.1, got 0"),
+    ([1, 2], r"position 1 must be a whole number in 1\.\.1, got 2"),
+    ([1.5], r"position 0 must be a whole number in 1\.\.1, got 1\.5"),
+    ([1.0], r"position 0 must be a whole number in 1\.\.1, got 1\.0"),
+], ids=["word0-letter 0 at 0-based position 0", "word1-letter 2 at 0-based position 1",
+        "word2-letter 1.5", "word3-letter 1.0"])
 def test_propagate_rejects_letters_outside_the_sites(word, message):
-    # letter 0 would wrap to the last site through a negative index
-    with pytest.raises(ValueError, match=message):
+    # letter 0 would wrap to the last site through a negative index, and
+    # the floats 1.5 and 1.0 failed as indices with a bare IndexError
+    with pytest.raises(ValueError, match="^word letter at 0-based " + message + "$"):
         propagate(FAMILY1, np.array([1.2, -0.4]), np.array([1.0, 0.0]), identity(2), word=word)
 
 

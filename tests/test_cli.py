@@ -123,14 +123,14 @@ def _no_tables(*args, **kwargs):
 
 
 TOO_MANY = "field N: must be between 1 and 6, got 7"
-MATRIX_N = "matrix check supported for 2 <= N <= 6"
+MATRIX_N = "N must be a whole number in 2..6, got "
 
 
 @pytest.mark.parametrize("args,message", [
     (["coeffs", "--N", "7"], TOO_MANY), (["eigen", "--N", "7"], TOO_MANY),
     (["eigen", "--k", "0.3,0.9,1.5,2.1,-0.4,-1.2,-2.0"], TOO_MANY),
     (["gauge", "--N", "7"], TOO_MANY),
-    (["yb-check", "--N", "7"], MATRIX_N), (["yb-check", "--N", "1"], MATRIX_N),
+    (["yb-check", "--N", "7"], MATRIX_N + "7"), (["yb-check", "--N", "1"], MATRIX_N + "1"),
 ], ids=["coeffs", "eigen", "eigen-k", "gauge", "yb-check-7", "yb-check-1"])
 def test_n_guard_refuses_before_any_table(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.setattr(cli, "bethe_state", _no_tables)

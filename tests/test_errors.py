@@ -1,0 +1,74 @@
+"""The input gate: ``errors.finite_array`` and ``errors.whole_number``, and
+public entry points whose bad arguments once escaped as an IndexError, a
+TypeError or a numpy message that named no argument."""
+
+import numpy as np
+import pytest
+
+from pointbethe.bethe import bethe_state
+from pointbethe.couplings import CouplingParameters
+from pointbethe.errors import finite_array, whole_number
+from pointbethe.factorization import yang_baxter_matrix_check
+from pointbethe.permutations import symmetric_group
+from pointbethe.wavefunction import boundary_samples, evaluate_grid
+
+
+@pytest.mark.parametrize("x, shape, message", [
+    (np.nan, (), r"x must be finite, got nan"),
+    ([1.0, np.inf, 2.0, -np.inf], (None,),
+     r"x must be finite, got non-finite entries at 0-based indices \[1, 3\]"),
+    ([[0.0, 1.0], [np.nan, 1.0], [0.0, -np.inf]], (None, 2),
+     r"x must be finite, got non-finite rows at 0-based indices \[1, 2\]"),
+    ([1.0, 2.0], (3,), r"x must have shape \(3,\), got \(2,\)"),
+    ([[1.0, 2.0]], (None,), r"x must have shape \(M,\), got \(1, 2\)"),
+    (3.0, (None, 2), r"x must have shape \(M, 2\), got \(\)"),
+    ("one", (), r"x must be a numeric array of shape \(\): could not convert"),
+], ids=["scalar", "entries", "rows", "length", "extra-axis", "scalar-for-rows", "text"])
+def test_finite_array_names_the_argument_and_the_fault(x, shape, message):
+    with pytest.raises(ValueError, match="^" + message):
+        finite_array(x, "x", shape)
+
+
+def test_finite_array_returns_a_fresh_c_ordered_array():
+    x = np.asfortranarray(np.ones((2, 3)))
+    out = finite_array(x, "x", (None, 3))
+    assert not np.shares_memory(out, x) and out.flags.c_contiguous
+    assert finite_array([1, 2j], "a", (2,), np.complex128).tolist() == [1, 2j]
+
+
+@pytest.mark.parametrize("x, got", [
+    (True, "True"), (2.0, r"2\.0"), ("3", "'3'"), (0, "0"), (7, "7"),
+], ids=["bool", "float", "text", "below", "above"])
+def test_whole_number_refuses_bools_non_integers_and_values_out_of_range(x, got):
+    with pytest.raises(ValueError, match=rf"^n must be a whole number in 1\.\.6, got {got}$"):
+        whole_number(x, "n", 1, 6)
+
+
+def test_whole_number_returns_a_python_int():
+    n = whole_number(np.int64(3), "n", 1)
+    assert n == 3 and type(n) is int
+    with pytest.raises(ValueError, match=r"^seed must be a whole number >= 0, got -1$"):
+        whole_number(-1, "seed", 0)
+
+
+def _state():
+    return bethe_state(CouplingParameters(2.0, 0.0, 0.0, 1.0), [1.1, -0.3, 0.6], np.eye(6)[0])
+
+
+# each of these raised a TypeError or numpy's own message
+@pytest.mark.parametrize("call, message", [
+    (lambda: symmetric_group(2.0), r"n must be a whole number >= 1, got 2\.0$"),
+    (lambda: symmetric_group(True), r"n must be a whole number >= 1, got True$"),
+    (lambda: yang_baxter_matrix_check(CouplingParameters(2.0), 3.0, [(0.5, 0.2)]),
+     r"N must be a whole number in 2\.\.6, got 3\.0$"),
+    (lambda: boundary_samples(3, 1, 2, np.random.default_rng(0), count=-1),
+     r"count must be a whole number >= 1, got -1$"),
+    (lambda: boundary_samples(3.0, 1, 2, np.random.default_rng(0)),
+     r"N must be a whole number >= 2, got 3\.0$"),
+    (lambda: evaluate_grid(_state(), [[0.1, 0.5, 1.2], [0.3, 0.4]]),
+     r"points must be a numeric array of shape \(M, 3\): "),
+], ids=["symmetric-group-float", "symmetric-group-bool", "yang-baxter-float-n",
+        "boundary-samples-count", "boundary-samples-float-n", "evaluate-grid-ragged"])
+def test_entry_points_name_the_bad_argument(call, message):
+    with pytest.raises(ValueError, match="^" + message):
+        call()

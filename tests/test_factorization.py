@@ -125,15 +125,26 @@ def test_scan_deterministic_for_fixed_seed():
     assert scan_to_csv(scan_couplings(grid)) == scan_to_csv(scan_couplings(grid))
 
 
+# the ids keep the names these cases had under the earlier messages
 @pytest.mark.parametrize("field,value,message", [
     ("c_values", (), "grid axis c_values is empty"),
     ("lam_values", (), "grid axis lam_values is empty"),
     ("gamma_values", (), "grid axis gamma_values is empty"),
     ("eta_values", (), "grid axis eta_values is empty"),
-    ("panel_size", 0, "panel_size must be >= 1, got 0"),
-    ("panel_size", -2, "panel_size must be >= 1, got -2"),
-])
+    ("panel_size", 0, r"panel_size must be a whole number >= 1, got 0"),
+    ("panel_size", -2, r"panel_size must be a whole number >= 1, got -2"),
+    ("panel_size", 2.5, r"panel_size must be a whole number >= 1, got 2\.5"),
+    ("seed", -1, r"seed must be a whole number >= 0, got -1"),
+], ids=["c_values-value0-grid axis c_values is empty",
+        "lam_values-value1-grid axis lam_values is empty",
+        "gamma_values-value2-grid axis gamma_values is empty",
+        "eta_values-value3-grid axis eta_values is empty",
+        "panel_size-0-panel_size must be >= 1, got 0",
+        "panel_size--2-panel_size must be >= 1, got -2",
+        "panel_size-2.5", "seed--1"])
 def test_grid_refuses_an_empty_axis_or_panel(field, value, message):
+    # a panel_size of 2.5 failed in the panel draw with a TypeError, and
+    # seed -1 with numpy's "expected non-negative integer"
     axes = dict(c_values=(0.0,), lam_values=(0.0,), gamma_values=(0.0,), eta_values=(0.0,))
     with pytest.raises(ValueError, match=f"^{message}$"):
         GridSpec(**{**axes, field: value})
@@ -320,6 +331,9 @@ def test_block_reduction_guards():
         block_reduction_check(FAMILY1, 3, 1, 0.9, 1.7)
     with pytest.raises(ValueError):
         block_reduction_check(FAMILY1, 4, 3, 0.9, 1.7)
+    # a site of 1.5 failed as an index with a bare IndexError
+    with pytest.raises(ValueError, match=r"^site i must be a whole number in 1\.\.2, got 1\.5$"):
+        block_reduction_check(FAMILY1, 4, 1.5, 0.9, 1.7)
 
 
 def test_sample_panel_reproducible_and_away_from_poles():
@@ -343,16 +357,20 @@ def test_empty_sample_list_is_refused():
 def test_non_finite_samples_are_refused(bad):
     # np.abs(nan).max() compared inside max() would report a residual of 0.0
     params = CouplingParameters(2.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match=r"sample 1 \(0-based\) \(u, v\) = \(0.3, "):
+    rows = r"^samples must be finite, got non-finite rows at 0-based indices "
+    with pytest.raises(ValueError, match=rows + r"\[1\]$"):
         yang_baxter_matrix_check(params, 3, [(0.5, 0.2), (0.3, bad)])
-    with pytest.raises(ValueError, match=r"sample 0 \(0-based\) \(u, v\) = \((nan|-?inf), 0.2\)"):
+    with pytest.raises(ValueError, match=rows + r"\[0\]$"):
         yang_baxter_matrix_check(params, 3, [(bad, 0.2)])
-    with pytest.raises(ValueError, match=r"sample \(u, v\) = \((nan|-?inf), 0.2\) is not finite"):
+    pair = r"^sample \(u, v\) must be finite, got non-finite entries at 0-based indices "
+    with pytest.raises(ValueError, match=pair + r"\[0\]$"):
         block_reduction_check(params, 4, 1, bad, 0.2)
+    with pytest.raises(ValueError, match=pair + r"\[1\]$"):
+        block_reduction_check(params, 4, 1, 0.2, bad)
     # the panel blamed nan on the couplings as a pole and met inf with a RuntimeWarning
-    with pytest.raises(ValueError, match=r"sample 0 \(0-based\) \(u, v\) = \((nan|-?inf), 1.0\)"):
+    with pytest.raises(ValueError, match=rows + r"\[0\]$"):
         check_factorization_panel(CouplingParameters(2.0), [(bad, 1.0)])
-    with pytest.raises(ValueError, match=r"sample 1 \(0-based\) \(u, v\) = \(0.3, "):
+    with pytest.raises(ValueError, match=rows + r"\[1\]$"):
         check_factorization_panel(CouplingParameters(2.0, 0.5), [(0.9, 1.7), (0.3, bad)])
 
 

@@ -84,15 +84,17 @@ def test_evaluate_grid_refuses_coincident_coordinates():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_evaluate_grid_refuses_non_finite_coordinates(bad):
     state = toy_state()
-    with pytest.raises(ValueError, match="non-finite"):
-        evaluate_grid(state, np.array([[0.1, bad, 1.2]]))
+    with pytest.raises(ValueError, match=r"^points must be finite, got non-finite rows at "
+                                         r"0-based indices \[1\]$"):
+        evaluate_grid(state, np.array([[0.1, 0.5, 1.2], [0.1, bad, 1.2]]))
 
 
 @pytest.mark.parametrize("func", [evaluate, gauge_map], ids=["evaluate", "gauge_map"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_single_point_evaluators_refuse_non_finite_coordinates(func, bad):
     state = toy_state(CouplingParameters(2.0, 0.0, 0.0, 1.0))
-    with pytest.raises(ValueError, match=r"non-finite coordinates at 0-based indices \[1\]"):
+    with pytest.raises(ValueError, match=r"^point x must be finite, got non-finite entries at "
+                                         r"0-based indices \[1\]$"):
         func(state, [0.1, bad, 0.5])
 
 
@@ -322,7 +324,7 @@ def test_contiguous_waves_and_in_place_sums_give_the_reference_bits(params, n, u
 def test_boundary_residual_names_a_bad_sample_shape(samples, shape):
     # a (2, 3, 1) array was reshaped silently, and a wrong size failed with
     # numpy's bare "cannot reshape"
-    with pytest.raises(ValueError, match=r"need samples of shape \(M, 3\), got " + shape):
+    with pytest.raises(ValueError, match=r"^samples must have shape \(M, 3\), got " + shape + "$"):
         boundary_residual(toy_state(), 1, 2, samples)
 
 
@@ -330,19 +332,29 @@ def test_boundary_residual_input_checks():
     state = toy_state()
     with pytest.raises(ValueError):
         boundary_residual(state, 2, 1, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sample \[0\.1 0\.2 0\.3\] is not a point on x_1 = x_2$"):
         boundary_residual(state, 1, 2, [np.array([0.1, 0.2, 0.3])])
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"^samples must be finite, got non-finite rows at "
+                                         r"0-based indices \[0\]$"):
         boundary_residual(state, 1, 2, [np.array([np.nan, np.nan, 0.3])])
+    # k = 2.0 failed as an index with a bare IndexError
+    with pytest.raises(ValueError, match=r"^pair index k must be a whole number in 2\.\.3, got 2\.0$"):
+        boundary_residual(state, 1, 2.0, [np.array([0.1, 0.1, 0.3])])
     with pytest.raises(OnBoundary):
         boundary_residual(state, 1, 2, [np.array([0.1, 0.1, 0.1])])
 
 
-@pytest.mark.parametrize("j, kk", [(0, 2), (2, 2), (3, 1), (1, 4)])
-def test_boundary_samples_refuse_a_pair_off_the_planes(j, kk):
-    # (0, 2) wrapped x_0 round to x_3, (2, 2) gave points on no plane and
-    # (1, 4) raised a bare IndexError
-    with pytest.raises(ValueError, match=r"need 1 <= j < k <= N"):
+@pytest.mark.parametrize("j, kk, message", [
+    (0, 2, r"j must be a whole number in 1\.\.2, got 0"),
+    (2, 2, r"k must be a whole number in 3\.\.3, got 2"),
+    (3, 1, r"j must be a whole number in 1\.\.2, got 3"),
+    (1, 4, r"k must be a whole number in 2\.\.3, got 4"),
+    (1.5, 2, r"j must be a whole number in 1\.\.2, got 1\.5"),
+], ids=["0-2", "2-2", "3-1", "1-4", "1.5-2"])
+def test_boundary_samples_refuse_a_pair_off_the_planes(j, kk, message):
+    # (0, 2) wrapped x_0 round to x_3, (2, 2) gave points on no plane, and
+    # (1, 4) and (1.5, 2) raised a bare IndexError
+    with pytest.raises(ValueError, match="^pair index " + message + "$"):
         boundary_samples(3, j, kk, np.random.default_rng(0))
 
 
@@ -413,16 +425,20 @@ def test_determinant_state_has_the_exchange_symmetry_of_its_statistics():
 
 
 def test_determinant_state_needs_nonzero_c():
-    with pytest.raises(ValueError, match="c = 0"):
-        determinant_bethe_state(K3, 0.0, "boson")
+    # 1/1e-320 overflows: it was blamed on a coupling lam the caller never passed
+    for c in (0.0, 1e-320):
+        with pytest.raises(ValueError, match=rf"^determinant coupling c = {c} has no finite "
+                                             r"lambda = 1/c$"):
+            determinant_bethe_state(K3, c, "boson")
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
 def test_determinant_form_refuses_a_non_finite_c(c):
     # these returned all-NaN coefficients and a NaN psi
-    with pytest.raises(ValueError, match=r"determinant coupling c = -?(nan|inf) is not finite"):
+    message = r"^determinant coupling c must be finite, got -?(nan|inf)$"
+    with pytest.raises(ValueError, match=message):
         determinant_coefficients([0.3, -0.4, 1.1], c)
-    with pytest.raises(ValueError, match="is not finite"):
+    with pytest.raises(ValueError, match=message):
         determinant_bethe_state([0.3, -0.4], c, "fermion")
 
 
@@ -585,21 +601,24 @@ def test_schrodinger_residual_refuses_a_stencil_across_a_boundary():
         schrodinger_fd_residual(state, np.array([0.3, 0.3 + 3e-5, -1.0]))
 
 
+# the ids keep the names these cases had under the earlier messages
 @pytest.mark.parametrize("x, message", [
-    ([0.3, 1.1], r"need 3 coordinates, got shape \(2,\)"),
-    ([[0.3, 1.1, -1.0]], r"need 3 coordinates, got shape \(1, 3\)"),
-    ([0.3, np.nan, -1.0], r"non-finite coordinates at 0-based indices \[1\]"),
-])
+    ([0.3, 1.1], r"have shape \(3,\), got \(2,\)"),
+    ([[0.3, 1.1, -1.0]], r"have shape \(3,\), got \(1, 3\)"),
+    ([0.3, np.nan, -1.0], r"be finite, got non-finite entries at 0-based indices \[1\]"),
+], ids=[r"x0-need 3 coordinates, got shape \(2,\)", r"x1-need 3 coordinates, got shape \(1, 3\)",
+        r"x2-non-finite coordinates at 0-based indices \[1\]"])
 def test_schrodinger_residual_refuses_a_bad_point(x, message):
     # a short point failed inside numpy broadcasting, naming no input
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="^point x must " + message + "$"):
         schrodinger_fd_residual(toy_state(), x)
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
 def test_schrodinger_residual_refuses_a_bad_step(h):
     # h = 0 returned nan; h = nan was blamed on the point's coordinates
-    with pytest.raises(ValueError, match=r"finite-difference step h="):
+    rule = "> 0" if np.isfinite(h) else "finite"
+    with pytest.raises(ValueError, match=rf"^finite-difference step h must be {rule}, got {h}$"):
         schrodinger_fd_residual(toy_state(), np.array([0.3, 1.1, -1.0]), h=h)
 
 
@@ -616,12 +635,16 @@ def test_fd_residual_batch_equals_the_single_point_calls(params, n):
     assert batch.tobytes() == np.array(singles).tobytes() == np.array(before).tobytes()
 
 
+# the ids keep the names these cases had under the earlier messages
 @pytest.mark.parametrize("points, error, message", [
-    (np.zeros((2, 2)), ValueError, r"need points of shape \(M, 3\), got \(2, 2\)"),
-    (np.array([[0.3, np.inf, -1.0]]), ValueError, r"non-finite"),
+    (np.zeros((2, 2)), ValueError, r"points must have shape \(M, 3\), got \(2, 2\)"),
+    (np.array([[0.3, np.inf, -1.0]]), ValueError,
+     r"points must be finite, got non-finite rows at 0-based indices \[0\]"),
     (np.array([[0.3, 1.1, -1.0], [0.3, 0.3 + 3e-5, -1.0]]), OnBoundary,
      r"coordinates of \[ ?0\.3 .*finite-difference step h=0\.0001"),
-])
+], ids=[r"points0-ValueError-need points of shape \(M, 3\), got \(2, 2\)",
+        "points1-ValueError-non-finite", "points2-OnBoundary-coordinates of \\[ ?0\\.3 "
+        ".*finite-difference step h=0\\.0001"])
 def test_fd_residual_batch_refuses_bad_points(points, error, message):
     with pytest.raises(error, match=message):
         schrodinger_fd_residuals(toy_state(), points)
