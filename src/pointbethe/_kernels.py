@@ -29,8 +29,8 @@ Layout contracts (all indices 0-based):
 * ``relative_momenta[(N-1, F)]`` (``BetheState.relative_momenta``):
   entry (s, p) is 1j * (k_{P(s+1)} - k_{P(s+2)}), the relative derivative
   factor of wave P across site s + 1.
-* ``columns[(F, F)]``: the coefficient table transposed and C-contiguous,
-  ``columns[q, p]`` = A_P(Q), so a wedge's column is one contiguous row.
+* ``columns[(F, F)]``: the transpose of the Fortran-ordered table, a free
+  C-contiguous view, ``columns[q, p]`` = A_P(Q): a wedge's column is one row.
 * ``tmaps[(N-1, F)]``, ``asc[(N-1, F)]``: right-multiplication index map
   and ascent flags per transposition site.
 * ``last_site[(F,)]``: last letter of each canonical word, -1 for the
@@ -208,7 +208,7 @@ def propagate_table(a_identity, tables: SymmetricGroupTables,
                      tables.images[parents, sites + 1]], axis=1).tolist()
     parts = functools.cache(lambda s, a, b: step_parts(tables, s, srp[a, b], srm[a, b],
                                                        stp[a, b], stm[a, b]))
-    out = np.empty((tables.order, tables.order), dtype=np.complex128)
+    out = np.empty((tables.order, tables.order), dtype=np.complex128, order="F")
     out[0] = a_identity
     for p, parent, s, a, b in plan:
         out[p] = yang_apply(parts(s, a, b), out[parent])

@@ -108,13 +108,12 @@ class BetheState:
     """Momenta, couplings and the full coefficient table A_P(Q).
 
     ``table[p, q]`` is A_P(Q) with both indices 0-based in rank order.
-    ``columns`` is the same table as a C-contiguous transpose,
-    ``columns[q, p]`` = A_P(Q), so the wedge column A_.(Q) is one
-    contiguous row: a view when the table is Fortran-ordered, one copy
-    made on first use otherwise.  Every array of a state is read-only: a
-    ``k`` or ``table`` that is not a read-only owner of its data is copied
-    in its layout and frozen, so no cached copy can go stale.
-    ``relative_momenta``, also made on first use, is the (N-1, N!) table
+    The table is Fortran-ordered, read-only and owns its data: a ``k`` or
+    ``table`` that is not such an array is copied Fortran-ordered and
+    frozen, so no cached array can go stale.  ``columns`` is its
+    transpose, a C-contiguous view, ``columns[q, p]`` = A_P(Q): the wedge
+    column A_.(Q) is one contiguous row.
+    ``relative_momenta``, made on first use, is the (N-1, N!) table
     1j * (k_{P(s+1)} - k_{P(s+2)}) at 0-based row s and column rank(P):
     the relative derivative factor of wave P across site s + 1, which
     every boundary check of the state reads.
@@ -127,8 +126,9 @@ class BetheState:
     def __post_init__(self):
         for name in ("k", "table"):
             x = getattr(self, name)
-            if not isinstance(x, np.ndarray) or x.flags.writeable or not x.flags.owndata:
-                x = np.array(x, order="K")
+            if (not isinstance(x, np.ndarray) or x.flags.writeable or not x.flags.owndata
+                    or not x.flags.f_contiguous):
+                x = np.array(x, order="F")
                 x.flags.writeable = False
                 object.__setattr__(self, name, x)
 
@@ -144,9 +144,9 @@ class BetheState:
     def tables(self) -> SymmetricGroupTables:
         return symmetric_group(self.n)
 
-    @cached_property
+    @property
     def columns(self) -> np.ndarray:
-        return np.ascontiguousarray(self.table.T)
+        return self.table.T
 
     @cached_property
     def relative_momenta(self) -> np.ndarray:

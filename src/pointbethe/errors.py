@@ -42,15 +42,18 @@ def _shape_text(shape) -> str:
     return str(tuple("M" if n is None else n for n in shape)).replace("'", "")  # (M, 3)
 
 
-def finite_array(x, what: str, shape=(), dtype=np.float64) -> np.ndarray:
+def finite_array(x, what: str, shape=(), dtype=np.float64, empty: str | None = None) -> np.ndarray:
     """x as a fresh C-ordered ``dtype`` array of ``shape`` (None: any length)
     with finite entries; the ValueError names ``what`` and the shapes or the
-    0-based indices of the non-finite entries (rows, for 2D)."""
+    0-based indices of the non-finite entries (rows, for 2D), or is the
+    message ``empty``, when given, for an x with no entries."""
     try:
         # shape () gives a numpy scalar, a third of the cost of a 0-d array
         a = np.array(x, dtype=dtype, order="C") if shape else dtype(x)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numeric
         raise ValueError(f"{what} must be a numeric array of shape {_shape_text(shape)}: {exc}")
+    if empty and a.size == 0:
+        raise ValueError(empty)
     if a.shape != shape and (a.ndim != len(shape)
                              or any(n not in (None, m) for n, m in zip(shape, a.shape))):
         raise ValueError(f"{what} must have shape {_shape_text(shape)}, got {a.shape}")

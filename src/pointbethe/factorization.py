@@ -53,13 +53,6 @@ class FactorizationReport:
         return float(self.residuals.max())
 
 
-def _finite_samples(samples) -> np.ndarray:
-    """samples as a fresh (S, 2) array of (u, v) rows: at least one, all finite."""
-    if len(samples) == 0:
-        raise ValueError("need at least one (u, v) sample")
-    return finite_array(samples, "samples", (None, 2))
-
-
 def check_factorization_panel(params: CouplingParameters,
                               samples) -> FactorizationReport:
     """All thirteen identity residuals, maxed over a panel of (u, v) pairs.
@@ -67,7 +60,7 @@ def check_factorization_panel(params: CouplingParameters,
     Empty or non-finite samples raise ValueError, and an amplitude pole
     inside the panel raises PoleAtU.
     """
-    samples = _finite_samples(samples)
+    samples = finite_array(samples, "samples", (None, 2), empty="need at least one (u, v) sample")
     grid = np.array([params.astuple()])
     res = _kernels.factorization_panel(grid, samples[:, 0], samples[:, 1])[0]
     if not np.all(np.isfinite(res)):
@@ -88,7 +81,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("c_values", "lam_values", "gamma_values", "eta_values"):
-            if not getattr(self, name):
+            if finite_array(getattr(self, name), f"grid axis {name}", (None,)).size == 0:
                 raise ValueError(f"grid axis {name} is empty")
         whole_number(self.panel_size, "panel_size", 1)
         whole_number(self.seed, "seed", 0)
@@ -196,7 +189,8 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
     that meets it.  Empty or non-finite samples raise ValueError.
     """
     n = whole_number(n, "N", 2, MAX_N)
-    us, vs = _finite_samples(samples).T.tolist()
+    us, vs = finite_array(samples, "samples", (None, 2),
+                          empty="need at least one (u, v) sample").T.tolist()
     tables = symmetric_group(n)
     arguments = {"u": us, "-u": [-u for u in us],
                  "v": vs, "u+v": [u + v for u, v in zip(us, vs)]}

@@ -106,11 +106,14 @@ def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
     The rows and the state ``rng`` is left in are those of a
     draw-and-test loop (``_kernels.uniform_accepted``): the test ignores
     x_kk, which is set to x_j after acceptance.  Raises ValueError for an n,
-    pair or count that is not whole and in range, and after MAX_DRAWS_PER_SAMPLE * count draws.
+    pair or count that is not whole and in range, a box or min_gap that is
+    not finite and > 0 or >= 0, and after MAX_DRAWS_PER_SAMPLE * count draws.
     """
     n = whole_number(n, "N", 2)
     j, kk = _pair(n, j, kk)
     count = whole_number(count, "count", 1)
+    if not (finite_array(box, "box") > 0 and finite_array(min_gap, "min_gap") >= 0):
+        raise ValueError(f"need box > 0 and min_gap >= 0, got box={box}, min_gap={min_gap}")
     keep = [a for a in range(n) if a != kk - 1]
     x = _kernels.uniform_accepted(rng, count, n, box, lambda c: closest_gap(c[:, keep]) > min_gap,
                                   "boundary_samples", f"gaps above min_gap={min_gap}")
@@ -130,9 +133,8 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     C-contiguous plane waves and its row of ``state.relative_momenta``.
     """
     j, kk = _pair(state.n, j, kk)
-    if len(samples) == 0:
-        raise ValueError("need at least one sample on the plane")
-    x = finite_array(samples, "samples", (None, state.n))
+    x = finite_array(samples, "samples", (None, state.n),
+                     empty="need at least one sample on the plane")
     off = np.abs(x[:, j - 1] - x[:, kk - 1]) > COINCIDENCE_TOL
     if off.any():
         raise ValueError(f"sample {x[off.argmax()]} is not a point on x_{j} = x_{kk}")
@@ -211,7 +213,7 @@ def determinant_bethe_state(k, c: float, statistics: Statistics) -> BetheState:
         raise ValueError(f"determinant coupling c = {c} has no finite lambda = 1/c")
     tables = symmetric_group(k.size)
     sigma = np.ones(tables.order) if statistics == "boson" else tables.signs.astype(float)
-    table = coeff[:, np.newaxis] * sigma[np.newaxis, :]
+    table = np.multiply(coeff[:, np.newaxis], sigma[np.newaxis, :], order="F")
     table.flags.writeable = False
     params = CouplingParameters(c=c, lam=1.0 / c)
     return BetheState(params=params, k=k, table=table)
@@ -224,10 +226,7 @@ def gauge_transformed_state(state: BetheState) -> BetheState:
     exp(-i alpha inv(Q)), so the transformed table is column-scaled.
     """
     gd = gauge_data(state.params)
-    tables = state.tables
-    col_phase = np.exp(-1j * gd.alpha * tables.inversion_counts)
-    # Fortran order makes the mapped state's ``columns`` a free view
-    table = np.multiply(state.table, col_phase[np.newaxis, :], order="F")
+    table = state.table * np.exp(-1j * gd.alpha * state.tables.inversion_counts)
     table.flags.writeable = False
     return BetheState(params=CouplingParameters(c=gd.c_tilde), k=state.k, table=table)
 

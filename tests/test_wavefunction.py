@@ -220,16 +220,46 @@ def test_boundary_residual_batch_matches_single_samples(params):
         assert boundary_residual(state, j, kk, samples) == tuple(map(max, zip(*singles)))
 
 
-def test_columns_is_the_contiguous_transpose_of_the_table():
-    state = toy_state()
-    assert state.columns.flags.c_contiguous
-    assert np.array_equal(state.columns, state.table.T)
-    # the mapped table is written Fortran-ordered, so its columns are a
-    # view and a gauge check holds two tables, not three
-    mapped = gauge_transformed_state(state)
-    assert mapped.columns.flags.c_contiguous
-    assert np.array_equal(mapped.columns, mapped.table.T)
-    assert np.shares_memory(mapped.columns, mapped.table)
+def _read_only_view(table):
+    view = np.ascontiguousarray(table)[:]  # shares, and does not own, the copy's data
+    view.flags.writeable = False
+    return view
+
+
+def _strided_slice(table):
+    big = np.zeros((2 * len(table), 2 * len(table)), dtype=table.dtype)
+    big[::2, ::2] = table
+    return big[::2, ::2]
+
+
+def _hand_built(layout):
+    def build():
+        ref = toy_state()
+        return BetheState(params=ref.params, k=ref.k, table=layout(ref.table)), ref.table
+    return build
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (toy_state(), None),
+    lambda: (determinant_bethe_state(K3, 1.5, "fermion"), None),
+    lambda: (gauge_transformed_state(toy_state()), None),
+    _hand_built(np.ascontiguousarray),
+    _hand_built(np.asfortranarray),
+    _hand_built(lambda table: table.copy(order="F")),
+    _hand_built(_read_only_view),
+    _hand_built(_strided_slice),
+], ids=["bethe_state", "determinant_bethe_state", "gauge_transformed_state", "c-array",
+        "f-array", "writeable", "read-only-view", "strided-slice"])
+def test_every_table_is_a_frozen_fortran_owner_and_columns_a_free_view(build):
+    state, source = build()
+    table = state.table
+    assert table.flags.f_contiguous and table.flags.owndata and not table.flags.writeable
+    assert state.k.flags.owndata and not state.k.flags.writeable
+    # a wedge column A_.(Q) is one contiguous row of the transpose, at no copy
+    assert state.columns.flags.c_contiguous and np.shares_memory(state.columns, table)
+    assert np.array_equal(state.columns, table.T)
+    if source is not None:
+        assert np.array_equal(table, source)
 
 
 @pytest.mark.parametrize("build", [
@@ -238,7 +268,7 @@ def test_columns_is_the_contiguous_transpose_of_the_table():
     lambda: determinant_bethe_state(K3, 1.5, "fermion").table,
 ], ids=["bethe_state", "gauge_transformed_state", "determinant_bethe_state"])
 def test_library_tables_are_read_only(build):
-    # an in-place write would leave a cached ``columns`` stale
+    # a state's arrays cannot change under it
     table = build()
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 0.0
@@ -252,7 +282,7 @@ def test_a_state_does_not_alias_the_callers_arrays():
     rng = np.random.default_rng(6)
     points = rng.uniform(-3.0, 3.0, (20, 3))
     samples = boundary_samples(3, 1, 3, rng, count=20)
-    evaluate_grid(state, points)  # caches ``columns`` before the writes
+    evaluate_grid(state, points)  # reads the state before the writes
     table *= 2
     k += 1.0
     assert np.array_equal(evaluate_grid(state, points), evaluate_grid(ref, points))
@@ -276,20 +306,20 @@ def test_bethe_state_keeps_the_table_it_fills(monkeypatch):
 def test_results_do_not_depend_on_the_table_layout(params, n):
     k = np.linspace(1.2, -1.1, n) + np.random.default_rng(n).uniform(-0.1, 0.1, n)
     table = toy_state(params, k, seed=n).table
-    c_state, f_state = [BetheState(params=params, k=k, table=layout(table))
-                        for layout in (np.ascontiguousarray, np.asfortranarray)]
-    assert c_state.table.flags.c_contiguous and f_state.table.flags.f_contiguous
+    ref, *states = [BetheState(params=params, k=k, table=layout(table)) for layout in
+                    (np.ascontiguousarray, np.asfortranarray, _read_only_view, _strided_slice)]
     rng = np.random.default_rng(20 + n)
     for j, kk in ((1, 2), (2, n), (n - 1, n)):
         samples = boundary_samples(n, j, kk, rng, count=20)
-        assert boundary_residual(c_state, j, kk, samples) == \
-            boundary_residual(f_state, j, kk, samples)
+        want = boundary_residual(ref, j, kk, samples)
+        assert all(boundary_residual(state, j, kk, samples) == want for state in states)
     points = rng.uniform(-3.0, 3.0, (40, n))
-    assert np.array_equal(evaluate_grid(c_state, points), evaluate_grid(f_state, points))
+    want = evaluate_grid(ref, points)
+    assert all(np.array_equal(evaluate_grid(state, points), want) for state in states)
     tie = points[0].copy()
     tie[1] = tie[0]  # a point on x1 = x2 averages two wedges
     for x in (points[1], tie):
-        assert evaluate(c_state, x) == evaluate(f_state, x)
+        assert all(evaluate(state, x) == evaluate(ref, x) for state in states)
 
 
 @pytest.mark.parametrize("params", [FAMILY1, FAMILY2], ids=["family1", "family2"])
