@@ -20,7 +20,10 @@ Each wave is a product of the N^2 phase factors exp(i k_a x_j) of its
 point, so M points cost M N^2 exponentials, not M N!.  Every Y step,
 the table fill's included, is ``yang_apply`` on ``step_parts``; every
 rejection sampler is ``uniform_accepted``; every array gathered from
-scalar ``amplitudes`` calls comes from ``amplitude_columns``.
+scalar ``amplitudes`` calls comes from ``amplitude_columns``.  Calls that
+are independent of each other and may run at once, such as the boundary
+checks of one state's N(N-1)/2 pairs, go through ``thread_map``, which
+runs them on one process-wide thread pool and returns what a loop would.
 
 Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
@@ -50,6 +53,7 @@ Layout contracts (all indices 0-based):
 from __future__ import annotations
 
 import functools
+import os
 
 import numpy as np
 
@@ -275,3 +279,29 @@ def sample_panel(seed: int, count: int = 100, box: float = 5.0, min_sep: float =
 
     return uniform_accepted(np.random.default_rng(seed), count, 2, box, accept, "sample_panel",
                             f"|u|, |v|, |u+v| >= min_sep={min_sep}")
+
+
+@functools.cache
+def _pool():
+    """The process-wide thread pool of ``thread_map``, made on first use,
+    with one worker per CPU this process may run on.  concurrent.futures
+    is imported here, so a process that never maps pays nothing for it."""
+    from concurrent.futures import ThreadPoolExecutor
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:  # not on every platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, thread_name_prefix="pointbethe")
+
+
+def thread_map(fn, *iterables) -> list:
+    """``list(map(fn, *iterables))``, the calls run on the process-wide pool.
+
+    Results come back in item order.  If calls raise, the exception of
+    the first failing item in that order is raised, the one a loop would
+    raise first.  The calls run at once, so ``fn`` must not write shared
+    state (a cached property it reads has to exist before the call), and
+    must not itself call ``thread_map``.  numpy releases the GIL in its
+    array loops, so calls dominated by them run in parallel.
+    """
+    return list(_pool().map(fn, *iterables))

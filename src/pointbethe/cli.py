@@ -246,11 +246,20 @@ def _table_state(cfg: RunConfig, gate=None) -> BetheState:
 
 def _pair_lines(cfg: RunConfig, state: BetheState, label: str, rng) -> float:
     """One line of contact-condition residuals per boundary pair (j, k),
-    j < k, on samples drawn from rng; returns their maximum."""
+    j < k, on samples drawn from rng; returns their maximum.
+
+    The samples of every pair are drawn first, in pair order, so rng
+    gives the same points as a draw-and-check loop; the checks then run
+    at once on ``_kernels.thread_map``, and the lines and the maximum do
+    not depend on how many threads it has.
+    """
+    pairs = list(itertools.combinations(range(1, state.n + 1), 2))
+    samples = [boundary_samples(state.n, j, kk, rng, count=50) for j, kk in pairs]
+    state.relative_momenta  # made here, so that no check builds the cached table
+    residuals = _kernels.thread_map(lambda pair, x: boundary_residual(state, *pair, x),
+                                    pairs, samples)
     worst = 0.0
-    for j, kk in itertools.combinations(range(1, state.n + 1), 2):
-        samples = boundary_samples(state.n, j, kk, rng, count=50)
-        r1, r2 = boundary_residual(state, j, kk, samples)
+    for (j, kk), (r1, r2) in zip(pairs, residuals):
         cfg.lines.append(f"{label} ({j},{kk}): residuals {r1:.3e} {r2:.3e}")
         worst = _worst(worst, r1, r2)
     return worst
@@ -339,9 +348,9 @@ def run_eigen(cfg: RunConfig) -> int:
 
 
 def run_gauge(cfg: RunConfig) -> int:
-    state = _table_state(cfg, gate=gauge_data)  # NotGaugeFamily before the fill
-    gd = gauge_data(state.params)
-    mapped = gauge_transformed_state(state)
+    # NotGaugeFamily before the fill; the (c, eta) table is dropped once mapped
+    mapped = gauge_transformed_state(_table_state(cfg, gate=gauge_data))
+    gd = gauge_data(cfg.scalar_params())
     cfg.lines.append(f"alpha = {gd.alpha:.17g}")
     cfg.lines.append(f"c_tilde = {gd.c_tilde:.17g}")
     worst = _pair_lines(cfg, mapped, "delta-gas boundary", np.random.default_rng(cfg.seed))

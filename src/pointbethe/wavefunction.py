@@ -168,7 +168,8 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     above = state.columns[qt_idx]
     above *= waves
     v_plus = above.sum(axis=1)
-    d_plus = -(above * du).sum(axis=1)
+    above *= du
+    d_plus = -above.sum(axis=1)
 
     r1, r2 = contact_residuals(state.params, v_minus, d_minus, v_plus, d_plus)
     # hypot gives the bits of the scalar abs(); np.abs on complex arrays
