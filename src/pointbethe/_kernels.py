@@ -19,8 +19,8 @@ sign and one identity at a time.
 Each wave is a product of the N^2 phase factors exp(i k_a x_j) of its
 point, so M points cost M N^2 exponentials, not M N!.  Every Y step,
 the table fill's included, is ``yang_apply`` on ``step_parts``; every
-rejection sampler is ``uniform_accepted``; every array gathered from
-scalar ``amplitudes`` calls comes from ``amplitude_columns``.  Calls that
+rejection sampler is ``uniform_accepted``; every amplitude array comes
+from ``scattering.amplitude_arrays``.  Calls that
 are independent of each other and may run at once, such as the boundary
 checks of one state's N(N-1)/2 pairs, go through ``thread_map``, which
 runs them on one process-wide thread pool and returns what a loop would.
@@ -58,7 +58,7 @@ import os
 import numpy as np
 
 from .permutations import SymmetricGroupTables, rank_of
-from .scattering import amplitude_arrays, amplitudes
+from .scattering import amplitude_arrays, amplitude_columns
 
 BACKEND = "numpy"
 
@@ -219,19 +219,10 @@ def propagate_table(a_identity, tables: SymmetricGroupTables,
     return out
 
 
-def amplitude_columns(params, us) -> np.ndarray:
-    """S_R^+, S_R^-, S_T^+, S_T^- at each u of ``us``, shape (4, len(us)),
-    from one ``amplitudes`` call per u in order: the first pole raises."""
-    out = np.empty((4, len(us)), dtype=np.complex128)
-    for j, u in enumerate(us):
-        amp = amplitudes(params, u)
-        out[:, j] = amp.s_r_plus, amp.s_r_minus, amp.s_t_plus, amp.s_t_minus
-    return out
-
-
 def pair_amplitude_tables(params, k) -> np.ndarray:
-    """``amplitude_columns`` at u = k[a] - k[b] in entry [:, a, b], a != b,
-    evaluated in row-major order; the diagonal is 0 and unused."""
+    """``scattering.amplitude_columns`` at u = k[a] - k[b] in entry
+    [:, a, b], a != b, taken in row-major order, so the first pole in that
+    order raises; the diagonal is 0 and unused."""
     k = np.asarray(k, dtype=np.float64)
     pairs = ~np.eye(len(k), dtype=bool)
     out = np.zeros((4, len(k), len(k)), dtype=np.complex128)

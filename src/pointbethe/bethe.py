@@ -38,6 +38,7 @@ space, a stack of N!^2 / 2^floor(N/2) tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,9 +109,11 @@ class BetheState:
     """Momenta, couplings and the full coefficient table A_P(Q).
 
     ``table[p, q]`` is A_P(Q) with both indices 0-based in rank order.
-    The table is Fortran-ordered, read-only and owns its data: a ``k`` or
-    ``table`` that is not such an array is copied Fortran-ordered and
-    frozen, so no cached array can go stale.  ``columns`` is its
+    ``k`` passes ``validate_momenta`` and the table must be N! x N!.  The
+    table is a complex, Fortran-ordered, read-only array that owns its
+    data: a ``table`` that is not such an array is checked for finite
+    entries and copied Fortran-ordered, and ``k`` is always a fresh
+    frozen copy, so no cached array can go stale.  ``columns`` is its
     transpose, a C-contiguous view, ``columns[q, p]`` = A_P(Q): the wedge
     column A_.(Q) is one contiguous row.
     ``relative_momenta``, made on first use, is the (N-1, N!) table
@@ -124,13 +127,18 @@ class BetheState:
     table: np.ndarray
 
     def __post_init__(self):
-        for name in ("k", "table"):
-            x = getattr(self, name)
-            if (not isinstance(x, np.ndarray) or x.flags.writeable or not x.flags.owndata
-                    or not x.flags.f_contiguous):
-                x = np.array(x, order="F")
-                x.flags.writeable = False
-                object.__setattr__(self, name, x)
+        k = validate_momenta(self.k)
+        k.flags.writeable = False
+        object.__setattr__(self, "k", k)
+        f = math.factorial(k.size)
+        table = self.table
+        if not (isinstance(table, np.ndarray) and table.shape == (f, f)
+                and table.dtype == np.complex128 and table.flags.f_contiguous
+                and table.flags.owndata and not table.flags.writeable):
+            table = np.asfortranarray(finite_array(table, "coefficient table", (f, f),
+                                                   np.complex128))
+            table.flags.writeable = False
+            object.__setattr__(self, "table", table)
 
     @property
     def n(self) -> int:
@@ -286,10 +294,6 @@ class OracleResult:
     residual: float          # max |equation violation| at the solution
     nullity: int             # dimension of the homogeneous solution space
     expected_nullity: int    # N! when the ansatz is consistent
-
-    @property
-    def rank_deficient(self) -> bool:
-        return self.nullity != self.expected_nullity
 
 
 def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> OracleResult:

@@ -9,7 +9,8 @@ comma-separated list are configuration errors.
 Reports are plain UTF-8 with the resolved configuration echoed in
 ``# key = value`` header lines followed by human-readable summary lines and
 machine-readable CSV blocks.  Identical configuration and seed produce
-byte-identical reports.
+byte-identical reports, except that ``coeffs`` at N <= 4 repeats its bytes
+only at a fixed CPU count (its oracle's BLAS solve is threaded).
 
 Exit status: 0 all residuals within tolerance, 1 configuration error,
 2 residual failure, 3 pole or degenerate input.

@@ -36,6 +36,7 @@ from .bethe import MAX_N
 from .couplings import CouplingParameters, integrable_family
 from .errors import PoleAtU, finite_array, whole_number
 from .permutations import rank_of, symmetric_group
+from .scattering import amplitude_columns
 
 PASS_TOL = 1e-8    # below: point counts as satisfying the identities
 FAIL_FLOOR = 1e-3  # above: point counts as violating them
@@ -190,14 +191,13 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
     """
     n = whole_number(n, "N", 2, MAX_N)
     us, vs = finite_array(samples, "samples", (None, 2),
-                          empty="need at least one (u, v) sample").T.tolist()
+                          empty="need at least one (u, v) sample").T
     tables = symmetric_group(n)
-    arguments = {"u": us, "-u": [-u for u in us],
-                 "v": vs, "u+v": [u + v for u, v in zip(us, vs)]}
+    arguments = {"u": us, "-u": -us, "v": vs, "u+v": us + vs}
 
     @functools.cache
     def columns(w):  # S_R^+, S_R^-, S_T^+, S_T^- at argument w of every sample, (S, 1) each
-        return _kernels.amplitude_columns(params, arguments[w])[..., np.newaxis]
+        return amplitude_columns(params, arguments[w])[..., np.newaxis]
 
     def product(m, *steps):  # Y_{i_L}(w_L) ... Y_{i_1}(w_1) on the stacked S_m identities
         group = symmetric_group(m)

@@ -49,29 +49,12 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        """Image of i, 1-based."""
-        return self.images[i - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
     def right_t(self, i: int) -> "Permutation":
         """Right-multiply by the adjacent transposition T_i (1 <= i < N)."""
         whole_number(i, "transposition index i", 1, self.n - 1)
         img = list(self.images)
         img[i - 1], img[i] = img[i], img[i - 1]
         return Permutation(tuple(img))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
-
-    @property
-    def sign(self) -> int:
-        return 1 if inversions(self) % 2 == 0 else -1
 
 
 def identity(n: int) -> Permutation:
@@ -81,18 +64,6 @@ def identity(n: int) -> Permutation:
 def transposition(n: int, i: int) -> Permutation:
     """The adjacent transposition T_i in S_n, swapping i and i+1."""
     return identity(n).right_t(i)
-
-
-def compose(q: Permutation, r: Permutation) -> Permutation:
-    """Function composition (q r)(i) = q(r(i)); r acts first."""
-    if q.n != r.n:
-        raise ValueError(f"size mismatch: {q.n} vs {r.n}")
-    return Permutation(tuple(q.images[v - 1] for v in r.images))
-
-
-def inversions(q: Permutation) -> int:
-    img = q.images
-    return sum(1 for a in range(q.n) for b in range(a + 1, q.n) if img[a] > img[b])
 
 
 def _cycle_digits(q: Permutation):
@@ -110,7 +81,7 @@ def decompose(q: Permutation) -> list[int]:
 
     Built from the rank recursion: peel the cycle C_n = T_{N-n}...T_{N-1}
     that places the last entry, then recurse on the S_{N-1} remainder.
-    The word multiplies out left to right under ``compose``.
+    The word multiplies out left to right: q = T_{i_1} ... T_{i_L}.
     """
     return [i for m, nn in _cycle_digits(q) for i in range(m - nn, m)]
 

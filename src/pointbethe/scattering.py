@@ -11,10 +11,12 @@ and the minus amplitudes are the same expressions with
 (gamma, eta) -> (-gamma, -eta); they describe scattering with the two
 particles' roles exchanged.  D(u) sees them only through gamma^2 and
 eta^2, so one D(u) and one pole-guard test serve both particle orders.
-``amplitudes_bvp_oracle`` rederives the same numbers by substituting the
-two-particle plane-wave ansatz into the contact boundary conditions and
-solving the resulting 2x2 linear system; it shares no algebra with the
-closed form and is used to validate it.
+``amplitude_arrays`` is the one evaluator of the formula and holds that
+one test; ``amplitude_columns`` and its one-point case ``amplitudes``
+read it.  ``amplitudes_bvp_oracle`` rederives the same numbers by
+substituting the two-particle plane-wave ansatz into the contact boundary
+conditions and solving the resulting 2x2 linear system; it shares no
+algebra with the closed form and is used to validate it.
 
 For real u the denominator can only vanish at u = 0 with c = 0; bound-state
 poles sit at complex u and are out of scope, but a guard band around any
@@ -23,7 +25,6 @@ small denominator raises PoleAtU rather than returning garbage.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,31 +63,48 @@ def _closed_form(c, lam, gamma, eta, u):
 
 def amplitude_arrays(c: float, lam: float, gamma: float, eta: float, u: np.ndarray):
     """(S_T^+, S_R^+, S_T^-, S_R^-, ok) over an array of u; ``ok`` is False
-    inside the pole guard, where entries hold filler, not amplitudes.  The
-    couplings must broadcast against u to the shape of the result.
+    inside the pole guard, where entries hold filler, not amplitudes.  A
+    denominator that overflowed to NaN is not inside the guard: its
+    amplitudes come out NaN.  The couplings must broadcast against u to
+    the shape of the result.
     """
     *nums, den = _closed_form(c, lam, gamma, eta, u)
-    ok = np.abs(den) > POLE_GUARD * np.maximum(1.0, u * u)
-    safe = np.where(ok, den, 1.0)
+    pole = np.abs(den) <= POLE_GUARD * np.maximum(1.0, u * u)
+    safe = np.where(pole, 1.0, den)
     for num in nums:
         np.divide(num, safe, out=num)
-    return (*nums, ok)
+    return (*nums, ~pole)
+
+
+def amplitude_columns(params: CouplingParameters, us) -> np.ndarray:
+    """S_R^+, S_R^-, S_T^+, S_T^- at each u of ``us``, shape (4, len(us)),
+    from one ``amplitude_arrays`` call.
+
+    Raises PoleAtU at the first u, in order, inside the pole guard or whose
+    amplitudes overflow (huge couplings), and ValueError for a non-finite u.
+    """
+    us = finite_array(us, "relative momenta u", (None,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stp, srp, stm, srm, ok = amplitude_arrays(*params.astuple(), us)
+        out = np.array([srp, srm, stp, stm])
+        bad = ~ok | ~np.isfinite(out).all(axis=0)
+        if bad.any():
+            j = int(bad.argmax())
+            u = float(us[j])
+            if not ok[j]:
+                den = _closed_form(*params.astuple(), u)[-1]  # for the message only
+                raise PoleAtU(f"amplitude denominator {den:.3e} at u={u}")
+            raise PoleAtU(f"amplitudes at u={u} are not finite for couplings {params.astuple()}")
+    return out
 
 
 def amplitudes(params: CouplingParameters, u: float) -> AmplitudeSet:
-    """Closed-form amplitudes at relative momentum u.
-
-    Raises PoleAtU inside the denominator's guard band or where the formula
-    overflows (huge couplings), and ValueError for a non-finite u.
+    """Closed-form amplitudes at relative momentum u: ``amplitude_columns``
+    at the one point u, with its PoleAtU, and ValueError for a non-finite u.
     """
-    finite_array(u, "relative momentum u")
-    *nums, den = _closed_form(*params.astuple(), u)
-    if abs(den) <= POLE_GUARD * max(1.0, u * u):
-        raise PoleAtU(f"amplitude denominator {den:.3e} at u={u}")
-    amps = [num / den for num in nums]
-    if not all(map(cmath.isfinite, amps)):
-        raise PoleAtU(f"amplitudes at u={u} are not finite for couplings {params.astuple()}")
-    return AmplitudeSet(*amps, float(u))
+    u = float(finite_array(u, "relative momentum u"))
+    s_r_plus, s_r_minus, s_t_plus, s_t_minus = amplitude_columns(params, [u])[:, 0].tolist()
+    return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus, u)
 
 
 def _solve_bc_system(params: CouplingParameters, k1, k2):

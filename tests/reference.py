@@ -1,6 +1,7 @@
 """Paper-definition references the tests compare the package against: the
 contact conditions in U-matrix form with their self-adjointness relation,
-the scalar rank recursion, the right regular representation, the sparse and
+composition and inversion counts of one-line forms, the scalar rank
+recursion, the right regular representation, the sparse and
 the dense N! x N! Y_i(u) at one u, the periodic pattern of its diagonals,
 the Yang-Baxter relations formed one sample at a time, the (u, v) panel
 drawn one candidate at a time, the factorization panel formed one
@@ -67,6 +68,19 @@ def unrank(n: int, j: int) -> Permutation:
         cyc = _cycle_to(m, nn)
         images[:m] = [cyc[v - 1] for v in images[:m]]
     return Permutation(tuple(images))
+
+
+def compose(q: Permutation, r: Permutation) -> Permutation:
+    """Function composition (q r)(i) = q(r(i)); r acts first."""
+    if q.n != r.n:
+        raise ValueError(f"size mismatch: {q.n} vs {r.n}")
+    return Permutation(tuple(q.images[v - 1] for v in r.images))
+
+
+def inversions(q: Permutation) -> int:
+    """Number of position pairs a < b with q(a) > q(b)."""
+    img = q.images
+    return sum(1 for a in range(q.n) for b in range(a + 1, q.n) if img[a] > img[b])
 
 
 def rank(q: Permutation) -> int:

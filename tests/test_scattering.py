@@ -7,11 +7,55 @@ from hypothesis import strategies as st
 
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import PoleAtU
-from pointbethe.scattering import amplitude_arrays, amplitudes, amplitudes_bvp_oracle
+from pointbethe.scattering import (amplitude_arrays, amplitude_columns, amplitudes,
+                                   amplitudes_bvp_oracle)
 
 
 def _rel_err(a, b):
     return abs(a - b) / max(1.0, abs(a))
+
+
+_huge_couplings = st.one_of(st.sampled_from([0.0, 1e150, -1e150, 1e200]), st.floats(-3.0, 3.0))
+# 0 is a pole when c = 0; 1e100 overflows lam u^2 for lam = 1e150, and
+# -1e160 overflows u^2 itself
+_pole_and_overflow_us = st.one_of(st.sampled_from([0.0, 1e100, -1e160]), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=_huge_couplings, lam=_huge_couplings, gamma=_huge_couplings, eta=_huge_couplings,
+       us=st.lists(_pole_and_overflow_us, min_size=1, max_size=40))
+@example(c=0.0, lam=1e150, gamma=0.0, eta=0.0, us=[1.0, 0.0, 1e100])  # pole, then overflow
+@example(c=0.0, lam=1e150, gamma=0.0, eta=0.0, us=[1e100, 0.0])  # overflow, then pole
+@example(c=1.3, lam=-0.4, gamma=0.8, eta=-0.2, us=[float(u) for u in np.linspace(-5, 5, 37)])
+def test_amplitudes_are_the_one_point_case_of_amplitude_columns(c, lam, gamma, eta, us):
+    # one evaluator: a u gives the same bits alone as in a batch, and a
+    # batch raises the text of the first u, in order, that fails alone
+    params = CouplingParameters(c, lam, gamma, eta)
+    singles, first_error = [], None
+    for u in us:
+        try:
+            amp = amplitudes(params, u)
+        except PoleAtU as err:
+            first_error = str(err)
+            break
+        singles.append([amp.s_r_plus, amp.s_r_minus, amp.s_t_plus, amp.s_t_minus])
+    if first_error is not None:
+        with pytest.raises(PoleAtU) as raised:
+            amplitude_columns(params, us)
+        assert str(raised.value) == first_error
+    else:
+        columns = amplitude_columns(params, us)
+        assert columns.shape == (4, len(us))
+        assert np.array(singles, dtype=np.complex128).T.tobytes() == columns.tobytes()
+
+
+@pytest.mark.parametrize("us, message", [
+    ([1.0, 0.0, 1e100], "amplitude denominator 0.000e+00+0.000e+00j at u=0.0"),
+    ([1e100, 0.0], "amplitudes at u=1e+100 are not finite for couplings (0.0, 1e+150, 0.0, 0.0)"),
+], ids=["pole-first", "overflow-first"])
+def test_a_batch_raises_at_its_first_pole_or_overflow(us, message):
+    with pytest.raises(PoleAtU, match=f"^{re.escape(message)}$"):
+        amplitude_columns(CouplingParameters(0.0, 1e150), us)
 
 
 def test_free_particles_full_transmission():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pointbethe import _kernels
 from pointbethe._kernels import MAX_DRAWS_PER_SAMPLE, plane_waves
-from pointbethe.bethe import BetheState, bethe_state
+from pointbethe.bethe import BetheState, bethe_state, state_relation_residual
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import NotGaugeFamily, OnBoundary
 from pointbethe.permutations import rank_of, symmetric_group
@@ -288,6 +288,47 @@ def test_a_state_does_not_alias_the_callers_arrays():
     assert np.array_equal(evaluate_grid(state, points), evaluate_grid(ref, points))
     assert boundary_residual(state, 1, 3, samples) == boundary_residual(ref, 1, 3, samples)
     assert np.array_equal(state.relative_momenta, ref.relative_momenta)
+
+
+def _frozen_fortran(table):
+    table = np.asfortranarray(table)
+    table.flags.writeable = False
+    return table
+
+
+_NAN_TABLE = np.ones((6, 6), dtype=complex)
+_NAN_TABLE[2, 4] = np.nan
+_SHAPE_MESSAGE = r"coefficient table must have shape \(6, 6\), got \(24, 24\)"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("table", np.eye(24, dtype=complex), _SHAPE_MESSAGE),
+    ("table", _frozen_fortran(np.eye(24, dtype=complex)), _SHAPE_MESSAGE),
+    ("table", _NAN_TABLE, r"coefficient table must be finite, got non-finite rows at 0-based "
+                          r"indices \[2\]"),
+    ("table", [["a"] * 6] * 6, r"coefficient table must be a numeric array"),
+    ("k", [np.nan, 1.0, 2.0], r"momenta must be finite, got non-finite entries at 0-based "
+                              r"indices \[0\]"),
+    ("k", [1.0, 1.0, 2.0], r"momenta k\[0\]=1.0 and k\[1\]=1.0 coincide"),
+    ("k", [], r"number of momenta must be a whole number >= 1"),
+], ids=["table-shape", "frozen-table-shape", "table-nan", "table-text", "k-nan", "k-coincide",
+        "k-empty"])
+def test_a_state_refuses_fields_it_cannot_use(field, value, message):
+    ref = toy_state()
+    fields = {"params": ref.params, "k": ref.k, "table": ref.table, field: value}
+    with pytest.raises(ValueError, match=message):
+        BetheState(**fields)
+
+
+def test_a_real_table_gives_the_residuals_of_its_complex_cast():
+    ref = toy_state()
+    real = ref.table.real.copy()
+    state = BetheState(params=ref.params, k=ref.k, table=real)
+    cast = BetheState(params=ref.params, k=ref.k, table=real.astype(complex))
+    assert state.table.dtype == np.complex128 and np.array_equal(state.table, cast.table)
+    samples = boundary_samples(3, 1, 2, np.random.default_rng(8), count=20)
+    assert boundary_residual(state, 1, 2, samples) == boundary_residual(cast, 1, 2, samples)
+    assert state_relation_residual(state) == state_relation_residual(cast)
 
 
 def test_bethe_state_keeps_the_table_it_fills(monkeypatch):
