@@ -25,15 +25,15 @@ an answer that depends on bookkeeping.
 
 ``coefficients_bc_oracle`` is the brute-force cross-check: it solves the
 contact conditions over all N!^2 unknowns, with the A_P(identity wedge)
-column pinned.  It and ``state_relation_residual`` read
+column pinned, by least squares.  It and ``state_relation_residual`` read
 the conditions from tables through one evaluation, ``_site_residuals``,
 and state each once, as (P, Q) and (P T_i, Q) give the same two equations:
 the system has (N-1) N!^2 / 2 homogeneous rows.  The transpositions of the
 odd sites 1, 3, ... commute, and their rows fall apart into blocks of rank
 2 per site on the orbits they generate, so the oracle solves them exactly,
-one batched 2 x 4 SVD per site, and factors the even sites' residuals on a
-basis of the odd sites' common null space, a stack of N!^2 / 2^floor(N/2)
-tables, once, by one QR and one SVD.
+one batched 2 x 4 SVD per site, and runs the least-squares solve and rank
+on the QR factor of the even sites' residuals on a basis of the odd sites'
+common null space, a stack of N!^2 / 2^floor(N/2) tables.
 """
 
 from __future__ import annotations
@@ -288,7 +288,7 @@ def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTable
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Minimum-norm solution of the contact rows that best meets the pins."""
+    """Least-squares solution of the full contact-condition system."""
 
     table: np.ndarray
     residual: float          # max |equation violation| at the solution
@@ -305,20 +305,15 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     pinned_column[rank(P)].  Every solution satisfies the rows of the odd
     sites 1, 3, ..., so it is B y for the isometry B of
     ``_odd_site_null_basis``.  The rows of the even sites times B, M, are
-    factored once: a QR, M = Q R, and an SVD of the square R = U S V^H.
-    The singular values give the rank of M at ``np.linalg.matrix_rank``'s
-    tolerance, S.max() max(M.shape) eps, and the nullity is the width of B
-    minus that rank.  The trailing right singular vectors V_0 span the null
-    space of M, and the pins fix y = V_0 z by a least-squares solve of
-    N! x nullity, the minimum-norm z where they leave it undetermined.  One
-    refinement step takes the roundoff out of M y by M's pseudo-inverse
-    and fits the pins again.  Where the system is consistent this is the
-    minimum-norm solution of the full system, as B and V_0 preserve norms,
-    the same table a least-squares solve of the full system gives; where it
-    is not, every contact row holds to roundoff and the pins carry the
-    violation.  The residual is the max violation over every row of the
-    full system and the pins, at roundoff exactly when the couplings are
-    integrable (or N = 2).
+    factored once, M = Q R, and as ||M y|| = ||R y|| the pins and R stand
+    in for the pins and M: y is their least-squares solution, from one
+    SVD that also serves one refinement step, and the nullity is the width
+    of B minus the rank of R, which is M's.  Where the system is consistent
+    this is the minimum-norm least-squares solution of the full system, as
+    B preserves norms; where it is not, the odd sites' rows hold exactly
+    and the rest carry the violation.  The residual is the max violation
+    over every row of the full system and the pins, at roundoff exactly
+    when the couplings are integrable (or N = 2).
 
     Why B spans the odd sites' common null space.  One site first: its
     rows at (P, Q) and (P T_1, Q) are the same two equations, so with P
@@ -339,8 +334,8 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     so B has width N!^2 / 2^m: 1, 2, 18 and 144 at N = 1, 2, 3 and 4.
 
     Limited to N <= ORACLE_MAX_N = 4: the system has (N-1) N!^2 / 2 + N! rows, and the
-    QR runs on (N!^2 / 2) floor((N-1)/2) of them, 288 x 144 at N = 4, the
-    SVD on its 144 x 144 R and the pin fit on N! x nullity, 24 x 24.
+    QR runs on (N!^2 / 2) floor((N-1)/2) of them, 288 x 144 at N = 4, and
+    the least squares on R and the pins, 168 x 144.
     """
     k = validate_momenta(k)
     n = whole_number(k.size, "number of oracle momenta N", 1, ORACLE_MAX_N)
@@ -359,21 +354,24 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
                   for block in np.array_split(basis, 4, axis=2)]
         reduced.append(np.concatenate(blocks, axis=3).reshape(-1, width))
     reduced = np.concatenate(reduced)
-    _, sing, vh = np.linalg.svd(np.linalg.qr(reduced, mode="r"))
-    rank = int(np.sum(sing > sing.max(initial=0.0) * max(reduced.shape) * np.finfo(float).eps))
-    lead, null = vh[:rank].conj().T, vh[rank:].conj().T
-    pins = basis[:, 0] @ null
-    y = null @ np.linalg.lstsq(pins, pinned_column, rcond=None)[0]
-    # one refinement step, a no-op in exact arithmetic: the rows' pseudo-inverse
-    # takes their roundoff out of y, and the pins are fit again
-    y -= lead @ (lead.conj().T @ (reduced.conj().T @ (reduced @ y)) / sing[:rank] ** 2)
-    y += null @ np.linalg.lstsq(pins, pinned_column - basis[:, 0] @ y, rcond=None)[0]
+    # numpy < 2 factors no empty matrix: N <= 2 has no even site
+    rows = np.linalg.qr(reduced, mode="r") if len(reduced) else reduced
+    system = np.concatenate([rows, basis[:, 0]])
+    rhs = np.concatenate([np.zeros(len(rows)), pinned_column])
+    # the pseudo-inverse at np.linalg.lstsq's cutoff, formed once for two solves
+    inverse = np.linalg.pinv(system, rcond=max(system.shape) * np.finfo(float).eps)
+    y = inverse @ rhs
+    # one refinement step, a no-op in exact arithmetic: the SVD solve alone
+    # leaves up to 4e-14 on the contact rows of a well-conditioned N = 4
+    # system, against 1e-15 after the step
+    y += inverse @ (rhs - system @ y)
     table = basis @ y
     residual = np.max([_contact_residual(params, k, tables, table),
                        np.abs(table[:, 0] - pinned_column).max()])
+    rank = np.linalg.matrix_rank(rows) if len(rows) else 0
     return OracleResult(
         table=table,
         residual=float(residual),
-        nullity=width - rank,
+        nullity=width - int(rank),
         expected_nullity=f,
     )

@@ -6,11 +6,11 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pointbethe import scattering
-from pointbethe.bethe import (_ascending, _contact_residual, _odd_site_null_basis,
-                              _site_contact, _site_residuals, bethe_state,
+from pointbethe.bethe import (_ascending, _odd_site_null_basis, _site_contact,
+                              _site_residuals, bethe_state,
                               coefficients_bc_oracle, propagate,
                               state_relation_residual, validate_momenta)
-from pointbethe.couplings import CouplingParameters, integrable_family
+from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import NotIntegrable
 from pointbethe.permutations import (Permutation, identity, symmetric_group,
                                      transposition)
@@ -339,30 +339,6 @@ def _stacked_oracle(params, k, pinned_column):
     return solution.reshape(f, f), residual, nullity
 
 
-@pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_oracle_matches_the_stacked_solve(params, n):
-    rng = np.random.default_rng(29 + n)
-    k = random_k(n, rng)
-    f = math.factorial(n)
-    pinned = rng.normal(size=f) + 1j * rng.normal(size=f)
-    consistent = n == 2 or params is not NONINTEGRABLE
-    if consistent:
-        pinned = bethe_state(params, k, pinned).table[:, 0]
-    oracle = coefficients_bc_oracle(params, k, pinned)
-    table, residual, nullity = _stacked_oracle(params, k, pinned)
-    assert oracle.nullity == nullity
-    if consistent:
-        assert oracle.nullity == f
-        assert max(oracle.residual, residual) <= 1e-9
-        # both are the minimum-norm solution, unique even where the pins
-        # leave the table undetermined (family 2)
-        assert np.abs(oracle.table - table).max() <= 1e-9
-    else:
-        assert oracle.nullity != oracle.expected_nullity
-        assert min(oracle.residual, residual) >= 1e-3
-
-
 @pytest.mark.parametrize("params", [CouplingParameters(2.0, 0.0, 0.0, 1.3),
                                     CouplingParameters(1.5, 0.7, 0.2, -0.4)])
 def test_oracle_matches_propagation_two_particles(params):
@@ -408,11 +384,23 @@ def test_oracle_inconsistent_for_noninteg_three_particles():
 
 
 def test_oracle_residual_stays_at_roundoff_at_four_particles():
-    # a single least-squares solve left 3.7e-14 on site 2's rows here
-    params = CouplingParameters(1.12891, 1 / 1.12891)
-    k = np.array([0.604055, -0.604055, 0.301114, -0.018291])
-    state = bethe_state(params, k, np.eye(24)[0])
-    assert coefficients_bc_oracle(params, k, state.table[:, 0]).residual <= 1e-14
+    # a single least-squares solve left 3.7e-14 on site 2's rows at the
+    # first input; the rest are drawn as the benchmark's verify ops draw
+    # coeffs --N 4: gaps of 0.3 to 0.7, both families
+    inputs = [(CouplingParameters(1.12891, 1 / 1.12891),
+               np.array([0.604055, -0.604055, 0.301114, -0.018291]))]
+    rng = np.random.default_rng(41)
+    for i in range(40):
+        c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.5)
+        params = (CouplingParameters(c, 0.0, 0.0, rng.uniform(-1.0, 1.0)) if i % 2
+                  else CouplingParameters(c, 1.0 / c))
+        k = np.concatenate([[0.0], np.cumsum(0.3 + rng.uniform(0.0, 0.4, 3))])
+        inputs.append((params, rng.permutation(k - k[-1] / 2)))
+    for params, k in inputs:
+        state = bethe_state(params, k, np.eye(24)[0])
+        oracle = coefficients_bc_oracle(params, k, state.table[:, 0])
+        assert oracle.nullity == 24
+        assert oracle.residual <= 1e-14
 
 
 def test_oracle_of_one_particle_is_its_pin():
@@ -485,65 +473,49 @@ def test_oracle_nullity_is_n_factorial_in_both_families(data):
     assert oracle.nullity == 6 == _stacked_oracle(params, k, a)[2]
 
 
-@st.composite
-def off_family_couplings(draw):
-    # both families have gamma = 0
-    gamma = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 2.0))
-    c, lam, eta = (draw(st.floats(-2.5, 2.5)) for _ in range(3))
-    return CouplingParameters(c, lam, gamma, eta)
-
-
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@settings(deadline=None, max_examples=10, phases=NO_SHRINK)
+@settings(deadline=None, max_examples=5, phases=NO_SHRINK)
 @given(data=st.data())
-def test_oracle_matches_the_stacked_solve_on_random_inputs(n, data):
-    params = data.draw(st.one_of(integrable_couplings(), off_family_couplings()))
+def test_oracle_matches_the_stacked_solve(params, n, data):
     k = data.draw(momenta(n))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     f = math.factorial(n)
     pinned = rng.normal(size=f) + 1j * rng.normal(size=f)
-    consistent = n <= 2 or integrable_family(params) is not None
+    consistent = n <= 2 or params is not NONINTEGRABLE
     if consistent:
         pinned = bethe_state(params, k, pinned).table[:, 0]
     oracle = coefficients_bc_oracle(params, k, pinned)
-    table, _, nullity = _stacked_oracle(params, k, pinned)
+    table, residual, nullity = _stacked_oracle(params, k, pinned)
     assert oracle.nullity == nullity
     if consistent:
-        # the minimum-norm solution in both, family 2's undetermined table too
-        assert np.abs(oracle.table - table).max() <= 1e-9
+        assert oracle.nullity == f
         assert oracle.residual <= 1e-13
+        assert residual <= 1e-9
+        # both are the minimum-norm solution, unique even where the pins
+        # leave the table undetermined (family 2)
+        assert np.abs(oracle.table - table).max() <= 1e-9
     else:
-        assert oracle.residual >= 1e-3
+        assert oracle.nullity != oracle.expected_nullity
+        assert min(oracle.residual, residual) >= 1e-3
 
 
-def test_oracle_residual_stays_at_roundoff_on_benchmark_like_inputs():
-    # coeffs --N 4 as the benchmark's verify ops draw it: a single incident
-    # wave, gaps of 0.3 to 0.7, both families
-    rng = np.random.default_rng(41)
-    worst = 0.0
-    for i in range(40):
-        c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.5)
-        params = (CouplingParameters(c, 0.0, 0.0, rng.uniform(-1.0, 1.0)) if i % 2
-                  else CouplingParameters(c, 1.0 / c))
-        k = np.concatenate([[0.0], np.cumsum(0.3 + rng.uniform(0.0, 0.4, 3))])
-        k = rng.permutation(k - k[-1] / 2)
-        state = bethe_state(params, k, np.eye(24)[0])
-        oracle = coefficients_bc_oracle(params, k, state.table[:, 0])
-        assert oracle.nullity == 24
-        worst = max(worst, oracle.residual)
-    assert worst <= 1e-14
-
-
+@pytest.mark.parametrize("params", [CouplingParameters(2.0, 0.0, 1e-10, 1.0),
+                                    CouplingParameters(2.0, 1e-10, 0.0, 1.0),
+                                    CouplingParameters(2.0, 0.5, 1e-10)])
 @pytest.mark.parametrize("n", [3, 4])
-def test_inconsistent_pins_carry_the_whole_violation(n):
-    # off the families every contact row holds and the pins are missed
-    rng = np.random.default_rng(43 + n)
+def test_oracle_spreads_a_violation_within_family_tol(params, n):
+    # bethe_state and the CLI take couplings within FAMILY_TOL of a family;
+    # at the last two the rows keep 2 of their N! null directions and lift
+    # the rest to singular values near 1e-10, and the least squares keeps
+    # the residual at that violation instead of leaving O(1) on the pins
+    rng = np.random.default_rng(47 + n)
     k = random_k(n, rng)
     f = math.factorial(n)
-    pinned = rng.normal(size=f) + 1j * rng.normal(size=f)
-    oracle = coefficients_bc_oracle(NONINTEGRABLE, k, pinned)
-    assert _contact_residual(NONINTEGRABLE, k, symmetric_group(n), oracle.table) <= 1e-12
-    assert np.abs(oracle.table[:, 0] - pinned).max() >= 1e-3
+    pinned = bethe_state(params, k, rng.normal(size=f) + 1j * rng.normal(size=f)).table[:, 0]
+    oracle = coefficients_bc_oracle(params, k, pinned)
+    assert oracle.nullity == _stacked_oracle(params, k, pinned)[2]
+    assert oracle.residual <= 1e-8
 
 
 @settings(deadline=None, max_examples=10, phases=NO_SHRINK)

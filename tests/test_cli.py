@@ -92,6 +92,19 @@ def test_coeffs_noninteg_exits_degenerate(tmp_path):
     assert status == EXIT_DEGENERATE
 
 
+@pytest.mark.parametrize("near", [["--eta", "1", "--gamma", "1e-10"],
+                                  ["--eta", "1", "--lambda", "1e-10"]])
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_coeffs_within_family_tol_passes(tmp_path, n, near):
+    # couplings 1e-10 off family 1 are taken as integrable, and the oracle's
+    # least squares meets them to about 1e-10, inside the default --tol 1e-8
+    status, report = run_cli(["coeffs", "--N", n, "--c", "2"] + near, tmp_path)
+    assert status == EXIT_OK
+    residual, = [line for line in report.splitlines()
+                 if line.startswith("boundary-system residual: ")]
+    assert float(residual.split(": ")[1]) <= 1e-9
+
+
 def test_eigen_csv_block(tmp_path):
     status, report = run_cli(["eigen", "--c", "2", "--eta", "1",
                               "--k", "1.1,-0.3"], tmp_path)
