@@ -21,8 +21,7 @@ from .factorization import (FactorizationReport, GridSpec, ScanRow,
                             YangBaxterReport, block_reduction_check,
                             check_factorization_panel, scan_couplings,
                             scan_to_csv, yang_baxter_matrix_check)
-from .permutations import (Permutation, SymmetricGroupTables, decompose,
-                           identity, symmetric_group, transposition)
+from .permutations import SymmetricGroupTables, rank_of, symmetric_group
 from .scattering import AmplitudeSet, amplitudes, amplitudes_bvp_oracle
 from .wavefunction import (boundary_residual, boundary_samples,
                            determinant_bethe_state, determinant_coefficients,

@@ -197,7 +197,7 @@ def propagate_table(a_identity, tables: SymmetricGroupTables,
                     srp, srm, stp, stm) -> np.ndarray:
     """Fill A_P for every P, each row one Y step from its parent row.
 
-    The canonical words of ``decompose`` are prefix-closed: dropping the
+    The canonical words of ``permutations`` are prefix-closed: dropping the
     last letter i of the word for P leaves the word for its parent
     P T_i, whose rank is smaller.  So one pass in rank order finds every
     parent row ready, and each row goes through exactly the operations

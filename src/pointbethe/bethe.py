@@ -45,9 +45,10 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .couplings import CouplingParameters, contact_residuals, integrable_family
+from .couplings import (CouplingParameters, _contact_coefficients, _site_contact,
+                        integrable_family)
 from .errors import NotIntegrable, finite_array, whole_number
-from .permutations import Permutation, SymmetricGroupTables, decompose, symmetric_group
+from .permutations import SymmetricGroupTables, rank_of, symmetric_group
 
 MIN_MOMENTUM_GAP = 1e-12
 ORACLE_MAX_N = 4  # largest N that coefficients_bc_oracle solves
@@ -74,24 +75,29 @@ def _check_propagation_allowed(params: CouplingParameters, n: int) -> None:
         )
 
 
-def propagate(params: CouplingParameters, k, a_identity, p: Permutation,
+def propagate(params: CouplingParameters, k, a_identity, p: int,
               word: list[int] | None = None) -> np.ndarray:
     """Coefficient vector A_P from A_I by stepping along a word for P.
 
-    ``word`` defaults to the canonical decomposition of p; any word whose
-    product is p gives the same result for integrable couplings.  Raises
-    NotIntegrable for N >= 3 couplings outside the two families and
-    PoleAtU if a needed amplitude is singular.
+    ``p`` is the 0-based rank index of P, its row of ``bethe_state``'s
+    table.  ``word`` defaults to P's canonical word, read from the parent
+    tree of ``symmetric_group``, and then the result is that row bit for
+    bit; any word whose product is P gives the same result for integrable
+    couplings.  Raises NotIntegrable for N >= 3 couplings outside the two
+    families and PoleAtU if a needed amplitude is singular.
     """
     k = validate_momenta(k)
     n = k.size
-    if p.n != n:
-        raise ValueError(f"permutation size {p.n} != number of momenta {n}")
     _check_propagation_allowed(params, n)
     tables = symmetric_group(n)
+    p = whole_number(p, "rank index p", 0, tables.order - 1)
     a = finite_array(a_identity, "coefficient vector", (tables.order,), np.complex128)
     if word is None:
-        word = decompose(p)
+        word, q = [], p
+        while q > 0:
+            s = int(tables.last_site[q])
+            word.insert(0, s + 1)
+            q = int(tables.tmaps[s, q])
     amps = _kernels.pair_amplitude_tables(params, k)
     run = np.arange(n)
     for pos, i in enumerate(word):
@@ -99,8 +105,8 @@ def propagate(params: CouplingParameters, k, a_identity, p: Permutation,
         ka, kb = run[s], run[s + 1]
         a = _kernels.yang_apply(_kernels.step_parts(tables, s, *amps[:, ka, kb]), a)
         run[s], run[s + 1] = kb, ka
-    if tuple(run + 1) != p.images:
-        raise ValueError(f"word {word} does not multiply out to {p.images}")
+    if rank_of(run) != p:
+        raise ValueError(f"word {word} does not multiply out to rank index {p}")
     return a
 
 
@@ -179,17 +185,6 @@ def bethe_state(params: CouplingParameters, k, a_identity) -> BetheState:
     return BetheState(params=params, k=k, table=table)
 
 
-def _site_contact(params: CouplingParameters, u, a_p, a_pt, a_p_t, a_pt_t):
-    """Residuals (r1, r2) of the contact conditions on A_P(Q), A_{PT}(Q),
-    A_P(QT) and A_{PT}(QT), T = T_i, for Q ascending at site i and
-    u = k_{P(i)} - k_{P(i+1)}.  Wedge Q lies below the plane, and the wave
-    that gives particle Q(i) the momentum k_{P(i)} has relative derivative iu.
-    """
-    du = 1j * u
-    return contact_residuals(params, a_p + a_pt, du * (a_p - a_pt),
-                             a_p_t + a_pt_t, du * (a_pt_t - a_p_t))
-
-
 def _ascending(tables: SymmetricGroupTables, k: np.ndarray, s: int):
     """Rank indices of the permutations ascending at site s + 1, the rank
     indices of their right products with T_{s+1}, and u = k_{P(s+1)} -
@@ -230,14 +225,6 @@ def state_relation_residual(state: BetheState) -> float:
     nor one in the amplitude formula can cancel out of the check.
     """
     return _contact_residual(state.params, state.k, state.tables, state.table)
-
-
-def _contact_coefficients(params: CouplingParameters, u: np.ndarray) -> np.ndarray:
-    """The two contact conditions as rows over A_P(Q), A_PT(Q), A_P(QT),
-    A_PT(QT), one 2 x 4 block for each u: shape (len(u), 2, 4)."""
-    # the conditions are linear: the coefficient of each coupled unknown
-    coefficients = np.array([_site_contact(params, u, *unit) for unit in np.eye(4)])
-    return coefficients.transpose(2, 1, 0)
 
 
 def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTables,

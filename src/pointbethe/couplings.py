@@ -8,7 +8,9 @@ of momentum, ``lam`` inverse momentum, and ``gamma``, ``eta`` are
 dimensionless.
 
 The couplings enter through two linear contact conditions across the
-contact point; ``contact_residuals`` is their one encoding.
+contact point; ``contact_residuals`` is their one encoding.  ``_site_contact``
+states them on the four coefficients one site couples, and
+``_contact_coefficients`` as the 2 x 4 rows the two oracles solve.
 """
 
 from __future__ import annotations
@@ -68,6 +70,25 @@ def contact_residuals(params: CouplingParameters, v_minus, d_minus, v_plus, d_pl
     r1 = (d_plus - d_minus) - 2 * c * v_avg + 2 * (gamma - 1j * eta) * d_avg
     r2 = (v_plus - v_minus) - 2 * lam * d_avg - 2 * (gamma + 1j * eta) * v_avg
     return r1, r2
+
+
+def _site_contact(params: CouplingParameters, u, a_p, a_pt, a_p_t, a_pt_t):
+    """Residuals (r1, r2) of the contact conditions on A_P(Q), A_{PT}(Q),
+    A_P(QT) and A_{PT}(QT), T = T_i, for Q ascending at site i and
+    u = k_{P(i)} - k_{P(i+1)}.  Wedge Q lies below the plane, and the wave
+    that gives particle Q(i) the momentum k_{P(i)} has relative derivative iu.
+    """
+    du = 1j * u
+    return contact_residuals(params, a_p + a_pt, du * (a_p - a_pt),
+                             a_p_t + a_pt_t, du * (a_pt_t - a_p_t))
+
+
+def _contact_coefficients(params: CouplingParameters, u: np.ndarray) -> np.ndarray:
+    """The two contact conditions as rows over A_P(Q), A_PT(Q), A_P(QT),
+    A_PT(QT), one 2 x 4 block for each u: shape (len(u), 2, 4)."""
+    # the conditions are linear: the coefficient of each coupled unknown
+    coefficients = np.array([_site_contact(params, u, *unit) for unit in np.eye(4)])
+    return coefficients.transpose(2, 1, 0)
 
 
 def integrable_family(params: CouplingParameters) -> str | None:

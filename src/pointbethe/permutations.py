@@ -1,25 +1,24 @@
-"""Permutations of S_N with the total order used to index coefficient vectors.
+"""The symmetric group S_N as rank-indexed tables, which index coefficient vectors.
 
 Conventions, all of which are load-bearing for the rest of the package:
 
-* One-line notation with 1-based values: ``Permutation((2, 1, 3))`` maps
-  1 -> 2, 2 -> 1, 3 -> 3.
+* A permutation Q is its one-line form with 0-based values: row q of
+  ``images`` is (Q(1) - 1, ..., Q(N) - 1).
 * Composition is function composition, ``(Q*R)(i) = Q(R(i))``, so in a
   product the rightmost factor acts first.  Right-multiplying by the
   adjacent transposition ``T_i`` swaps the entries at positions i, i+1 of
-  the one-line form.
+  the one-line form; ``tmaps[i-1]`` maps rank indices to those products.
 * Total order: compare the sequences a_m = Q(N-m+1) - Q'(N-m+1) for
   m = 1..N; Q > Q' when the first nonzero a_m is positive, which is the
   lexicographic order of the reversed one-line forms (Q(N), ..., Q(1)).
-  Ranks are 1-based and assigned in *descending* order, so the identity
-  has rank 1.  For S_3 the rank order is (123), (213), (132), (312),
-  (231), (321).
-* Every rank 1 <= j <= N! factors uniquely as j = n*(N-1)! + k with
-  0 <= n <= N-1, 1 <= k <= (N-1)!, and the permutation of rank j is
-  C_n composed with the rank-k element of S_{N-1} (embedded with N as a
-  fixed point), where C_n = T_{N-n} T_{N-n+1} ... T_{N-1} is the cycle
-  sending N to N-n.  ``decompose`` unrolls this recursion into a word in
-  the adjacent transpositions.
+  The 0-based rank index counts down this order, so the identity has rank
+  index 0.  For S_3 the rank order is (123), (213), (132), (312), (231),
+  (321).  ``rank_of`` maps orderings to rank indices.
+* Canonical words: Q other than the identity has the parent Q T_i, i - 1 =
+  ``last_site[q]`` its first descent, which has one inversion fewer and a
+  smaller rank index.  The word of Q is the word of its parent followed by
+  i, so the words are reduced and prefix-closed, and one pass in rank order
+  meets every parent before its children.
 """
 
 from __future__ import annotations
@@ -35,58 +34,6 @@ from .errors import whole_number
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """Element of S_N in one-line notation (1-based values)."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def right_t(self, i: int) -> "Permutation":
-        """Right-multiply by the adjacent transposition T_i (1 <= i < N)."""
-        whole_number(i, "transposition index i", 1, self.n - 1)
-        img = list(self.images)
-        img[i - 1], img[i] = img[i], img[i - 1]
-        return Permutation(tuple(img))
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
-def transposition(n: int, i: int) -> Permutation:
-    """The adjacent transposition T_i in S_n, swapping i and i+1."""
-    return identity(n).right_t(i)
-
-
-def _cycle_digits(q: Permutation):
-    """(m, nn) for m = N..2: the cycle C_nn that places entry m, peeled in turn."""
-    images = list(q.images)
-    for m in range(q.n, 1, -1):
-        nn = m - images[m - 1]
-        yield m, nn
-        # left-multiply by the inverse of C_nn: entry m moves back to slot m
-        images[:m] = [m if v == m - nn else v - (v > m - nn) for v in images[:m]]
-
-
-def decompose(q: Permutation) -> list[int]:
-    """Word i_1, ..., i_L with q = T_{i_1} T_{i_2} ... T_{i_L}.
-
-    Built from the rank recursion: peel the cycle C_n = T_{N-n}...T_{N-1}
-    that places the last entry, then recurse on the S_{N-1} remainder.
-    The word multiplies out left to right: q = T_{i_1} ... T_{i_L}.
-    """
-    return [i for m, nn in _cycle_digits(q) for i in range(m - nn, m)]
-
-
-@dataclass(frozen=True)
 class SymmetricGroupTables:
     """Precomputed per-N lookup tables shared by the Bethe machinery.
 
@@ -94,9 +41,9 @@ class SymmetricGroupTables:
     position of Q's reversed one-line form in descending lexicographic
     order.  ``images`` holds 0-based one-line forms.  ``tmaps[i-1][q]`` is
     the rank index of Q*T_i.  ``asc[i-1][q]`` is True when Q(i) < Q(i+1).
-    ``last_site[q]`` is i-1 for the last letter i of ``decompose(Q)``; the
-    canonical words are prefix-closed, so Q*T_i has the word of Q minus
-    that letter and a smaller rank.
+    ``last_site[q]`` is i-1 for the last letter i of Q's canonical word;
+    the words are prefix-closed, so Q*T_i has the word of Q minus that
+    letter and a smaller rank.
     """
 
     n: int
@@ -140,7 +87,7 @@ def symmetric_group(n: int) -> SymmetricGroupTables:
 
     inv_counts = np.triu(images[:, :, np.newaxis] > images[:, np.newaxis, :], 1).sum(axis=(1, 2))
     signs = 1 - 2 * (inv_counts % 2)
-    # last letter of decompose(Q) = first descent = count of leading ascents
+    # last letter of the canonical word = first descent = count of leading ascents
     last_site = asc.cumprod(axis=0).sum(axis=0)
     last_site[0] = -1
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingParameters, contact_residuals
+from .couplings import CouplingParameters, _contact_coefficients
 from .errors import PoleAtU, SingularSystem, finite_array
 
 POLE_GUARD = 1e-12
@@ -111,24 +111,17 @@ def _solve_bc_system(params: CouplingParameters, k1, k2):
     """Solve the two contact boundary conditions for (S_T, S_R).
 
     The ansatz is exp(i k1 x1 + i k2 x2) + S_R exp(i k2 x1 + i k1 x2) for
-    x1 < x2 and S_T exp(i k1 x1 + i k2 x2) for x2 < x1.  Both conditions are
-    linear in (S_T, S_R); the linear map is extracted by evaluating the
-    residuals at (0,0), (1,0), (0,1) so the construction stays independent
-    of the closed form.
+    x1 < x2 and S_T exp(i k1 x1 + i k2 x2) for x2 < x1: in the unknowns
+    (A_P(Q), A_PT(Q), A_P(QT), A_PT(QT)) of the contact rows at u = k1 - k2
+    it is (1, S_R, 0, S_T).  The rows come from the contact residuals, so
+    the construction stays independent of the closed form.
     """
     u = k1 - k2
-    x0 = 0.37  # arbitrary point on the contact line; the common phase drops out
-
-    def residuals(s_t, s_r):
-        ph = np.exp(1j * (k1 + k2) * x0)
-        return np.array(contact_residuals(params, ph * (1 + s_r), ph * 1j * u * (1 - s_r),
-                                          ph * s_t, ph * 1j * u * s_t))
-
-    r00 = residuals(0.0, 0.0)
-    mat = np.column_stack([residuals(1.0, 0.0) - r00, residuals(0.0, 1.0) - r00])
+    rows = _contact_coefficients(params, np.array([u]))[0]
+    mat = rows[:, [3, 1]]
     if abs(np.linalg.det(mat)) <= 1e-12 * max(1.0, u * u):
         raise SingularSystem(f"boundary system singular at k1={k1}, k2={k2}")
-    s_t, s_r = np.linalg.solve(mat, -r00)
+    s_t, s_r = np.linalg.solve(mat, -rows[:, 0])
     return complex(s_t), complex(s_r)
 
 

@@ -186,14 +186,11 @@ def determinant_coefficients(k, c: float) -> np.ndarray:
     k = validate_momenta(k)
     finite_array(c, "determinant coupling c")
     tables = symmetric_group(k.size)
-    out = np.empty(tables.order, dtype=np.complex128)
-    for p_idx in range(tables.order):
-        img = tables.images[p_idx]
-        val = complex(tables.signs[p_idx])
-        for jj in range(k.size):
-            for kk in range(jj):
-                val *= 1j * (k[img[jj]] - k[img[kk]]) + c
-        out[p_idx] = val
+    k_at = k[tables.images]  # k_at[p, j] = k_{P(j+1)}
+    out = tables.signs.astype(np.complex128)
+    for jj in range(k.size):
+        for kk in range(jj):
+            out *= 1j * (k_at[:, jj] - k_at[:, kk]) + c
     return out
 
 

@@ -1,14 +1,14 @@
 """Paper-definition references the tests compare the package against: the
 contact conditions in U-matrix form with their self-adjointness relation,
-composition and inversion counts of one-line forms, the scalar rank
-recursion, the right regular representation, the sparse and
-the dense N! x N! Y_i(u) at one u, the periodic pattern of its diagonals,
-the Yang-Baxter relations formed one sample at a time, the (u, v) panel
-drawn one candidate at a time, the factorization panel formed one
-particle order at a time, the plane waves gathered point-major, the
-boundary residuals with their relative momenta gathered per call, the
-finite-difference residual of one point and the pointwise step-phase
-gauge map.  No command runs them."""
+S_N as 1-based one-line tuples with their composition, inversion counts,
+scalar rank recursion and its transposition words, the right regular
+representation, the sparse and the dense N! x N! Y_i(u) at one u, the
+periodic pattern of its diagonals, the Yang-Baxter relations formed one
+sample at a time, the (u, v) panel drawn one candidate at a time, the
+factorization panel formed one particle order at a time, the plane waves
+gathered point-major, the boundary residuals with their relative momenta
+gathered per call, the finite-difference residual of one point and the
+pointwise step-phase gauge map.  No command runs them."""
 
 import math
 
@@ -18,8 +18,7 @@ from pointbethe._kernels import (MAX_DRAWS_PER_SAMPLE, PANEL_BLOCK_ENTRIES,
                                  step_parts, yang_apply)
 from pointbethe.couplings import contact_residuals, gauge_data
 from pointbethe.factorization import _orbit_structure_holds
-from pointbethe.permutations import (Permutation, _cycle_digits, rank_of,
-                                     symmetric_group)
+from pointbethe.permutations import rank_of, symmetric_group
 from pointbethe.scattering import POLE_GUARD, amplitudes
 from pointbethe.wavefunction import evaluate, evaluate_grid
 
@@ -44,6 +43,25 @@ def symplectic_residual(u) -> float:
     return float(np.abs(u.conj().T @ J @ u - J).max())
 
 
+def identity(n: int) -> tuple[int, ...]:
+    """One-line form, 1-based values, of the identity of S_n."""
+    return tuple(range(1, n + 1))
+
+
+def right_t(q: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """q T_i: the entries at positions i, i+1 of q swapped (1 <= i < len(q))."""
+    if not 1 <= i < len(q):
+        raise ValueError(f"site {i} out of range for N={len(q)}")
+    img = list(q)
+    img[i - 1], img[i] = img[i], img[i - 1]
+    return tuple(img)
+
+
+def transposition(n: int, i: int) -> tuple[int, ...]:
+    """The adjacent transposition T_i of S_n, swapping i and i+1."""
+    return right_t(identity(n), i)
+
+
 def _cycle_to(n: int, nn: int) -> list[int]:
     """One-line form of C_nn = T_{n-nn} ... T_{n-1} (sends n to n - nn)."""
     out = list(range(1, n + 1))
@@ -52,8 +70,26 @@ def _cycle_to(n: int, nn: int) -> list[int]:
     return out
 
 
-def unrank(n: int, j: int) -> Permutation:
-    """Permutation of S_n at 1-based rank j in the descending total order."""
+def _cycle_digits(q: tuple[int, ...]):
+    """(m, nn) for m = N..2: the cycle C_nn that places entry m, peeled in turn."""
+    images = list(q)
+    for m in range(len(q), 1, -1):
+        nn = m - images[m - 1]
+        yield m, nn
+        # left-multiply by the inverse of C_nn: entry m moves back to slot m
+        images[:m] = [m if v == m - nn else v - (v > m - nn) for v in images[:m]]
+
+
+def unrank(n: int, j: int) -> tuple[int, ...]:
+    """One-line form, 1-based values, of the permutation of S_n at 1-based
+    rank j in the descending total order.
+
+    Every rank 1 <= j <= n! factors uniquely as j = nn (n-1)! + k with
+    0 <= nn <= n-1, 1 <= k <= (n-1)!, and the permutation of rank j is
+    C_nn composed with the rank-k element of S_{n-1} (embedded with n as a
+    fixed point), where C_nn = T_{n-nn} T_{n-nn+1} ... T_{n-1} is the cycle
+    sending n to n - nn.
+    """
     if not 1 <= j <= math.factorial(n):
         raise ValueError(f"rank {j} out of range [1, {math.factorial(n)}]")
     j -= 1
@@ -67,36 +103,43 @@ def unrank(n: int, j: int) -> Permutation:
     for m, nn in reversed(digits):
         cyc = _cycle_to(m, nn)
         images[:m] = [cyc[v - 1] for v in images[:m]]
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
-def compose(q: Permutation, r: Permutation) -> Permutation:
-    """Function composition (q r)(i) = q(r(i)); r acts first."""
-    if q.n != r.n:
-        raise ValueError(f"size mismatch: {q.n} vs {r.n}")
-    return Permutation(tuple(q.images[v - 1] for v in r.images))
-
-
-def inversions(q: Permutation) -> int:
-    """Number of position pairs a < b with q(a) > q(b)."""
-    img = q.images
-    return sum(1 for a in range(q.n) for b in range(a + 1, q.n) if img[a] > img[b])
-
-
-def rank(q: Permutation) -> int:
+def rank(q: tuple[int, ...]) -> int:
     """1-based rank of q, inverse of unrank."""
     return 1 + sum(nn * math.factorial(m - 1) for m, nn in _cycle_digits(q))
 
 
-def regular_rep(r: Permutation) -> np.ndarray:
+def decompose(q: tuple[int, ...]) -> list[int]:
+    """Word i_1, ..., i_L with q = T_{i_1} T_{i_2} ... T_{i_L}, from the rank
+    recursion: peel the cycle C_nn that places the last entry, then recurse
+    on the S_{N-1} remainder."""
+    return [i for m, nn in _cycle_digits(q) for i in range(m - nn, m)]
+
+
+def compose(q: tuple[int, ...], r: tuple[int, ...]) -> tuple[int, ...]:
+    """Function composition (q r)(i) = q(r(i)); r acts first."""
+    if len(q) != len(r):
+        raise ValueError(f"size mismatch: {len(q)} vs {len(r)}")
+    return tuple(q[v - 1] for v in r)
+
+
+def inversions(q: tuple[int, ...]) -> int:
+    """Number of position pairs a < b with q(a) > q(b)."""
+    n = len(q)
+    return sum(1 for a in range(n) for b in range(a + 1, n) if q[a] > q[b])
+
+
+def regular_rep(r: tuple[int, ...]) -> np.ndarray:
     """Right-regular-representation matrix of r on rank-ordered vectors.
 
     Entry (Q, Q') is 1 exactly when Q' = Q*r, so the matrix acting on a
     coefficient vector A produces (R_hat A)(Q) = A(Q r).
     """
-    tables = symmetric_group(r.n)
+    tables = symmetric_group(len(r))
     # row Q of images[:, r - 1] is the one-line form of Q*r
-    cols = rank_of(tables.images[:, np.array(r.images) - 1])
+    cols = rank_of(tables.images[:, np.array(r) - 1])
     return np.eye(tables.order, dtype=np.int64)[cols]
 
 

@@ -17,14 +17,14 @@ from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
                                       block_reduction_check,
                                       check_factorization_panel,
                                       scan_couplings, yang_baxter_matrix_check)
-from pointbethe.permutations import symmetric_group, transposition
+from pointbethe.permutations import symmetric_group
 from pointbethe.scattering import amplitudes, amplitudes_bvp_oracle
 from pointbethe.wavefunction import (boundary_residual, boundary_samples,
                                      determinant_bethe_state,
                                      determinant_coefficients,
                                      gauge_transformed_state,
                                      schrodinger_fd_residual)
-from reference import regular_rep, yang_matrix
+from reference import regular_rep, transposition, yang_matrix
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.5)
 FAMILY2 = CouplingParameters(2.0, 0.5)
