@@ -200,7 +200,8 @@ def build_config(argv: list[str]) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# command bodies: each appends report lines to cfg.lines and returns a status
+# command bodies: each appends report lines to cfg.lines and returns a status;
+# one entry of cfg.lines may hold several lines joined by "\n"
 
 
 def _worst(*residuals: float) -> float:
@@ -308,19 +309,38 @@ def run_scan(cfg: RunConfig) -> int:
     grid = GridSpec(c_values=cfg.c, lam_values=cfg.lam,
                     gamma_values=cfg.gamma, eta_values=cfg.eta, seed=cfg.seed)
     rows = scan_couplings(grid)
-    cfg.lines.extend(scan_to_csv(rows).rstrip("\n").split("\n"))
+    cfg.lines.append(scan_to_csv(rows).rstrip("\n"))
     bad = [r for r in rows if not r.consistent]
     cfg.lines.append(f"grid points: {len(rows)}, inconsistent classifications: {len(bad)}")
     return EXIT_OK if not bad else EXIT_RESIDUAL
+
+
+@functools.cache
+def _row_template(order: int) -> str:
+    """The %-template of one table row: its ``order`` CSV lines, with the
+    row's rank left as ``{p}`` and two ``%.17g`` slots per entry."""
+    return "\n".join("{p},%d,%%.17g,%%.17g" % q for q in range(1, order + 1))
+
+
+def _table_csv_rows(table: np.ndarray):
+    """The ``p_rank,q_rank,re_a,im_a`` lines of ``table``, 1-based ranks,
+    one string per row P holding its N! lines joined by newlines.
+
+    One ``%`` call formats a whole row; the float64 view of the row lists
+    re and im of each entry in turn.  Rows are made one at a time, so only
+    one row's 2 N! Python floats are alive at once, not the table's 2 N!^2.
+    """
+    template = _row_template(table.shape[1])
+    for p, row in enumerate(table, 1):
+        yield (template.replace("{p}", str(p))
+               % tuple(np.ascontiguousarray(row).view(np.float64).tolist()))
 
 
 def run_coeffs(cfg: RunConfig) -> int:
     state = _table_state(cfg)
     relation = state_relation_residual(state)
     cfg.lines.append("p_rank,q_rank,re_a,im_a")
-    for p, row in enumerate(state.table, 1):  # one row at a time keeps memory flat
-        cfg.lines.extend("%d,%d,%.17g,%.17g" % (p, q, re, im) for q, (re, im)
-                         in enumerate(zip(row.real.tolist(), row.imag.tolist()), 1))
+    cfg.lines.extend(_table_csv_rows(state.table))
     cfg.lines.append(f"pairwise relation residual: {relation:.3e}")
     worst = relation
     if state.n <= ORACLE_MAX_N:

@@ -8,7 +8,8 @@ sample at a time, the (u, v) panel drawn one candidate at a time, the
 factorization panel formed one particle order at a time, the plane waves
 gathered point-major, the boundary residuals with their relative momenta
 gathered per call, the finite-difference residual of one point and the
-pointwise step-phase gauge map.  No command runs them."""
+pointwise step-phase gauge map, and the coefficient CSV of ``coeffs``
+formatted one entry at a time.  No command runs them."""
 
 import math
 
@@ -341,3 +342,10 @@ def schrodinger_fd_residual_one_point(state, x, h: float) -> float:
     center, plus, minus = vals[0], vals[1:state.n + 1], vals[state.n + 1:]
     lap = np.sum((plus - 2 * center + minus) / h**2)
     return abs(lap + state.energy * center)
+
+
+def coefficient_csv_lines(table) -> list[str]:
+    """The ``p_rank,q_rank,re_a,im_a`` lines of a table, one ``%`` call per
+    entry, P outer and Q inner, both ranks 1-based."""
+    return ["%d,%d,%.17g,%.17g" % (p, q, a.real, a.imag)
+            for p, row in enumerate(table.tolist(), 1) for q, a in enumerate(row, 1)]

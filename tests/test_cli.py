@@ -11,6 +11,7 @@ from pointbethe.bethe import bethe_state
 from pointbethe.cli import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK,
                             EXIT_RESIDUAL, main)
 from pointbethe.couplings import CouplingParameters
+from reference import coefficient_csv_lines
 
 
 def run_cli(args, tmp_path, name="report.txt"):
@@ -402,6 +403,39 @@ def test_coeffs_csv_parses_back_to_the_table(tmp_path):
                         np.array([1.4, -0.2, 0.7]), a_identity).table
     # bit for bit, signed zeros included
     assert np.array_equal(parsed.view(np.uint64), np.ascontiguousarray(table).view(np.uint64))
+
+
+@pytest.mark.parametrize("flags, params", [
+    (["--eta", "1"], CouplingParameters(2.0, 0.0, 0.0, 1.0)),
+    (["--lambda", "0.5"], CouplingParameters(2.0, 0.5, 0.0, 0.0)),
+], ids=["f1", "f2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_coeffs_csv_matches_the_per_entry_format(tmp_path, n, flags, params):
+    k = [1.4, -0.6, 0.3, -1.3, 0.9][:n]
+    status, report = run_cli(["coeffs", "--c", "2", *flags,
+                              "--k", ",".join(map(str, k))], tmp_path)
+    assert status == EXIT_OK
+    lines = report.splitlines()
+    start = lines.index("p_rank,q_rank,re_a,im_a") + 1
+    end = next(i for i, line in enumerate(lines) if line.startswith("pairwise relation"))
+    assert end - start == math.factorial(n) ** 2
+    a_identity = np.zeros(math.factorial(n), dtype=np.complex128)
+    a_identity[0] = 1.0
+    table = bethe_state(params, np.array(k), a_identity).table
+    assert lines[start:end] == coefficient_csv_lines(table)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_table_csv_rows_format_edge_values(order):
+    table = np.array([[complex(-0.0, 5e-324), complex(-1 / 3, 1e300)],
+                      [complex(-1e-300, -0.0), complex(0.0, 1.0)]], order=order)
+    rows = list(cli._table_csv_rows(table))
+    assert len(rows) == 2  # one entry of cfg.lines per table row
+    assert "\n".join(rows).split("\n") == coefficient_csv_lines(table) == [
+        "1,1,-0,4.9406564584124654e-324",
+        "1,2,-0.33333333333333331,1.0000000000000001e+300",
+        "2,1,-1e-300,-0",
+        "2,2,0,1"]
 
 
 def test_config_file_repeated_key_is_refused(tmp_path, capsys):
