@@ -7,12 +7,19 @@ and filling the full coefficient table over all N! momentum permutations.
 
 ``factorization_panel`` broadcasts blocks of coupling-grid rows against
 the whole (u, v) panel at once; a block holds at most PANEL_BLOCK_ENTRIES
-rows x samples, so memory stays flat in the grid size, and each of the
+rows x samples, so memory stays flat in the grid size (64 kB per complex
+temporary, 1 MB for a block's sixteen amplitude arrays), and each of the
 thirteen identities is reduced to its per-row maximum as soon as it is
-formed.  Each argument u, -u, v, u+v takes one ``amplitude_arrays``
-call for both particle orders, and products that two identities share
-are formed once; results are bit-identical to evaluating one row, one
-sign and one identity at a time.
+formed.  A block takes three ``amplitude_arrays`` calls, at u, v and
+u+v, each for both particle orders.  The -u amplitudes are read off u:
+for real couplings and real u, D(-u) = -conj D(u), so
+(S_T^+, S_R^+, S_T^-, S_R^-)(-u) = conj(S_T^-, S_R^+, S_T^+, S_R^-)(u),
+and u's pole mask serves -u, since |D(-u)| = |D(u)|.  Negation is exact
+and numpy's complex division is symmetric under conjugation, so only the
+sign of a zero can differ from evaluating -u, and abs hides it.
+Products that two identities share are formed once; results are
+bit-identical to evaluating one row, one sign, one argument and one
+identity at a time.
 
 ``plane_waves`` is the one place that forms the waves exp(i k_P . x_Q);
 ``eval_grid``, ``wavefunction.evaluate`` and ``boundary_residual`` use it.
@@ -115,19 +122,19 @@ def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray)
     params_grid = np.atleast_2d(np.asarray(params_grid, dtype=np.float64))
     us = np.atleast_1d(np.asarray(us, dtype=np.float64))
     vs = np.atleast_1d(np.asarray(vs, dtype=np.float64))
-    samples = (us, -us, vs, us + vs)
     out = np.empty((params_grid.shape[0], 13), dtype=np.float64)
     step = max(1, PANEL_BLOCK_ENTRIES // max(1, len(us)))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, params_grid.shape[0], step):
             c, lam, gamma, eta = params_grid[start:start + step, :, np.newaxis].transpose(1, 0, 2)
-            amps, ok = [], True
-            for x in samples:
-                *s, good = amplitude_arrays(c, lam, gamma, eta, x)
-                amps += s
-                ok = ok & good
+            stp, srp, stm, srm, ok = amplitude_arrays(c, lam, gamma, eta, us)
+            *at_v, ok_v = amplitude_arrays(c, lam, gamma, eta, vs)
+            *at_w, ok_w = amplitude_arrays(c, lam, gamma, eta, us + vs)
+            # -u: the conjugates in swapped order, under u's pole mask
+            at_mu = np.conj(stm), np.conj(srp), np.conj(stp), np.conj(srm)
+            ok = ok & ok_v & ok_w
             block = out[start:start + step]
-            for e, r in enumerate(_identities(*amps)):
+            for e, r in enumerate(_identities(stp, srp, stm, srm, *at_mu, *at_v, *at_w)):
                 block[:, e] = np.abs(r).max(axis=1)
             block[~ok.all(axis=1)] = np.inf
     out[np.isnan(out)] = np.inf

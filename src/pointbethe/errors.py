@@ -46,7 +46,11 @@ def finite_array(x, what: str, shape=(), dtype=np.float64, empty: str | None = N
     """x as a fresh C-ordered ``dtype`` array of ``shape`` (None: any length)
     with finite entries; the ValueError names ``what`` and the shapes or the
     0-based indices of the non-finite entries (rows, for 2D), or is the
-    message ``empty``, when given, for an x with no entries."""
+    message ``empty``, when given, for an x with no entries.  A finite
+    Python float asked for as a float64 scalar, the commonest input, is
+    returned as it is."""
+    if type(x) is float and shape == () and dtype is np.float64 and math.isfinite(x):
+        return x
     try:
         # shape () gives a numpy scalar, a third of the cost of a 0-d array
         a = np.array(x, dtype=dtype, order="C") if shape else dtype(x)

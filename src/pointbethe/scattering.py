@@ -11,6 +11,11 @@ and the minus amplitudes are the same expressions with
 (gamma, eta) -> (-gamma, -eta); they describe scattering with the two
 particles' roles exchanged.  D(u) sees them only through gamma^2 and
 eta^2, so one D(u) and one pole-guard test serve both particle orders.
+For real couplings and real u the interaction is time-reversal
+symmetric: D(-u) = -conj D(u), so S_R^+(-u) = conj S_R^+(u),
+S_R^-(-u) = conj S_R^-(u), S_T^+(-u) = conj S_T^-(u) and
+S_T^-(-u) = conj S_T^+(u), in floating point too, up to the sign of a
+zero; ``_kernels.factorization_panel`` reads its -u amplitudes off u.
 ``amplitude_arrays`` is the one evaluator of the formula and holds that
 one test; ``amplitude_columns`` and its one-point case ``amplitudes``
 read it.  ``amplitudes_bvp_oracle`` rederives the same numbers by

@@ -2,6 +2,8 @@
 public entry points whose bad arguments once escaped as an IndexError, a
 TypeError or a numpy message that named no argument."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,40 @@ from pointbethe.wavefunction import boundary_residual, boundary_samples, evaluat
 def test_finite_array_names_the_argument_and_the_fault(x, shape, message):
     with pytest.raises(ValueError, match="^" + message):
         finite_array(x, "x", shape)
+
+
+@pytest.mark.parametrize("x, value", [
+    (1.5, 1.5), (-0.0, -0.0), (0.0, 0.0), (5e-324, 5e-324), (-1e308, -1e308),
+    (np.float64(1.5), 1.5), (np.float64(-0.0), -0.0), (np.array(2.5), 2.5),
+    (3, 3.0), (-2, -2.0), (True, 1.0), (False, 0.0),
+], ids=["float", "-0.0", "+0.0", "subnormal", "huge", "float64", "float64-0.0", "0-d",
+        "int", "negative-int", "True", "False"])
+def test_finite_array_returns_an_equal_scalar(x, value):
+    # a Python float takes the fast path; numpy scalars, ints and bools the
+    # general one.  Both give the value, and the sign of a zero, of np.float64(x)
+    out = finite_array(x, "x")
+    assert isinstance(out, float) and out == value
+    assert np.signbit(out) == np.signbit(value)
+
+
+@pytest.mark.parametrize("x, got", [
+    (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+    (np.float64(np.nan), "nan"), (np.float64(np.inf), "inf"), (np.float64(-np.inf), "-inf"),
+    (np.array(-np.inf), "-inf"),
+], ids=["nan", "inf", "-inf", "float64-nan", "float64-inf", "float64--inf", "0-d--inf"])
+def test_finite_array_refuses_non_finite_scalars_on_and_off_the_fast_path(x, got):
+    with pytest.raises(ValueError, match=f"^x must be finite, got {re.escape(got)}$"):
+        finite_array(x, "x")
+
+
+def test_finite_array_fast_path_is_only_for_float64_scalars():
+    # a float asked for in another shape or dtype goes through numpy as before
+    assert finite_array(1.5, "x", dtype=np.complex128) == 1.5 + 0j
+    assert type(finite_array(1.5, "x", dtype=np.complex128)) is np.complex128
+    with pytest.raises(ValueError, match=r"^x must have shape \(M,\), got \(\)$"):
+        finite_array(1.5, "x", (None,))
+    with pytest.raises(ValueError, match=r"^x must be finite, got nan$"):
+        finite_array(np.nan, "x", dtype=np.complex128)
 
 
 def test_finite_array_returns_a_fresh_c_ordered_array():

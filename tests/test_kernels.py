@@ -82,6 +82,24 @@ def test_panel_equals_the_per_sign_reference(rows, samples, pole_row):
         assert np.isinf(got[-1]).all()
 
 
+def test_panel_evaluates_amplitudes_three_times_per_block(monkeypatch):
+    # u, v and u + v; -u is read off u by conjugation and must not be
+    # evaluated again
+    args, evaluate = [], _kernels.amplitude_arrays
+
+    def counted(c, lam, gamma, eta, u):
+        args.append(u)
+        return evaluate(c, lam, gamma, eta, u)
+
+    panel = _kernels.sample_panel(3, 100)
+    us, vs = panel[:, 0], panel[:, 1]
+    rows_per_block = _kernels.PANEL_BLOCK_ENTRIES // len(us)
+    monkeypatch.setattr(_kernels, "amplitude_arrays", counted)
+    _kernels.factorization_panel(SCAN_GRID[:2 * rows_per_block + 1], us, vs)
+    assert len(args) == 3 * 3
+    assert not any(np.array_equal(u, -us) for u in args)
+
+
 def test_pair_amplitude_tables_layout():
     params = CouplingParameters(1.2, 0.0, 0.3, -0.4)
     k = np.array([0.9, -0.7, 1.6])

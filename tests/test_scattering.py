@@ -2,12 +2,13 @@ import re
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import PoleAtU
-from pointbethe.scattering import (amplitude_arrays, amplitude_columns, amplitudes,
+from pointbethe.scattering import (_closed_form, amplitude_arrays, amplitude_columns, amplitudes,
                                    amplitudes_bvp_oracle)
 
 
@@ -94,6 +95,55 @@ def test_minus_amplitudes_flip_gamma_eta(c, lam, gamma, eta, us):
     assert stm.tobytes() == f_stp.tobytes() and srm.tobytes() == f_srp.tobytes()
     assert stp.tobytes() == f_stm.tobytes() and srp.tobytes() == f_srm.tobytes()
     assert np.array_equal(ok, f_ok)
+
+
+@st.composite
+def _couplings_of_both_families_and_beyond(draw):
+    c, lam, gamma, eta = (draw(_huge_couplings | st.just(-1e200)) for _ in range(4))
+    family = draw(st.sampled_from([None, "family1", "family2"]))
+    if family == "family1":
+        lam = gamma = 0.0
+    elif family == "family2" and c != 0.0:
+        lam, gamma, eta = 1.0 / c, 0.0, 0.0
+    return c, lam, gamma, eta
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=_couplings_of_both_families_and_beyond(),
+       us=st.lists(st.sampled_from([0.0, 1e-15, -1e-15]) | st.floats(-5.0, 5.0),
+                   min_size=1, max_size=12))
+@example(params=(0.0, 0.0, 0.0, 0.0), us=[1e-15, -1e-15, 1.0])  # the c = 0 pole band
+@example(params=(1e200, 0.5, -1e150, 1e200), us=[2.0, -3.0])  # overflow to inf and NaN
+def test_minus_u_is_the_conjugate_of_the_other_order(params, us):
+    # for real couplings and real u, D(-u) = -conj D(u), so
+    # (S_T^+, S_R^+, S_T^-, S_R^-)(-u) = conj(S_T^-, S_R^+, S_T^+, S_R^-)(u):
+    # negation is exact and numpy's complex division is symmetric under
+    # conjugation, so factorization_panel reads -u off u.  Values are
+    # compared with ==, so a zero's sign may differ; every panel residual
+    # passes through abs, which hides it.  Entries inside the pole guard
+    # hold filler, not amplitudes, and are not compared.
+    u = np.array(us)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stp, srp, stm, srm, ok = amplitude_arrays(*params, u)
+        *at_minus_u, ok_minus_u = amplitude_arrays(*params, -u)
+    assert np.array_equal(ok_minus_u, ok)
+    got = np.ascontiguousarray(np.array(at_minus_u)[:, ok]).view(np.float64)
+    want = np.ascontiguousarray(np.conj([stm, srp, stp, srm])[:, ok]).view(np.float64)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert (got == want)[~np.isnan(got)].all()
+
+
+def test_closed_form_minus_u_is_the_conjugate_exactly():
+    # the symmetry the panel rests on, on the formula itself with real symbols:
+    # D(-u) + conj D(u) = 0, and each amplitude at -u, cross-multiplied, is
+    # the conjugate of its partner at u
+    c, lam, gamma, eta, u = sympy.symbols("c lam gamma eta u", real=True)
+    stp, srp, stm, srm, den = _closed_form(c, lam, gamma, eta, u)
+    *at_minus_u, den_minus_u = _closed_form(c, lam, gamma, eta, -u)
+    assert sympy.expand(den_minus_u + sympy.conjugate(den)) == 0
+    for num_minus_u, num in zip(at_minus_u, (stm, srp, stp, srm)):
+        assert sympy.expand(num_minus_u * sympy.conjugate(den)
+                            - sympy.conjugate(num) * den_minus_u) == 0
 
 
 @pytest.mark.parametrize("c,eta,u", [(2.0, 1.3, 0.7), (1.0, -0.5, -2.1), (0.4, 2.0, 3.3)])
