@@ -26,6 +26,6 @@ from .scattering import AmplitudeSet, amplitudes, amplitudes_bvp_oracle
 from .wavefunction import (boundary_residual, boundary_samples,
                            determinant_bethe_state, determinant_coefficients,
                            evaluate, evaluate_grid, gauge_transformed_state,
-                           schrodinger_fd_residual, schrodinger_fd_residuals)
+                           schrodinger_fd_residual)
 
 __version__ = "0.1.0"

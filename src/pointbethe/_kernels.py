@@ -36,9 +36,9 @@ Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
 * ``waves[(M, F)]`` from ``plane_waves``: C-contiguous, row m the waves
   of point m, so a product with a stack of wedge rows is unit-stride.
-* ``relative_momenta[(N-1, F)]`` (``BetheState.relative_momenta``):
-  entry (s, p) is 1j * (k_{P(s+1)} - k_{P(s+2)}), the relative derivative
-  factor of wave P across site s + 1.
+* relative momenta ``[(N-1, F)]``, formed by each ``boundary_residual``
+  call: entry (s, p) is 1j * (k_{P(s+1)} - k_{P(s+2)}), the relative
+  derivative factor of wave P across site s + 1.
 * ``columns[(F, F)]``: the transpose of the Fortran-ordered table, a free
   C-contiguous view, ``columns[q, p]`` = A_P(Q): a wedge's column is one row.
 * ``tmaps[(N-1, F)]``, ``asc[(N-1, F)]``: right-multiplication index map
@@ -298,8 +298,7 @@ def thread_map(fn, *iterables) -> list:
     Results come back in item order.  If calls raise, the exception of
     the first failing item in that order is raised, the one a loop would
     raise first.  The calls run at once, so ``fn`` must not write shared
-    state (a cached property it reads has to exist before the call), and
-    must not itself call ``thread_map``.  numpy releases the GIL in its
-    array loops, so calls dominated by them run in parallel.
+    state, and must not itself call ``thread_map``.  numpy releases the
+    GIL in its array loops, so calls dominated by them run in parallel.
     """
     return list(_pool().map(fn, *iterables))

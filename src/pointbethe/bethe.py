@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -119,13 +118,11 @@ class BetheState:
     table is a complex, Fortran-ordered, read-only array that owns its
     data: a ``table`` that is not such an array is checked for finite
     entries and copied Fortran-ordered, and ``k`` is always a fresh
-    frozen copy, so no cached array can go stale.  ``columns`` is its
-    transpose, a C-contiguous view, ``columns[q, p]`` = A_P(Q): the wedge
-    column A_.(Q) is one contiguous row.
-    ``relative_momenta``, made on first use, is the (N-1, N!) table
-    1j * (k_{P(s+1)} - k_{P(s+2)}) at 0-based row s and column rank(P):
-    the relative derivative factor of wave P across site s + 1, which
-    every boundary check of the state reads.
+    frozen copy.  Nothing is written to a state after ``__post_init__``,
+    so threads may share one.  ``columns`` is the table's transpose, a
+    C-contiguous view, ``columns[q, p]`` = A_P(Q): the wedge column A_.(Q)
+    is one contiguous row.  ``tables`` is ``symmetric_group(N)``, which is
+    cached per process.
     """
 
     params: CouplingParameters
@@ -154,20 +151,13 @@ class BetheState:
     def energy(self) -> float:
         return float(np.sum(self.k**2))
 
-    @cached_property
+    @property
     def tables(self) -> SymmetricGroupTables:
         return symmetric_group(self.n)
 
     @property
     def columns(self) -> np.ndarray:
         return self.table.T
-
-    @cached_property
-    def relative_momenta(self) -> np.ndarray:
-        k_at = self.k[self.tables.images.T]  # k_at[i, p] = k_{P(i+1)}
-        du = 1j * (k_at[:-1] - k_at[1:])
-        du.flags.writeable = False
-        return du
 
 
 def bethe_state(params: CouplingParameters, k, a_identity) -> BetheState:

@@ -42,7 +42,7 @@ from .factorization import (GridSpec, block_reduction_check, scan_couplings,
 from .scattering import amplitudes, amplitudes_bvp_oracle
 from .wavefunction import (FD_STEP, boundary_residual, boundary_samples,
                            closest_gap, evaluate_grid, gauge_transformed_state,
-                           schrodinger_fd_residuals)
+                           schrodinger_fd_residual)
 
 COMMANDS = ("scatter", "yb-check", "scan", "coeffs", "eigen", "gauge")
 
@@ -253,11 +253,11 @@ def _pair_lines(cfg: RunConfig, state: BetheState, label: str, rng) -> float:
     The samples of every pair are drawn first, in pair order, so rng
     gives the same points as a draw-and-check loop; the checks then run
     at once on ``_kernels.thread_map``, and the lines and the maximum do
-    not depend on how many threads it has.
+    not depend on how many threads it has.  The checks only read the
+    state, which is never written after it is made.
     """
     pairs = list(itertools.combinations(range(1, state.n + 1), 2))
     samples = [boundary_samples(state.n, j, kk, rng, count=50) for j, kk in pairs]
-    state.relative_momenta  # made here, so that no check builds the cached table
     residuals = _kernels.thread_map(lambda pair, x: boundary_residual(state, *pair, x),
                                     pairs, samples)
     worst = 0.0
@@ -363,7 +363,7 @@ def run_eigen(cfg: RunConfig) -> int:
     worst = _pair_lines(cfg, state, "boundary", rng)
     # the stencil must not reach across a coincidence plane
     fd_points = points[closest_gap(points) > FD_STEP][:5]
-    fd = _worst(*schrodinger_fd_residuals(state, fd_points)) if len(fd_points) else math.nan
+    fd = _worst(*schrodinger_fd_residual(state, fd_points)) if len(fd_points) else math.nan
     cfg.lines.append(f"free-equation finite-difference residual: {fd:.3e}")
     return _close(cfg, worst, "boundary residual")
 

@@ -99,9 +99,10 @@ def _pair(n, j, kk) -> tuple[int, int]:
 
 
 def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
-                     count: int = 50, box: float = 3.0, min_gap: float = 0.2) -> list[np.ndarray]:
-    """Random points on the hyperplane x_j = x_kk with other coordinates
-    generic (kept min_gap away from the common value and each other).
+                     count: int = 50, box: float = 3.0, min_gap: float = 0.2) -> np.ndarray:
+    """A (count, N) array of random points on the hyperplane x_j = x_kk
+    with other coordinates generic (kept min_gap away from the common
+    value and each other).
 
     The rows and the state ``rng`` is left in are those of a
     draw-and-test loop (``_kernels.uniform_accepted``): the test ignores
@@ -118,7 +119,7 @@ def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
     x = _kernels.uniform_accepted(rng, count, n, box, lambda c: closest_gap(c[:, keep]) > min_gap,
                                   "boundary_samples", f"gaps above min_gap={min_gap}")
     x[:, kk - 1] = x[:, j - 1]  # x_kk repeats x_j
-    return list(x)
+    return x
 
 
 def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[float, float]:
@@ -130,7 +131,7 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     and their relative derivatives are evaluated analytically and combined
     with the averaged-value regularization, for all samples at once: each
     sample reads two contiguous wedge rows of ``state.columns``, its
-    C-contiguous plane waves and its row of ``state.relative_momenta``.
+    C-contiguous plane waves and the relative momenta of its crossing site.
     """
     j, kk = _pair(state.n, j, kk)
     x = finite_array(samples, "samples", (None, state.n),
@@ -155,7 +156,8 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
 
     waves = _kernels.plane_waves(state.k, tables.images, np.take_along_axis(x, order, axis=1))
     # relative momentum factor i(k_{P(i)} - k_{P(i+1)}) per sample and row P
-    du = state.relative_momenta[site]
+    k_at = state.k[tables.images.T]  # k_at[i, p] = k_{P(i+1)}
+    du = (1j * (k_at[:-1] - k_at[1:]))[site]
 
     # below the boundary (x_j = x_kk - 0+) the state is the wedge-Q sum;
     # above it the wedge-QT_i sum; at coincidence the exponents agree.
@@ -229,32 +231,28 @@ def gauge_transformed_state(state: BetheState) -> BetheState:
     return BetheState(params=CouplingParameters(c=gd.c_tilde), k=state.k, table=table)
 
 
-def schrodinger_fd_residual(state: BetheState, x, h: float = FD_STEP) -> float:
+def schrodinger_fd_residual(state: BetheState, x, h: float = FD_STEP) -> float | np.ndarray:
     """|FD Laplacian psi + E psi| at an interior point (O(h^2) check).
 
-    Raises ValueError unless h is finite and positive and x holds N finite
-    coordinates, and OnBoundary when two coordinates are within h: the
-    stencil would then reach across a coincidence plane, where psi has a
-    derivative jump.
+    ``x`` is one point (N,), which gives a float, or an (M, N) batch, which
+    gives the (M,) residuals.  The 2N + 1 stencil points of all rows go
+    through one ``evaluate_grid`` call, which evaluates each row alone, so
+    a row has the bits of the one-point call.  Raises ValueError unless h
+    is finite and positive and x has one of those shapes and finite
+    coordinates, and OnBoundary when two coordinates of a point are within
+    h: the stencil would then reach across a coincidence plane, where psi
+    has a derivative jump.
     """
-    x = finite_array(x, "point x", (state.n,))
-    return schrodinger_fd_residuals(state, x[np.newaxis], h)[0]
-
-
-def schrodinger_fd_residuals(state: BetheState, points, h: float = FD_STEP) -> np.ndarray:
-    """``schrodinger_fd_residual`` at every row of an (M, N) array of points.
-
-    The 2N + 1 stencil points of all rows go through one ``evaluate_grid``
-    call, which evaluates each row alone, so entry m has the bits of the
-    single-point call at points[m].  Raises ValueError unless h is finite
-    and positive and the points have shape (M, N) and finite coordinates,
-    and OnBoundary for a point with two coordinates within h.
-    """
+    n = state.n
+    try:
+        one = np.ndim(x) < 2
+    except ValueError:  # ragged: refused below, as a point
+        one = True
+    points = (finite_array(x, "point x", (n,))[np.newaxis] if one
+              else finite_array(x, "points", (None, n)))
     finite_array(h, "finite-difference step h")
     if not h > 0:
         raise ValueError(f"finite-difference step h must be > 0, got {h}")
-    n = state.n
-    points = finite_array(points, "points", (None, n))
     near = closest_gap(points) <= h
     if near.any():
         raise OnBoundary(f"coordinates of {points[near.argmax()]} lie within the "
@@ -267,4 +265,5 @@ def schrodinger_fd_residuals(state: BetheState, points, h: float = FD_STEP) -> n
     lap = np.sum((plus - 2 * center[:, np.newaxis] + minus) / h**2, axis=1)
     z = lap + state.energy * center
     # hypot gives the bits of the scalar abs()
-    return np.hypot(z.real, z.imag)
+    r = np.hypot(z.real, z.imag)
+    return r[0] if one else r

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from pointbethe import _kernels, cli
-from pointbethe.bethe import bethe_state
+from pointbethe.bethe import bethe_state, state_relation_residual
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import OnBoundary
-from pointbethe.wavefunction import boundary_residual, boundary_samples
+from pointbethe.wavefunction import (boundary_residual, boundary_samples, evaluate,
+                                     evaluate_grid, gauge_transformed_state)
 
 FAMILIES = [CouplingParameters(2.0, 0.0, 0.0, 1.3), CouplingParameters(1.7, 1.0 / 1.7)]
 FAMILY_IDS = ["family1", "family2"]
@@ -84,17 +85,28 @@ def test_pair_lines_equal_the_serial_loop(params, n):
     assert rng.bit_generator.state == serial_rng.bit_generator.state
 
 
-def test_the_cached_momentum_table_exists_before_the_checks_start(monkeypatch):
-    # built on the calling thread, so no worker computes the cached_property
-    state = _state(FAMILIES[0], 4)
-    mapped = _kernels.thread_map
-
-    def checked(fn, *iterables):
-        assert "relative_momenta" in vars(state)
-        return mapped(fn, *iterables)
-
-    monkeypatch.setattr(_kernels, "thread_map", checked)
-    cli._pair_lines(cli.RunConfig(command="eigen"), state, "boundary", np.random.default_rng(0))
+@pytest.mark.parametrize("params", FAMILIES, ids=FAMILY_IDS)
+def test_no_reader_writes_to_the_state(params):
+    # threads share one state, so reading it must leave its fields as they were
+    state = _state(params, 4)
+    fields = dict(vars(state))
+    rng = np.random.default_rng(4)
+    points = rng.uniform(-3.0, 3.0, (10, 4))
+    readers = {
+        "evaluate": lambda: evaluate(state, points[0]),
+        "evaluate_grid": lambda: evaluate_grid(state, points),
+        "boundary_residual": lambda: boundary_residual(
+            state, 1, 3, boundary_samples(4, 1, 3, rng, count=10)),
+        "state_relation_residual": lambda: state_relation_residual(state),
+        "_pair_lines": lambda: cli._pair_lines(cli.RunConfig(command="eigen"), state,
+                                               "boundary", rng),
+    }
+    if params.lam == 0:  # the gauge map's family
+        readers["gauge_transformed_state"] = lambda: gauge_transformed_state(state)
+    for name, read in readers.items():
+        read()
+        assert vars(state).keys() == fields.keys(), name
+        assert all(vars(state)[f] is value for f, value in fields.items()), name
 
 
 @pytest.mark.parametrize("params", FAMILIES, ids=FAMILY_IDS)
