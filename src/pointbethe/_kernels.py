@@ -72,6 +72,12 @@ BACKEND = "numpy"
 # Rejection samplers give up, with a ValueError, after this many draws per
 # requested sample.
 MAX_DRAWS_PER_SAMPLE = 1000
+# The samplers' domains: the box and the least |u|, |v|, |u+v| of sample_panel,
+# the box and the least coordinate gap of wavefunction.boundary_samples.
+PANEL_BOX = 5.0
+PANEL_MIN_SEP = 0.25
+BOUNDARY_BOX = 3.0
+BOUNDARY_MIN_GAP = 0.2
 
 # A panel call broadcasts a block of grid rows against the whole (u, v)
 # sample panel: couplings as (B, 1) columns, samples as (M,) rows.  Blocks
@@ -264,19 +270,19 @@ def uniform_accepted(rng: np.random.Generator, count: int, width: int, box: floa
     return out
 
 
-def sample_panel(seed: int, count: int = 100, box: float = 5.0, min_sep: float = 0.25) -> np.ndarray:
-    """Reproducible (u, v) panel in [-box, box]^2 avoiding pole bands.
+def sample_panel(seed: int, count: int = 100) -> np.ndarray:
+    """Reproducible (u, v) panel in [-PANEL_BOX, PANEL_BOX]^2 avoiding pole bands.
 
-    Rejects draws with |u|, |v| or |u+v| below min_sep so the identity
+    Rejects draws with |u|, |v| or |u+v| below PANEL_MIN_SEP so the identity
     residuals stay well-conditioned for every coupling choice.  The panel
     is the one a draw-and-test loop gives (``uniform_accepted``), which
     raises ValueError after MAX_DRAWS_PER_SAMPLE * count draws.
     """
     def accept(uv):
-        return np.abs([uv[:, 0], uv[:, 1], uv[:, 0] + uv[:, 1]]).min(axis=0) >= min_sep
+        return np.abs([uv[:, 0], uv[:, 1], uv[:, 0] + uv[:, 1]]).min(axis=0) >= PANEL_MIN_SEP
 
-    return uniform_accepted(np.random.default_rng(seed), count, 2, box, accept, "sample_panel",
-                            f"|u|, |v|, |u+v| >= min_sep={min_sep}")
+    return uniform_accepted(np.random.default_rng(seed), count, 2, PANEL_BOX, accept,
+                            "sample_panel", f"|u|, |v|, |u+v| >= min_sep={PANEL_MIN_SEP}")
 
 
 @functools.cache

@@ -13,7 +13,7 @@ byte-identical reports, except that ``coeffs`` at N <= 4 repeats its bytes
 only at a fixed CPU count (its oracle's BLAS solve is threaded).
 
 Exit status: 0 all residuals within tolerance, 1 configuration error,
-2 residual failure, 3 pole or degenerate input.
+2 residual failure or coeffs dimension not N!, 3 pole or degenerate input.
 
 --tol (default 1e-8) bounds the amplitude deviation from the oracle
 relative to max(1, |S_T^+|, |S_R^+|) for scatter, and absolute max-norm
@@ -298,8 +298,7 @@ def run_yb_check(cfg: RunConfig) -> int:
     cfg.lines.append(f"commute residual:   {report.commute:.3e}")
     worst = _worst(report.unitarity, report.braid, report.commute)
     if n >= 4:
-        u, v = panel[0]  # the deviation is exact and the same at every sample
-        block = _worst(*(block_reduction_check(params, n, i, u, v) for i in range(1, n - 1)))
+        block = _worst(*(block_reduction_check(n, i) for i in range(1, n - 1)))
         cfg.lines.append(f"block-reduction deviation: {block:.3e}")
         worst = _worst(worst, block)
     return _close(cfg, worst)
@@ -342,13 +341,15 @@ def run_coeffs(cfg: RunConfig) -> int:
     cfg.lines.append("p_rank,q_rank,re_a,im_a")
     cfg.lines.extend(_table_csv_rows(state.table))
     cfg.lines.append(f"pairwise relation residual: {relation:.3e}")
-    worst = relation
+    worst, status = relation, EXIT_OK
     if state.n <= ORACLE_MAX_N:
         oracle = coefficients_bc_oracle(state.params, state.k, state.table[:, 0])
         cfg.lines.append(f"boundary-system residual: {oracle.residual:.3e}")
         cfg.lines.append(f"solution-space dimension: {oracle.nullity} (expected {oracle.expected_nullity})")
         worst = _worst(worst, oracle.residual)
-    return _close(cfg, worst)
+        if oracle.nullity != oracle.expected_nullity:  # fails whatever the residuals
+            status = EXIT_RESIDUAL
+    return max(_close(cfg, worst), status)
 
 
 def run_eigen(cfg: RunConfig) -> int:

@@ -37,11 +37,6 @@ class CouplingParameters:
         for name in ("c", "lam", "gamma", "eta"):
             finite_array(getattr(self, name), f"coupling {name}")
 
-    def flipped(self) -> "CouplingParameters":
-        """Couplings with (gamma, eta) -> (-gamma, -eta), i.e. the same
-        interaction seen with the two particles exchanged."""
-        return CouplingParameters(self.c, self.lam, -self.gamma, -self.eta)
-
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.c, self.lam, self.gamma, self.eta)
 

@@ -46,7 +46,6 @@ FAIL_FLOOR = 1e-3  # above: point counts as violating them
 class FactorizationReport:
     """Per-identity max residuals over the evaluated samples."""
 
-    params: CouplingParameters
     residuals: np.ndarray
 
     @property
@@ -66,7 +65,7 @@ def check_factorization_panel(params: CouplingParameters,
     res = _kernels.factorization_panel(grid, samples[:, 0], samples[:, 1])[0]
     if not np.all(np.isfinite(res)):
         raise PoleAtU(f"amplitude pole inside the sample panel for {params.astuple()}")
-    return FactorizationReport(params=params, residuals=res)
+    return FactorizationReport(res)
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,6 @@ def scan_to_csv(rows: list[ScanRow]) -> str:
 class YangBaxterReport:
     """Max residuals of the three matrix relation families."""
 
-    n_particles: int
     unitarity: float   # Y_i(-u) Y_i(u) = 1
     braid: float       # Y_i(v) Y_{i+1}(u+v) Y_i(u) = Y_{i+1}(u) Y_i(u+v) Y_{i+1}(v)
     commute: float     # [Y_i(u), Y_j(v)] = 0 for |i-j| > 1
@@ -222,18 +220,16 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
             maxima.append(math.inf)
         else:
             maxima.append(float(np.abs(residual()).max()) if sets else 0.0)
-    return YangBaxterReport(n, *maxima)
+    return YangBaxterReport(*maxima)
 
 
-def block_reduction_check(params: CouplingParameters, n: int, i: int,
-                          u: float, v: float) -> float:
+def block_reduction_check(n: int, i: int) -> float:
     """Max deviation of the 6x6 invariant blocks of Y_i(u), Y_{i+1}(v) from
     the three-particle Y_1(u), Y_2(v).  Both pick their entries from the same
     four amplitudes by ascent flags, so the blocks match exactly when the
     orbit structure at positions i-1, i, i+1 holds: 0.0 then, inf otherwise,
-    whatever params, u and v are.  A non-finite u or v raises ValueError.
+    whatever the couplings, u and v are.
     """
     n = whole_number(n, "N", 4)
     i = whole_number(i, "site i", 1, n - 2)
-    finite_array((u, v), "sample (u, v)", (2,))
     return 0.0 if _orbit_structure_holds(symmetric_group(n), [i - 1, i, i + 1]) else math.inf

@@ -20,8 +20,9 @@ zero; ``_kernels.factorization_panel`` reads its -u amplitudes off u.
 one test; ``amplitude_columns`` and its one-point case ``amplitudes``
 read it.  ``amplitudes_bvp_oracle`` rederives the same numbers by
 substituting the two-particle plane-wave ansatz into the contact boundary
-conditions and solving the resulting 2x2 linear system; it shares no
-algebra with the closed form and is used to validate it.
+conditions and solving the resulting 2x2 linear system once for both
+incident waves; it shares no algebra with the closed form, not even the
+(gamma, eta) flip, and is used to validate it.
 
 For real u the denominator can only vanish at u = 0 with c = 0; bound-state
 poles sit at complex u and are out of scope, but a guard band around any
@@ -48,7 +49,6 @@ class AmplitudeSet:
     s_r_plus: complex
     s_t_minus: complex
     s_r_minus: complex
-    u: float
 
 
 def _closed_form(c, lam, gamma, eta, u):
@@ -109,36 +109,27 @@ def amplitudes(params: CouplingParameters, u: float) -> AmplitudeSet:
     """
     u = float(finite_array(u, "relative momentum u"))
     s_r_plus, s_r_minus, s_t_plus, s_t_minus = amplitude_columns(params, [u])[:, 0].tolist()
-    return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus, u)
-
-
-def _solve_bc_system(params: CouplingParameters, k1, k2):
-    """Solve the two contact boundary conditions for (S_T, S_R).
-
-    The ansatz is exp(i k1 x1 + i k2 x2) + S_R exp(i k2 x1 + i k1 x2) for
-    x1 < x2 and S_T exp(i k1 x1 + i k2 x2) for x2 < x1: in the unknowns
-    (A_P(Q), A_PT(Q), A_P(QT), A_PT(QT)) of the contact rows at u = k1 - k2
-    it is (1, S_R, 0, S_T).  The rows come from the contact residuals, so
-    the construction stays independent of the closed form.
-    """
-    u = k1 - k2
-    rows = _contact_coefficients(params, np.array([u]))[0]
-    mat = rows[:, [3, 1]]
-    if abs(np.linalg.det(mat)) <= 1e-12 * max(1.0, u * u):
-        raise SingularSystem(f"boundary system singular at k1={k1}, k2={k2}")
-    s_t, s_r = np.linalg.solve(mat, -rows[:, 0])
-    return complex(s_t), complex(s_r)
+    return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus)
 
 
 def amplitudes_bvp_oracle(params: CouplingParameters, k1: float, k2: float) -> AmplitudeSet:
-    """Amplitudes from a direct boundary-value solve (validation oracle).
+    """Amplitudes from one direct boundary-value solve (validation oracle).
 
-    Requires finite k1 != k2.  The minus amplitudes come from re-solving with
-    (gamma, eta) flipped, which corresponds to exchanging the two particles.
+    Over (A_P(Q), A_PT(Q), A_P(QT), A_PT(QT)), the contact rows at
+    u = k1 - k2 give (A_PT(Q), A_PT(QT)) = (S_R^+, S_T^+) for the wave
+    incident with A_P(Q) = 1 and (S_T^-, S_R^-) for the one with
+    A_P(QT) = 1, the Y-step relations of ``bethe``: one 2 x 2 solve serves
+    both.  The rows come from the contact residuals, so the oracle shares
+    no algebra with the closed form.  Requires finite k1 != k2; a singular
+    system raises SingularSystem.
     """
     finite_array((k1, k2), "oracle momenta (k1, k2)", (2,))
     if k1 == k2:
         raise ValueError("oracle needs distinct momenta k1 != k2")
-    s_t_plus, s_r_plus = _solve_bc_system(params, k1, k2)
-    s_t_minus, s_r_minus = _solve_bc_system(params.flipped(), k1, k2)
-    return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus, float(k1 - k2))
+    u = k1 - k2
+    rows = _contact_coefficients(params, np.array([u]))[0]
+    mat = rows[:, [1, 3]]
+    if abs(np.linalg.det(mat)) <= POLE_GUARD * max(1.0, u * u):
+        raise SingularSystem(f"boundary system singular at k1={k1}, k2={k2}")
+    (s_r_plus, s_t_minus), (s_t_plus, s_r_minus) = np.linalg.solve(mat, -rows[:, [0, 2]]).tolist()
+    return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus)

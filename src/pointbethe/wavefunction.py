@@ -99,23 +99,22 @@ def _pair(n, j, kk) -> tuple[int, int]:
 
 
 def boundary_samples(n: int, j: int, kk: int, rng: np.random.Generator,
-                     count: int = 50, box: float = 3.0, min_gap: float = 0.2) -> np.ndarray:
-    """A (count, N) array of random points on the hyperplane x_j = x_kk
-    with other coordinates generic (kept min_gap away from the common
-    value and each other).
+                     count: int = 50) -> np.ndarray:
+    """A (count, N) array of random points on the hyperplane x_j = x_kk in
+    the box ``_kernels.BOUNDARY_BOX``, with other coordinates kept more than
+    ``_kernels.BOUNDARY_MIN_GAP`` away from the common value and each other.
 
     The rows and the state ``rng`` is left in are those of a
     draw-and-test loop (``_kernels.uniform_accepted``): the test ignores
     x_kk, which is set to x_j after acceptance.  Raises ValueError for an n,
-    pair or count that is not whole and in range, a box or min_gap that is
-    not finite and > 0 or >= 0, and after MAX_DRAWS_PER_SAMPLE * count draws.
+    pair or count that is not whole and in range, and after
+    MAX_DRAWS_PER_SAMPLE * count draws.
     """
     n = whole_number(n, "N", 2)
     j, kk = _pair(n, j, kk)
     count = whole_number(count, "count", 1)
-    if not (finite_array(box, "box") > 0 and finite_array(min_gap, "min_gap") >= 0):
-        raise ValueError(f"need box > 0 and min_gap >= 0, got box={box}, min_gap={min_gap}")
     keep = [a for a in range(n) if a != kk - 1]
+    box, min_gap = _kernels.BOUNDARY_BOX, _kernels.BOUNDARY_MIN_GAP
     x = _kernels.uniform_accepted(rng, count, n, box, lambda c: closest_gap(c[:, keep]) > min_gap,
                                   "boundary_samples", f"gaps above min_gap={min_gap}")
     x[:, kk - 1] = x[:, j - 1]  # x_kk repeats x_j

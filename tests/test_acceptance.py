@@ -155,7 +155,7 @@ def test_criterion_06_block_reduction():
         for params in (FAMILY1, FAMILY2):
             for n in (4, 5, 6):
                 for i in range(1, n - 1):
-                    dev = block_reduction_check(params, n, i, 0.9, 1.7)
+                    dev = block_reduction_check(n, i)
                     assert dev <= 1e-12, (params, n, i, dev)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from pointbethe.bethe import (_ascending, _odd_site_null_basis,
                               _site_residuals, bethe_state,
                               coefficients_bc_oracle, propagate,
                               state_relation_residual, validate_momenta)
-from pointbethe.couplings import CouplingParameters, _site_contact
+from pointbethe.couplings import CouplingParameters, _site_contact, integrable_family
 from pointbethe.errors import NotIntegrable
 from pointbethe.permutations import symmetric_group
 from pointbethe.scattering import amplitudes
@@ -387,6 +388,24 @@ def test_oracle_inconsistent_for_noninteg_three_particles():
     oracle = coefficients_bc_oracle(NONINTEGRABLE, K3, pinned)
     assert oracle.residual >= 1e-3
     assert oracle.nullity != oracle.expected_nullity
+
+
+def test_oracle_nullity_rediscovers_the_two_families_on_the_scan_grid():
+    # the brute-force classifier: on the CLI scan's 5^4 grid, the N = 3
+    # contact system with a random pin has N! = 6 solutions exactly at the
+    # family points; it reads neither the closed form nor the sample panel
+    rng = np.random.default_rng(3)
+    pinned = rng.normal(size=6) + 1j * rng.normal(size=6)
+    k = np.array([-1.1, 0.3, 1.7])
+    grid = itertools.product((-2, -1, 0.5, 1, 2), (-0.5, 0, 0.5, 1, 2),
+                             (-1, -0.5, 0, 0.5, 1), (-1, -0.5, 0, 0.5, 1))
+    families = 0
+    for point in grid:
+        params = CouplingParameters(*point)
+        on_family = integrable_family(params) is not None
+        assert (coefficients_bc_oracle(params, k, pinned).nullity == 6) == on_family, point
+        families += on_family
+    assert families == 29
 
 
 def test_oracle_residual_stays_at_roundoff_at_four_particles():

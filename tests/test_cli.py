@@ -98,12 +98,35 @@ def test_coeffs_noninteg_exits_degenerate(tmp_path):
 @pytest.mark.parametrize("n", ["3", "4"])
 def test_coeffs_within_family_tol_passes(tmp_path, n, near):
     # couplings 1e-10 off family 1 are taken as integrable, and the oracle's
-    # least squares meets them to about 1e-10, inside the default --tol 1e-8
+    # least squares meets them to about 1e-10, inside the default --tol 1e-8.
+    # Its rank cutoff sees gamma = 1e-10 as on the family but not lambda =
+    # 1e-10, whose solution space has dimension 2, not N!: that run fails
     status, report = run_cli(["coeffs", "--N", n, "--c", "2"] + near, tmp_path)
-    assert status == EXIT_OK
+    assert status == (EXIT_OK if "--gamma" in near else EXIT_RESIDUAL)
     residual, = [line for line in report.splitlines()
                  if line.startswith("boundary-system residual: ")]
     assert float(residual.split(": ")[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("args, dimension, expected", [
+    (["--N", "4", "--eta", "1"], "24 (expected 24)", EXIT_OK),
+    (["--N", "4", "--lambda", "0.5"], "24 (expected 24)", EXIT_OK),
+    (["--N", "4", "--lambda", "0.5", "--gamma", "1e-10"], "2 (expected 24)", EXIT_RESIDUAL),
+    (["--N", "4", "--eta", "1", "--lambda", "1e-10"], "2 (expected 24)", EXIT_RESIDUAL),
+    (["--N", "3", "--lambda", "0.5", "--gamma", "1e-10"], "2 (expected 6)", EXIT_RESIDUAL),
+], ids=["n4-family1", "n4-family2", "n4-near-family2", "n4-near-family1", "n3-near-family2"])
+def test_coeffs_gates_the_solution_space_dimension(capsys, args, dimension, expected):
+    # integrable_family accepts couplings 1e-10 off a family, the oracle's
+    # rank cutoff does not: the whole report still goes to stdout, every
+    # residual inside --tol, and the run fails on the dimension alone
+    status = main(["coeffs", "--c", "2"] + args)
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert (status, err) == (expected, "")
+    assert len(lines) == 8 + 1 + math.factorial(int(args[1])) ** 2 + 4  # header, CSV, 4 lines
+    assert f"solution-space dimension: {dimension}" in lines
+    assert lines[-1].startswith("max residual = ") and lines[-1].endswith(" (tol 1e-08)")
+    assert float(lines[-1].split()[3]) <= 1e-8
 
 
 def test_eigen_csv_block(tmp_path):

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from pointbethe import factorization
-from pointbethe._kernels import sample_panel, yang_apply
+from pointbethe._kernels import sample_panel, step_parts, yang_apply
 from pointbethe.couplings import CouplingParameters, integrable_family
 from pointbethe.errors import PoleAtU
 from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
@@ -16,6 +17,7 @@ from pointbethe.factorization import (FAIL_FLOOR, PASS_TOL, GridSpec,
                                       scan_couplings, scan_to_csv,
                                       yang_baxter_matrix_check)
 from pointbethe.permutations import symmetric_group
+from pointbethe.scattering import _closed_form
 import reference
 from reference import yang_baxter_per_sample, yang_matrix, yang_parts
 
@@ -181,7 +183,7 @@ def test_matrix_relations_equivalent_to_identities_at_three_particles():
 
 @pytest.mark.parametrize("params,n,i", [(FAMILY1, 4, 1), (FAMILY2, 4, 2), (FAMILY1, 5, 2)])
 def test_block_reduction(params, n, i, subtests=None):
-    assert block_reduction_check(params, n, i, 0.9, 1.7) <= 1e-12
+    assert block_reduction_check(n, i) <= 1e-12
 
 
 def dense_yang_baxter(params, n, samples):
@@ -287,8 +289,7 @@ def test_amplitudes_are_evaluated_only_where_a_relation_runs():
 def test_orbit_packed_block_reduction_equals_dense_reference(params, n):
     for i in range(1, n - 1):
         for u, v in sample_panel(32, 3):
-            assert block_reduction_check(params, n, i, u, v) == \
-                dense_block_reduction(params, n, i, u, v)
+            assert block_reduction_check(n, i) == dense_block_reduction(params, n, i, u, v)
 
 
 def _swap_step_targets(tables):
@@ -318,7 +319,7 @@ def test_orbit_structure_check_catches_corrupted_tables(monkeypatch, params, cor
     # site 3 (0-based 2) enters every relation
     assert report.unitarity == report.braid == report.commute == math.inf
     # the blocks at i = 2, 3 cover positions 2, 3; the one at i = 1 does not
-    assert [block_reduction_check(params, 5, i, 0.9, 1.7) for i in (1, 2, 3)] == \
+    assert [block_reduction_check(5, i) for i in (1, 2, 3)] == \
         [0.0, math.inf, math.inf]
     if params is FAMILY1:
         # the dense products see both faults; in family 2, where the plus and
@@ -326,14 +327,57 @@ def test_orbit_structure_check_catches_corrupted_tables(monkeypatch, params, cor
         assert min(dense_yang_baxter(params, 5, panel)) >= 0.1
 
 
+def _exact_relations(params):
+    """Unitarity on S_2 and braid on S_3 from the code's own Y step on
+    object arrays of sympy amplitudes: the entries of products minus products,
+    each cancelled to a canonical rational function of the symbols."""
+    u, v = sympy.symbols("u v", real=True)
+
+    def columns(w):  # S_R^+, S_R^-, S_T^+, S_T^-, exact: 1j and 1.0 as I and 1
+        *nums, den = (sympy.nsimplify(x) for x in _closed_form(*params, w))
+        st_plus, sr_plus, st_minus, sr_minus = (num / den for num in nums)
+        return sr_plus, sr_minus, st_plus, st_minus
+
+    def product(m, *steps):
+        group = symmetric_group(m)
+        out = np.eye(group.order, dtype=int).astype(object)
+        for i, w in steps:
+            out = yang_apply(step_parts(group, i - 1, *columns(w)), out)
+        return out
+
+    unitarity = product(2, (1, u), (1, -u)) - product(2)
+    braid = (product(3, (1, u), (2, u + v), (1, v))
+             - product(3, (2, v), (1, u + v), (2, u)))
+    return [[sympy.cancel(entry) for entry in relation.ravel()] for relation in (unitarity, braid)]
+
+
+def test_yang_baxter_relations_hold_exactly_on_both_families():
+    # with the exact orbit check, this proves the N!-dimensional relations
+    # at every N, not only on a sampled panel
+    c, eta = sympy.symbols("c eta", real=True)
+    for params in ((c, 0, 0, eta), (c, 1 / c, 0, 0)):
+        unitarity, braid = _exact_relations(params)
+        assert len(unitarity) == 4 and len(braid) == 36
+        assert unitarity == [0] * 4 and braid == [0] * 36, params
+
+
+@pytest.mark.parametrize("params, nonzero", [((2, 0, sympy.Rational(3, 10), 0), 16),
+                                             ((2, sympy.Rational(1, 2), 0, 1), 12)],
+                         ids=["gamma", "lambda-eta"])
+def test_exact_braid_relation_fails_off_both_families(params, nonzero):
+    unitarity, braid = _exact_relations(params)
+    assert unitarity == [0] * 4  # holds for every coupling
+    assert sum(entry != 0 for entry in braid) == nonzero
+
+
 def test_block_reduction_guards():
     with pytest.raises(ValueError):
-        block_reduction_check(FAMILY1, 3, 1, 0.9, 1.7)
+        block_reduction_check(3, 1)
     with pytest.raises(ValueError):
-        block_reduction_check(FAMILY1, 4, 3, 0.9, 1.7)
+        block_reduction_check(4, 3)
     # a site of 1.5 failed as an index with a bare IndexError
     with pytest.raises(ValueError, match=r"^site i must be a whole number in 1\.\.2, got 1\.5$"):
-        block_reduction_check(FAMILY1, 4, 1.5, 0.9, 1.7)
+        block_reduction_check(4, 1.5)
 
 
 def test_sample_panel_reproducible_and_away_from_poles():
@@ -362,11 +406,6 @@ def test_non_finite_samples_are_refused(bad):
         yang_baxter_matrix_check(params, 3, [(0.5, 0.2), (0.3, bad)])
     with pytest.raises(ValueError, match=rows + r"\[0\]$"):
         yang_baxter_matrix_check(params, 3, [(bad, 0.2)])
-    pair = r"^sample \(u, v\) must be finite, got non-finite entries at 0-based indices "
-    with pytest.raises(ValueError, match=pair + r"\[0\]$"):
-        block_reduction_check(params, 4, 1, bad, 0.2)
-    with pytest.raises(ValueError, match=pair + r"\[1\]$"):
-        block_reduction_check(params, 4, 1, 0.2, bad)
     # the panel blamed nan on the couplings as a pole and met inf with a RuntimeWarning
     with pytest.raises(ValueError, match=rows + r"\[0\]$"):
         check_factorization_panel(CouplingParameters(2.0), [(bad, 1.0)])

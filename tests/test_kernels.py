@@ -4,6 +4,7 @@ fill, stacked Y steps and bounded sampling."""
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,9 +139,10 @@ def test_pair_amplitude_tables_raise_at_the_first_pair():
 def test_sample_panel_gives_up_on_an_empty_domain(run_python):
     # |u| <= box < min_sep rejects every draw
     proc = run_python(
-        "from pointbethe._kernels import sample_panel\n"
+        "from pointbethe import _kernels\n"
+        "_kernels.PANEL_BOX = 0.2\n"
         "try:\n"
-        "    sample_panel(0, 10, box=0.2)\n"
+        "    _kernels.sample_panel(0, 10)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
@@ -169,17 +171,18 @@ def test_sample_panel_gives_up_after_its_draw_budget(monkeypatch):
     real = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: made.append(_CountingRng(real(seed))) or made[-1])
+    monkeypatch.setattr(_kernels, "PANEL_BOX", 0.2)
     with pytest.raises(ValueError) as info:
-        _kernels.sample_panel(0, 10, box=0.2)
+        _kernels.sample_panel(0, 10)
     assert made[0].draws == _kernels.MAX_DRAWS_PER_SAMPLE * 10
     assert str(info.value) == (
         "sample_panel: 10000 draws in [-box, box]^2 with box=0.2 gave only 0 of 10 "
         "points with |u|, |v|, |u+v| >= min_sep=0.25")
 
 
-def _panel_or_error(sampler, seed, count, box, min_sep):
+def _panel_or_error(sampler, *args):
     try:
-        return sampler(seed, count, box=box, min_sep=min_sep).tobytes()
+        return sampler(*args).tobytes()
     except ValueError as exc:
         return str(exc)
 
@@ -195,8 +198,10 @@ def test_sample_panel_equals_the_one_by_one_draw_on_many_seeds():
        # fewer than one candidate in a thousand is kept
        domain=st.sampled_from([(5.0, 0.25), (1.0, 0.9), (0.26, 0.25)]))
 def test_sample_panel_equals_the_one_by_one_draw(seed, count, domain):
-    assert _panel_or_error(_kernels.sample_panel, seed, count, *domain) == \
-        _panel_or_error(sample_panel_one_by_one, seed, count, *domain)
+    box, min_sep = domain
+    with mock.patch.multiple(_kernels, PANEL_BOX=box, PANEL_MIN_SEP=min_sep):
+        got = _panel_or_error(_kernels.sample_panel, seed, count)
+    assert got == _panel_or_error(sample_panel_one_by_one, seed, count, box, min_sep)
 
 
 def _accepted_one_by_one(rng, count, width, box, accept, what, condition):

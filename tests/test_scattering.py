@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointbethe.couplings import CouplingParameters
-from pointbethe.errors import PoleAtU
+from pointbethe.errors import PoleAtU, SingularSystem
 from pointbethe.scattering import (_closed_form, amplitude_arrays, amplitude_columns, amplitudes,
                                    amplitudes_bvp_oracle)
 
@@ -83,9 +83,9 @@ def test_minus_amplitudes_flip_gamma_eta(c, lam, gamma, eta, us):
             amp = amplitudes(params, u)
         except PoleAtU as err:
             with pytest.raises(PoleAtU, match=re.escape(str(err).split(" for couplings")[0])):
-                amplitudes(params.flipped(), u)
+                amplitudes(CouplingParameters(c, lam, -gamma, -eta), u)
             continue
-        flipped = amplitudes(params.flipped(), u)
+        flipped = amplitudes(CouplingParameters(c, lam, -gamma, -eta), u)
         assert amp.s_t_minus == flipped.s_t_plus and amp.s_r_minus == flipped.s_r_plus
         assert amp.s_t_plus == flipped.s_t_minus and amp.s_r_plus == flipped.s_r_minus
     u = np.array(us)
@@ -218,6 +218,14 @@ def test_oracle_matches_closed_form_at_fixed_point():
     closed = amplitudes(params, 2.0)
     for attr in ("s_t_plus", "s_r_plus", "s_t_minus", "s_r_minus"):
         assert _rel_err(getattr(closed, attr), getattr(oracle, attr)) <= 1e-10
+
+
+@pytest.mark.parametrize("params", [CouplingParameters(0.0), CouplingParameters(0.0, 0.0, 0.3, 0.4)],
+                         ids=["free", "gamma-eta"])
+def test_oracle_refuses_a_singular_system(params):
+    # at c = 0 the determinant of the 2 x 2 system vanishes with u
+    with pytest.raises(SingularSystem, match=r"^boundary system singular at k1=1e-13, k2=0\.0$"):
+        amplitudes_bvp_oracle(params, 1e-13, 0.0)
 
 
 def test_oracle_needs_distinct_momenta():

@@ -124,12 +124,13 @@ def _pairs(n):
 
 @pytest.mark.parametrize("n, j, kk", [(n, j, kk) for n in range(2, 7) for j, kk in _pairs(n)])
 @pytest.mark.parametrize("count, min_gap", [(50, 0.2), (7, 0.2), (10, 0.8), (1, 0.2)])
-def test_block_drawn_samples_match_the_serial_stream(n, j, kk, count, min_gap):
+def test_block_drawn_samples_match_the_serial_stream(monkeypatch, n, j, kk, count, min_gap):
     # min_gap 0.8 keeps about 2 % of the draws at N = 6: many blocks
+    monkeypatch.setattr(_kernels, "BOUNDARY_MIN_GAP", min_gap)
     rng = np.random.default_rng(n * 100 + j * 10 + kk)
     ref_rng = np.random.default_rng(n * 100 + j * 10 + kk)
     for _ in range(2):  # a second call starts where the first left the stream
-        got = boundary_samples(n, j, kk, rng, count=count, min_gap=min_gap)
+        got = boundary_samples(n, j, kk, rng, count=count)
         ref = _serial_boundary_samples(n, j, kk, ref_rng, count=count, min_gap=min_gap)
         # one float array, x_kk repeating x_j
         assert isinstance(got, np.ndarray) and got.dtype == np.float64
@@ -138,11 +139,12 @@ def test_block_drawn_samples_match_the_serial_stream(n, j, kk, count, min_gap):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_block_drawn_samples_give_up_like_the_serial_loop():
+def test_block_drawn_samples_give_up_like_the_serial_loop(monkeypatch):
     # box 0.52 leaves just room for five coordinates 0.2 apart: 2 of 4000 fit
+    monkeypatch.setattr(_kernels, "BOUNDARY_BOX", 0.52)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     with pytest.raises(ValueError) as got:
-        boundary_samples(6, 2, 5, rng, count=4, box=0.52, min_gap=0.2)
+        boundary_samples(6, 2, 5, rng, count=4)
     with pytest.raises(ValueError) as ref:
         _serial_boundary_samples(6, 2, 5, ref_rng, count=4, box=0.52, min_gap=0.2)
     assert str(got.value) == str(ref.value) == (
@@ -155,9 +157,11 @@ def test_boundary_samples_give_up_on_an_empty_domain(run_python):
     # five other coordinates in [-0.3, 0.3] cannot keep pairwise gaps of 0.2
     proc = run_python(
         "import numpy as np\n"
+        "from pointbethe import _kernels\n"
         "from pointbethe.wavefunction import boundary_samples\n"
+        "_kernels.BOUNDARY_BOX = 0.3\n"
         "try:\n"
-        "    boundary_samples(6, 1, 2, np.random.default_rng(0), count=5, box=0.3)\n"
+        "    boundary_samples(6, 1, 2, np.random.default_rng(0), count=5)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
