@@ -31,6 +31,9 @@ from ``scattering.amplitude_arrays``.  Calls that
 are independent of each other and may run at once, such as the boundary
 checks of one state's N(N-1)/2 pairs, go through ``thread_map``, which
 runs them on one process-wide thread pool and returns what a loop would.
+LAPACK calls on small matrices, such as the N <= 4 oracle's, run inside
+``one_blas_thread``, which sets OpenBLAS to one thread for the calling
+thread alone.
 
 Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
@@ -59,6 +62,8 @@ Layout contracts (all indices 0-based):
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import os
 
@@ -308,3 +313,50 @@ def thread_map(fn, *iterables) -> list:
     GIL in its array loops, so calls dominated by them run in parallel.
     """
     return list(_pool().map(fn, *iterables))
+
+
+@functools.cache
+def _blas_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` from the OpenBLAS that
+    numpy loaded, found by its path in /proc/self/maps; None where there is
+    no /proc, no such library, or it exports no such function.  The setter
+    takes a thread count for the calling thread alone and returns that
+    thread's previous count."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            # the path is the sixth field of a line
+            paths = sorted({line.split(maxsplit=5)[-1].strip()
+                            for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        return setter
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body's BLAS and LAPACK calls on one OpenBLAS thread.
+
+    The setting is OpenBLAS's per-thread one: other threads, the workers of
+    ``thread_map`` among them, keep their count, and the previous value is
+    restored on leaving, also when the body raises.  Small factorizations
+    run faster on one thread, and their bits no longer depend on how many
+    CPUs the process has.  Where ``_blas_thread_setter`` finds no setter
+    the body runs as it would without the block.
+    """
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)

@@ -273,6 +273,7 @@ class OracleResult:
     expected_nullity: int    # N! when the ansatz is consistent
 
 
+@_kernels.one_blas_thread()
 def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> OracleResult:
     """Solve the full boundary system with A_P(identity wedge) pinned.
 
@@ -312,7 +313,10 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
 
     Limited to N <= ORACLE_MAX_N = 4: the system has (N-1) N!^2 / 2 + N! rows, and the
     QR runs on (N!^2 / 2) floor((N-1)/2) of them, 288 x 144 at N = 4, and
-    the least squares on R and the pins, 168 x 144.
+    the least squares on R and the pins, 168 x 144.  The whole call runs
+    on one OpenBLAS thread (``_kernels.one_blas_thread``): matrices this
+    small factor faster so than on several, and the result's bits then do
+    not depend on the CPU count.
     """
     k = validate_momenta(k)
     n = whole_number(k.size, "number of oracle momenta N", 1, ORACLE_MAX_N)

@@ -9,8 +9,9 @@ comma-separated list are configuration errors.
 Reports are plain UTF-8 with the resolved configuration echoed in
 ``# key = value`` header lines followed by human-readable summary lines and
 machine-readable CSV blocks.  Identical configuration and seed produce
-byte-identical reports, except that ``coeffs`` at N <= 4 repeats its bytes
-only at a fixed CPU count (its oracle's BLAS solve is threaded).
+byte-identical reports at any CPU count.  ``coeffs`` at N <= 4 runs its
+oracle on one BLAS thread; where OpenBLAS lacks a per-thread setting its
+bits follow the CPU count.
 
 Exit status: 0 all residuals within tolerance, 1 configuration error,
 2 residual failure or coeffs dimension not N!, 3 pole or degenerate input.
@@ -175,12 +176,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_config(argv: list[str]) -> RunConfig:
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of the process.  Parses share no state: each starts
+    from a fresh namespace, and an append flag gets a new list each time."""
     parser = _Parser(prog="pointbethe", add_help=True, description=__doc__)
     parser.add_argument("command", nargs="?", choices=COMMANDS)
     for key in ("config", *FIELDS):
         parser.add_argument(f"--{key}", action="append")
-    flags = vars(parser.parse_args(argv))
+    return parser
+
+
+def build_config(argv: list[str]) -> RunConfig:
+    flags = vars(_parser().parse_args(argv))
 
     config_path = _once(flags, "config")
     file_values = parse_config_file(config_path) if config_path else {}

@@ -489,3 +489,25 @@ def test_whitespace_around_list_items_is_accepted(tmp_path):
     status, plain = run_cli(["scan", "--c", "1,2", "--eta", "0.5"], tmp_path, "b.txt")
     assert status == EXIT_OK
     assert spaced == plain
+
+
+def test_the_shared_parser_refuses_a_repeated_flag_after_a_good_parse(tmp_path, capsys):
+    assert run_cli(["yb-check", "--c", "1", "--eta", "0.5"], tmp_path)[0] == EXIT_OK
+    assert main(["yb-check", "--c", "1", "--eta", "0.5", "--c", "2"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: field c: flag --c given 2 times\n"
+
+
+def test_parses_share_no_list_values():
+    first = vars(cli._parser().parse_args(["scan", "--c", "1", "--eta", "0.5"]))
+    second = vars(cli._parser().parse_args(["scan", "--c", "2"]))
+    assert (first["c"], first["eta"]) == (["1"], ["0.5"])
+    assert (second["c"], second["eta"]) == (["2"], None)
+    assert cli.build_config(["scan"]).c == (0.0,)
+
+
+def test_help_exits_zero_with_the_usage_of_a_fresh_parser(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == cli._parser.__wrapped__().format_help()

@@ -1,6 +1,7 @@
 """The process-wide thread pool of ``_kernels.thread_map`` and the boundary
 checks that run on it: item order, the first failure, the rng stream,
-and reports that do not depend on the number of workers."""
+and reports that do not depend on the number of workers; and the oracle's
+one OpenBLAS thread, whose reports do not depend on OpenBLAS's count."""
 
 import itertools
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from pointbethe import _kernels, cli
-from pointbethe.bethe import bethe_state, state_relation_residual
+from pointbethe.bethe import bethe_state, coefficients_bc_oracle, state_relation_residual
 from pointbethe.couplings import CouplingParameters
 from pointbethe.errors import OnBoundary
 from pointbethe.wavefunction import (boundary_residual, boundary_samples, evaluate,
@@ -199,3 +200,55 @@ print("ok")
     done = run_python(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+needs_local_setter = pytest.mark.skipif(
+    _kernels._blas_thread_setter() is None,
+    reason="the OpenBLAS numpy loaded exports no openblas_set_num_threads_local")
+
+
+@needs_local_setter
+def test_coeffs_bytes_do_not_depend_on_the_blas_thread_count(run_python):
+    # N = 4 and N = 3 run the oracle's QR, SVD and rank; the process-wide
+    # OpenBLAS count is read from the environment when numpy loads it
+    code = """
+import hashlib, io, contextlib, os
+os.environ["OPENBLAS_NUM_THREADS"] = threads
+from pointbethe import cli
+for n in ("4", "3"):
+    for family in (["--eta", "1"], ["--lambda", "0.5"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = cli.main(["coeffs", "--N", n, "--c", "2", *family])
+        print(n, *family, status, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+    runs = {threads: run_python(f"threads = {threads!r}\n" + code) for threads in ("1", "2")}
+    for done in runs.values():
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count(" 0 ") == 4, done.stdout
+    assert runs["1"].stdout == runs["2"].stdout
+
+
+@needs_local_setter
+def test_one_blas_thread_restores_the_calling_threads_count():
+    setter = _kernels._blas_thread_setter()
+    previous = setter(3)
+    try:
+        with _kernels.one_blas_thread():
+            assert setter(1) == 1
+        assert setter(3) == 3
+        with pytest.raises(KeyError):
+            with _kernels.one_blas_thread():
+                raise KeyError("body")
+        assert setter(3) == 3
+    finally:
+        setter(previous)
+
+
+@pytest.mark.parametrize("params", FAMILIES, ids=FAMILY_IDS)
+def test_the_oracle_runs_without_a_local_setter(monkeypatch, params):
+    monkeypatch.setattr(_kernels, "_blas_thread_setter", lambda: None)
+    state = _state(params, 4)
+    oracle = coefficients_bc_oracle(params, state.k, state.table[:, 0])
+    assert oracle.nullity == oracle.expected_nullity == 24
+    assert oracle.residual <= cli.RunConfig(command="coeffs").tolerance
