@@ -13,10 +13,10 @@ thirteen identities is reduced to its per-row maximum as soon as it is
 formed.  A block takes three ``amplitude_arrays`` calls, at u, v and
 u+v, each for both particle orders.  The -u amplitudes are read off u:
 for real couplings and real u, D(-u) = -conj D(u), so
-(S_T^+, S_R^+, S_T^-, S_R^-)(-u) = conj(S_T^-, S_R^+, S_T^+, S_R^-)(u),
-and u's pole mask serves -u, since |D(-u)| = |D(u)|.  Negation is exact
-and numpy's complex division is symmetric under conjugation, so only the
-sign of a zero can differ from evaluating -u, and abs hides it.
+(S_T^+, S_R^+, S_T^-, S_R^-)(-u) = conj(S_T^-, S_R^+, S_T^+, S_R^-)(u).
+Negation is exact and numpy's complex division is symmetric under
+conjugation, so only the sign of a zero can differ from evaluating -u,
+and abs hides it.
 Products that two identities share are formed once; results are
 bit-identical to evaluating one row, one sign, one argument and one
 identity at a time.
@@ -56,8 +56,9 @@ Layout contracts (all indices 0-based):
   (F, F) with (F,) parts, and a stack (S, F, F) with (S, F) parts, step
   s acting on matrix s; entry for entry it does what the one-step call
   does, so a stack gives the same bits as S separate calls.
-* Panel kernels return np.inf for residuals whose amplitudes hit the
-  pole guard or overflow; callers translate that to PoleAtU.
+* Panel kernels return np.inf for every residual of a row with a
+  residual that is not finite (an amplitude at u = c = 0, or overflow);
+  callers translate that to PoleAtU.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def _identities(stp_u, srp_u, stm_u, srm_u, stp_mu, srp_mu, stm_mu, srm_mu,
 def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Max |residual| of each identity over the (u, v) panel, per grid row.
 
-    Rows whose amplitudes hit the pole guard anywhere on the panel are inf,
-    and so are the entries that overflow (huge couplings) into NaN.
+    A row with any residual that is not finite, from the 0/0 of u = c = 0
+    or from couplings that overflow, is inf throughout.
     """
     params_grid = np.atleast_2d(np.asarray(params_grid, dtype=np.float64))
     us = np.atleast_1d(np.asarray(us, dtype=np.float64))
@@ -138,17 +139,15 @@ def factorization_panel(params_grid: np.ndarray, us: np.ndarray, vs: np.ndarray)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, params_grid.shape[0], step):
             c, lam, gamma, eta = params_grid[start:start + step, :, np.newaxis].transpose(1, 0, 2)
-            stp, srp, stm, srm, ok = amplitude_arrays(c, lam, gamma, eta, us)
-            *at_v, ok_v = amplitude_arrays(c, lam, gamma, eta, vs)
-            *at_w, ok_w = amplitude_arrays(c, lam, gamma, eta, us + vs)
-            # -u: the conjugates in swapped order, under u's pole mask
+            stp, srp, stm, srm = amplitude_arrays(c, lam, gamma, eta, us)
+            at_v = amplitude_arrays(c, lam, gamma, eta, vs)
+            at_w = amplitude_arrays(c, lam, gamma, eta, us + vs)
+            # -u: the conjugates in swapped order
             at_mu = np.conj(stm), np.conj(srp), np.conj(stp), np.conj(srm)
-            ok = ok & ok_v & ok_w
             block = out[start:start + step]
             for e, r in enumerate(_identities(stp, srp, stm, srm, *at_mu, *at_v, *at_w)):
                 block[:, e] = np.abs(r).max(axis=1)
-            block[~ok.all(axis=1)] = np.inf
-    out[np.isnan(out)] = np.inf
+    out[~np.isfinite(out).all(axis=1)] = np.inf
     return out
 
 
@@ -276,7 +275,7 @@ def uniform_accepted(rng: np.random.Generator, count: int, width: int, box: floa
 
 
 def sample_panel(seed: int, count: int = 100) -> np.ndarray:
-    """Reproducible (u, v) panel in [-PANEL_BOX, PANEL_BOX]^2 avoiding pole bands.
+    """Reproducible (u, v) panel in [-PANEL_BOX, PANEL_BOX]^2.
 
     Rejects draws with |u|, |v| or |u+v| below PANEL_MIN_SEP so the identity
     residuals stay well-conditioned for every coupling choice.  The panel

@@ -326,14 +326,12 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
 
     basis = _odd_site_null_basis(params, tables, k)
     width = basis.shape[2]
-    # the rows of the even sites times B are B's residuals, as (P, Q, e) rows,
-    # evaluated on four column blocks of B so that their temporaries stay
-    # small; the pins read B's identity-wedge column
+    # the rows of the even sites times B are B's residuals, as (P, Q, e)
+    # rows; the pins read B's identity-wedge column
     reduced = [np.empty((0, width), dtype=np.complex128)]
     for s in range(1, n - 1, 2):
-        blocks = [np.stack(_site_residuals(params, k, tables, block, s), axis=2)
-                  for block in np.array_split(basis, 4, axis=2)]
-        reduced.append(np.concatenate(blocks, axis=3).reshape(-1, width))
+        reduced.append(np.stack(_site_residuals(params, k, tables, basis, s),
+                                axis=2).reshape(-1, width))
     reduced = np.concatenate(reduced)
     # numpy < 2 factors no empty matrix: N <= 2 has no even site
     rows = np.linalg.qr(reduced, mode="r") if len(reduced) else reduced

@@ -286,7 +286,7 @@ def run_scatter(cfg: RunConfig) -> int:
         closed = (amp.s_t_plus, amp.s_r_plus, amp.s_t_minus, amp.s_r_minus)
         cfg.lines.append(",".join(f"{v:.17g}" for v in
                                   [u] + [part for z in closed for part in (z.real, z.imag)]))
-        if abs(u) < 1e-9:
+        if u == 0:
             continue  # oracle needs distinct momenta
         oracle = amplitudes_bvp_oracle(params, float(u), 0.0)
         scale = max(1.0, abs(amp.s_t_plus), abs(amp.s_r_plus))

@@ -21,8 +21,10 @@ class NotGaugeFamily(PointBetheError):
 
 
 class PoleAtU(PointBetheError):
-    """Scattering-amplitude denominator vanishes at the requested momentum
-    (bound-state pole; bound states are out of scope)."""
+    """A two-body amplitude is not finite at the requested momentum: the
+    0/0 of relative momentum u = 0 at c = 0, or overflow in the closed form
+    (huge couplings, or a subnormal u at c = 0).  For real couplings and real u its denominator
+    vanishes nowhere else; bound-state poles sit at complex u."""
 
 
 class SingularSystem(PointBetheError):

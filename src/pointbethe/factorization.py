@@ -57,8 +57,9 @@ def check_factorization_panel(params: CouplingParameters,
                               samples) -> FactorizationReport:
     """All thirteen identity residuals, maxed over a panel of (u, v) pairs.
 
-    Empty or non-finite samples raise ValueError, and an amplitude pole
-    inside the panel raises PoleAtU.
+    Empty or non-finite samples raise ValueError, and a sample where an
+    amplitude is not finite (u, v or u + v = 0 at c = 0, or huge couplings)
+    raises PoleAtU.
     """
     samples = finite_array(samples, "samples", (None, 2), empty="need at least one (u, v) sample")
     grid = np.array([params.astuple()])

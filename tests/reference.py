@@ -20,7 +20,7 @@ from pointbethe._kernels import (MAX_DRAWS_PER_SAMPLE, PANEL_BLOCK_ENTRIES,
 from pointbethe.couplings import contact_residuals, gauge_data
 from pointbethe.factorization import _orbit_structure_holds
 from pointbethe.permutations import rank_of, symmetric_group
-from pointbethe.scattering import POLE_GUARD, amplitudes
+from pointbethe.scattering import amplitudes
 from pointbethe.wavefunction import evaluate, evaluate_grid
 
 
@@ -216,14 +216,12 @@ def sample_panel_one_by_one(seed: int, count: int = 100, box: float = 5.0,
 
 
 def _amplitude_arrays_one_sign(c, lam, gamma, eta, u):
-    """(S_T, S_R, ok) of one particle order over an array of u: the closed
-    form of ``scattering`` with its own denominator and pole guard."""
+    """(S_T, S_R) of one particle order over an array of u: the closed
+    form of ``scattering`` with its own denominator."""
     den = 1j * lam * u * u - (gamma * gamma + eta * eta + c * lam + 1.0) * u - 1j * c
     num_t = (gamma * gamma + eta * eta - 2j * eta + c * lam - 1.0) * u
     num_r = 1j * lam * u * u + 2.0 * gamma * u + 1j * c
-    ok = np.abs(den) > POLE_GUARD * np.maximum(1.0, u * u)
-    safe = np.where(ok, den, 1.0)
-    return num_t / safe, num_r / safe, ok
+    return num_t / den, num_r / den
 
 
 def factorization_panel_per_sign(params_grid, us, vs) -> np.ndarray:
@@ -237,13 +235,10 @@ def factorization_panel_per_sign(params_grid, us, vs) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, params_grid.shape[0], step):
             c, lam, gamma, eta = params_grid[start:start + step, :, np.newaxis].transpose(1, 0, 2)
-            amps, ok = [], True
+            amps = []
             for sign in (1.0, -1.0):
                 for x in (us, -us, vs, us + vs):
-                    s_t, s_r, good = _amplitude_arrays_one_sign(c, lam, sign * gamma,
-                                                                sign * eta, x)
-                    amps += (s_t, s_r)
-                    ok = ok & good
+                    amps += _amplitude_arrays_one_sign(c, lam, sign * gamma, sign * eta, x)
             (stp_u, srp_u, stp_mu, srp_mu, stp_v, srp_v, stp_w, srp_w,
              stm_u, srm_u, stm_mu, srm_mu, stm_v, srm_v, stm_w, srm_w) = amps
             residuals = (
@@ -264,8 +259,7 @@ def factorization_panel_per_sign(params_grid, us, vs) -> np.ndarray:
             block = out[start:start + step]
             for e, r in enumerate(residuals):
                 block[:, e] = np.abs(r).max(axis=1)
-            block[~ok.all(axis=1)] = np.inf
-    out[np.isnan(out)] = np.inf
+    out[~np.isfinite(out).all(axis=1)] = np.inf
     return out
 
 

@@ -62,8 +62,9 @@ def test_universal_rows_for_random_couplings():
 
 
 def test_pole_band_raises():
+    # u = 0 at c = 0: every amplitude there is 0/0
     with pytest.raises(PoleAtU):
-        check_factorization_panel(CouplingParameters(0.0), [(1e-15, 1.0)])
+        check_factorization_panel(CouplingParameters(0.0), [(0.0, 1.0)])
     # eta = 1e200 overflows the closed form into NaN, which the panel reads as inf
     with pytest.raises(PoleAtU):
         check_factorization_panel(CouplingParameters(1, 0, 0, 1e200), [(0.9, 1.7)])

@@ -21,13 +21,13 @@ from reference import factorization_panel_per_sign, sample_panel_one_by_one
 
 def test_panel_marks_poles_with_inf():
     grid = np.array([[0.0, 0.0, 0.0, 0.0]])
-    res = _kernels.factorization_panel(grid, np.array([1e-15]), np.array([1.0]))
+    res = _kernels.factorization_panel(grid, np.array([0.0]), np.array([1.0]))
     assert np.isinf(res).all()
 
 
 @pytest.mark.parametrize("panel_size", [1, 100, _kernels.PANEL_BLOCK_ENTRIES + 3])
 def test_blocked_panel_matches_row_by_row_calls(panel_size):
-    # more rows than one block holds, with c = 0 rows (a pole at u -> 0) in
+    # more rows than one block holds, with c = 0 rows (a pole at u = 0) in
     # the middle; the blocks must not leak the inf into their other rows
     rng = np.random.default_rng(panel_size)
     rows = max(101, _kernels.PANEL_BLOCK_ENTRIES // panel_size + 3)
@@ -36,7 +36,7 @@ def test_blocked_panel_matches_row_by_row_calls(panel_size):
     grid[poles] = 0.0
     panel = _kernels.sample_panel(7, panel_size)
     us = panel[:, 0].copy()
-    us[-1] = 1e-15
+    us[-1] = 0.0
     res = _kernels.factorization_panel(grid, us, panel[:, 1])
     single = np.vstack([_kernels.factorization_panel(row, us, panel[:, 1]) for row in grid])
     assert np.array_equal(res, single)

@@ -1,4 +1,5 @@
 import re
+import types
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pointbethe.couplings import CouplingParameters
+from pointbethe.couplings import CouplingParameters, _contact_coefficients
 from pointbethe.errors import PoleAtU, SingularSystem
 from pointbethe.scattering import (_closed_form, amplitude_arrays, amplitude_columns, amplitudes,
                                    amplitudes_bvp_oracle)
@@ -51,7 +52,7 @@ def test_amplitudes_are_the_one_point_case_of_amplitude_columns(c, lam, gamma, e
 
 
 @pytest.mark.parametrize("us, message", [
-    ([1.0, 0.0, 1e100], "amplitude denominator 0.000e+00+0.000e+00j at u=0.0"),
+    ([1.0, 0.0, 1e100], "amplitudes at u=0.0 are not finite for couplings (0.0, 1e+150, 0.0, 0.0)"),
     ([1e100, 0.0], "amplitudes at u=1e+100 are not finite for couplings (0.0, 1e+150, 0.0, 0.0)"),
 ], ids=["pole-first", "overflow-first"])
 def test_a_batch_raises_at_its_first_pole_or_overflow(us, message):
@@ -90,11 +91,10 @@ def test_minus_amplitudes_flip_gamma_eta(c, lam, gamma, eta, us):
         assert amp.s_t_plus == flipped.s_t_minus and amp.s_r_plus == flipped.s_r_minus
     u = np.array(us)
     with np.errstate(over="ignore", invalid="ignore"):
-        stp, srp, stm, srm, ok = amplitude_arrays(c, lam, gamma, eta, u)
-        f_stp, f_srp, f_stm, f_srm, f_ok = amplitude_arrays(c, lam, -gamma, -eta, u)
+        stp, srp, stm, srm = amplitude_arrays(c, lam, gamma, eta, u)
+        f_stp, f_srp, f_stm, f_srm = amplitude_arrays(c, lam, -gamma, -eta, u)
     assert stm.tobytes() == f_stp.tobytes() and srm.tobytes() == f_srp.tobytes()
     assert stp.tobytes() == f_stm.tobytes() and srp.tobytes() == f_srm.tobytes()
-    assert np.array_equal(ok, f_ok)
 
 
 @st.composite
@@ -112,7 +112,7 @@ def _couplings_of_both_families_and_beyond(draw):
 @given(params=_couplings_of_both_families_and_beyond(),
        us=st.lists(st.sampled_from([0.0, 1e-15, -1e-15]) | st.floats(-5.0, 5.0),
                    min_size=1, max_size=12))
-@example(params=(0.0, 0.0, 0.0, 0.0), us=[1e-15, -1e-15, 1.0])  # the c = 0 pole band
+@example(params=(0.0, 0.0, 0.0, 0.0), us=[1e-15, -1e-15, 1.0])  # near the removable u = c = 0
 @example(params=(1e200, 0.5, -1e150, 1e200), us=[2.0, -3.0])  # overflow to inf and NaN
 def test_minus_u_is_the_conjugate_of_the_other_order(params, us):
     # for real couplings and real u, D(-u) = -conj D(u), so
@@ -120,15 +120,14 @@ def test_minus_u_is_the_conjugate_of_the_other_order(params, us):
     # negation is exact and numpy's complex division is symmetric under
     # conjugation, so factorization_panel reads -u off u.  Values are
     # compared with ==, so a zero's sign may differ; every panel residual
-    # passes through abs, which hides it.  Entries inside the pole guard
-    # hold filler, not amplitudes, and are not compared.
+    # passes through abs, which hides it.  NaN, at u = c = 0 or from
+    # overflow, must sit in the same places.
     u = np.array(us)
     with np.errstate(over="ignore", invalid="ignore"):
-        stp, srp, stm, srm, ok = amplitude_arrays(*params, u)
-        *at_minus_u, ok_minus_u = amplitude_arrays(*params, -u)
-    assert np.array_equal(ok_minus_u, ok)
-    got = np.ascontiguousarray(np.array(at_minus_u)[:, ok]).view(np.float64)
-    want = np.ascontiguousarray(np.conj([stm, srp, stp, srm])[:, ok]).view(np.float64)
+        stp, srp, stm, srm = amplitude_arrays(*params, u)
+        at_minus_u = amplitude_arrays(*params, -u)
+    got = np.array(at_minus_u).view(np.float64)
+    want = np.conj([stm, srp, stp, srm]).view(np.float64)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert (got == want)[~np.isnan(got)].all()
 
@@ -220,12 +219,92 @@ def test_oracle_matches_closed_form_at_fixed_point():
         assert _rel_err(getattr(closed, attr), getattr(oracle, attr)) <= 1e-10
 
 
-@pytest.mark.parametrize("params", [CouplingParameters(0.0), CouplingParameters(0.0, 0.0, 0.3, 0.4)],
-                         ids=["free", "gamma-eta"])
-def test_oracle_refuses_a_singular_system(params):
-    # at c = 0 the determinant of the 2 x 2 system vanishes with u
-    with pytest.raises(SingularSystem, match=r"^boundary system singular at k1=1e-13, k2=0\.0$"):
-        amplitudes_bvp_oracle(params, 1e-13, 0.0)
+@pytest.mark.parametrize("params, want", [
+    (CouplingParameters(0.0), (1.0, 0.0, 1.0, 0.0)),
+    (CouplingParameters(0.0, 0.0, 0.3, 0.4), (0.6 + 0.64j, -0.48, 0.6 - 0.64j, 0.48)),
+], ids=["free", "gamma-eta"])
+def test_oracle_solves_next_to_the_removable_point(params, want):
+    # at c = 0 the determinant -2i D(u) of the 2 x 2 system vanishes with u,
+    # and so do the right-hand sides: u = 1e-13 solves to the u -> 0 limit
+    amp = amplitudes_bvp_oracle(params, 1e-13, 0.0)
+    got = (amp.s_t_plus, amp.s_r_plus, amp.s_t_minus, amp.s_r_minus)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_oracle_refuses_a_singular_system():
+    # lam u = 1e400 overflows the contact rows to inf, and the solve to NaN
+    with pytest.raises(SingularSystem, match=r"^boundary system singular at k1=1e\+200, k2=0\.0$"):
+        amplitudes_bvp_oracle(CouplingParameters(0.0, 1e200), 1e200, 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oracle_solves_where_the_closed_form_overflows():
+    # eta^2 = 1e400 overflows the closed form, and the product of two
+    # entries overflowed numpy's det in the oracle's former pole test; the
+    # solve stays finite and gives the eta -> inf limit
+    amp = amplitudes_bvp_oracle(CouplingParameters(1.0, 0.0, 0.0, 1e200), 0.7, 0.0)
+    got = (amp.s_t_plus, amp.s_r_plus, amp.s_t_minus, amp.s_r_minus)
+    assert got == pytest.approx((-1.0, 0.0, -1.0, 0.0), abs=1e-12)
+
+
+def test_the_oracle_determinant_is_minus_2i_d_which_vanishes_only_at_u_c_0():
+    # the two facts that let amplitudes be refused exactly where they are
+    # not finite, with real symbols: the oracle's 2 x 2 block has
+    # determinant -2i D(u), and D = 0 only at u = c = 0.  Re D = -K u with
+    # K = gamma^2 + eta^2 + c lam + 1, and lam Im D + K is positive, so
+    # Re D = Im D = 0 forces u = 0 (else K = 0 and then Im D != 0), then c = 0
+    c, lam, gamma, eta, u = sympy.symbols("c lam gamma eta u", real=True)
+    den = sympy.nsimplify(_closed_form(c, lam, gamma, eta, u)[-1], rational=True)
+    symbolic = types.SimpleNamespace(astuple=lambda: (c, lam, gamma, eta))
+    block = _contact_coefficients(symbolic, np.array([u], dtype=object))[0][:, [1, 3]]
+    det = sympy.nsimplify(sympy.Matrix(block).det(), rational=True)
+    assert sympy.expand(det + 2 * sympy.I * den) == 0
+    re_d, im_d = den.as_real_imag()
+    k = gamma**2 + eta**2 + c * lam + 1
+    assert sympy.expand(re_d + k * u) == 0
+    assert sympy.expand(lam * im_d + k - (lam**2 * u**2 + gamma**2 + eta**2 + 1)) == 0
+    assert sympy.solve([re_d, im_d], [u, c], dict=True) == [{u: 0, c: 0}]
+
+
+_extreme_couplings = st.sampled_from([0.0, 1.0, -1.0, 1e150, -1e150]) | st.floats(-3.0, 3.0)
+_extreme_us = (st.sampled_from([0.0, 1e-300, -1e-300, 1e-15, -1e-15, 1e13, -1e13, 1e150, -1e150])
+               | st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.tuples(*[_extreme_couplings] * 4),
+       us=st.lists(_extreme_us, min_size=1, max_size=8))
+@example(params=(2.0, 0.0, 0.0, 1.0), us=[1e13, -3e12, 1e150])
+@example(params=(0.0, 0.0, 0.0, 0.0), us=[1e-15, -1e-300, 1e-9, 1.0, 0.0])
+@example(params=(0.0, 1e150, 0.0, 0.0), us=[1.0, 1e150, 0.0])  # overflow, then 0/0
+def test_amplitudes_are_refused_exactly_where_they_are_not_finite(params, us):
+    # PoleAtU names the first u, in order, with an amplitude that is not
+    # finite; elsewhere, at u != 0, the boundary-value oracle agrees to
+    # 1e-12 relative to max(1, |S|), or to the forward-error bound of its
+    # 2 x 2 solve where that block's condition number exceeds 1e2.  With
+    # couplings of 1e150 the block can be singular to working precision,
+    # and the oracle then refuses or misses while the closed form holds.
+    params = CouplingParameters(*params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(amplitude_arrays(*params.astuple(), np.array(us))).all(axis=0)
+    if not finite.all():
+        first = re.escape(str(us[int(finite.argmin())]))
+        with pytest.raises(PoleAtU, match=f"^amplitudes at u={first} are not finite"):
+            amplitude_columns(params, us)
+        return
+    for u, (srp, srm, stp, stm) in zip(us, amplitude_columns(params, us).T.tolist()):
+        if u == 0:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = np.linalg.cond(_contact_coefficients(params, np.array([u]))[0][:, [1, 3]])
+        try:
+            oracle = amplitudes_bvp_oracle(params, u, 0.0)
+        except SingularSystem:
+            assert not cond < 1e14
+            continue
+        for closed, solved in zip((stp, srp, stm, srm), (oracle.s_t_plus, oracle.s_r_plus,
+                                                         oracle.s_t_minus, oracle.s_r_minus)):
+            assert abs(closed - solved) <= max(1e-12, 1e-14 * cond) * max(1.0, abs(closed))
 
 
 def test_oracle_needs_distinct_momenta():
