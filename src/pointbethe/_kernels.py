@@ -32,8 +32,8 @@ are independent of each other and may run at once, such as the boundary
 checks of one state's N(N-1)/2 pairs, go through ``thread_map``, which
 runs them on one process-wide thread pool and returns what a loop would.
 LAPACK calls on small matrices, such as the N <= 4 oracle's, run inside
-``one_blas_thread``, which sets OpenBLAS to one thread for the calling
-thread alone.
+``one_blas_thread``, which sets the OpenBLAS of numpy's LAPACK extension,
+``numpy.linalg._umath_linalg``, to one thread for the calling thread alone.
 
 Layout contracts (all indices 0-based):
 * ``images[(F, N)]``: rank-ordered one-line forms, values 0..N-1.
@@ -316,27 +316,20 @@ def thread_map(fn, *iterables) -> list:
 
 @functools.cache
 def _blas_thread_setter():
-    """OpenBLAS's ``openblas_set_num_threads_local`` from the OpenBLAS that
-    numpy loaded, found by its path in /proc/self/maps; None where there is
-    no /proc, no such library, or it exports no such function.  The setter
-    takes a thread count for the calling thread alone and returns that
-    thread's previous count."""
+    """``openblas_set_num_threads_local`` looked up on the handle of
+    numpy's LAPACK extension, which searches only the extension and its
+    own dependencies: the OpenBLAS numpy's linalg calls, not another one
+    mapped, such as scipy's.  None where there is no such function.  The
+    setter takes a thread count for the calling thread alone and returns
+    that thread's previous count."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            # the path is the sixth field of a line
-            paths = sorted({line.split(maxsplit=5)[-1].strip()
-                            for line in maps if "openblas" in line})
-    except OSError:
+        from numpy.linalg import _umath_linalg
+        setter = ctypes.CDLL(_umath_linalg.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
         return None
-    for path in paths:
-        try:
-            setter = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = ctypes.c_int
-        return setter
-    return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
 
 
 @contextlib.contextmanager

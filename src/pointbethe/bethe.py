@@ -269,8 +269,7 @@ class OracleResult:
 
     table: np.ndarray
     residual: float          # max |equation violation| at the solution
-    nullity: int             # dimension of the homogeneous solution space
-    expected_nullity: int    # N! when the ansatz is consistent
+    nullity: int             # solution-space dimension, N! when the ansatz is consistent
 
 
 @_kernels.one_blas_thread()
@@ -352,5 +351,4 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
         table=table,
         residual=float(residual),
         nullity=width - int(rank),
-        expected_nullity=f,
     )

@@ -10,8 +10,9 @@ Reports are plain UTF-8 with the resolved configuration echoed in
 ``# key = value`` header lines followed by human-readable summary lines and
 machine-readable CSV blocks.  Identical configuration and seed produce
 byte-identical reports at any CPU count.  ``coeffs`` at N <= 4 runs its
-oracle on one BLAS thread; where OpenBLAS lacks a per-thread setting its
-bits follow the CPU count.
+oracle on one BLAS thread, through the per-thread setter of the OpenBLAS
+that numpy's LAPACK extension links; where that OpenBLAS lacks the
+setter, its bits follow the CPU count.
 
 Exit status: 0 all residuals within tolerance, 1 configuration error,
 2 residual failure or coeffs dimension not N!, 3 pole or degenerate input.
@@ -287,8 +288,8 @@ def run_scatter(cfg: RunConfig) -> int:
         cfg.lines.append(",".join(f"{v:.17g}" for v in
                                   [u] + [part for z in closed for part in (z.real, z.imag)]))
         if u == 0:
-            continue  # oracle needs distinct momenta
-        oracle = amplitudes_bvp_oracle(params, float(u), 0.0)
+            continue  # the oracle needs u != 0
+        oracle = amplitudes_bvp_oracle(params, float(u))
         scale = max(1.0, abs(amp.s_t_plus), abs(amp.s_r_plus))
         worst = _worst(worst, *(abs(z - o) / scale for z, o in zip(closed, (
             oracle.s_t_plus, oracle.s_r_plus, oracle.s_t_minus, oracle.s_r_minus))))
@@ -353,9 +354,9 @@ def run_coeffs(cfg: RunConfig) -> int:
     if state.n <= ORACLE_MAX_N:
         oracle = coefficients_bc_oracle(state.params, state.k, state.table[:, 0])
         cfg.lines.append(f"boundary-system residual: {oracle.residual:.3e}")
-        cfg.lines.append(f"solution-space dimension: {oracle.nullity} (expected {oracle.expected_nullity})")
+        cfg.lines.append(f"solution-space dimension: {oracle.nullity} (expected {len(oracle.table)})")
         worst = _worst(worst, oracle.residual)
-        if oracle.nullity != oracle.expected_nullity:  # fails whatever the residuals
+        if oracle.nullity != len(oracle.table):  # N!; fails whatever the residuals
             status = EXIT_RESIDUAL
     return max(_close(cfg, worst), status)
 

@@ -27,6 +27,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -78,13 +79,12 @@ class GridSpec:
     gamma_values: tuple[float, ...]
     eta_values: tuple[float, ...]
     seed: int = 0
-    panel_size: int = 100
+    panel_size: ClassVar[int] = 100  # (u, v) samples in the panel
 
     def __post_init__(self):
         for name in ("c_values", "lam_values", "gamma_values", "eta_values"):
             if finite_array(getattr(self, name), f"grid axis {name}", (None,)).size == 0:
                 raise ValueError(f"grid axis {name} is empty")
-        whole_number(self.panel_size, "panel_size", 1)
         whole_number(self.seed, "seed", 0)
 
     def points(self):

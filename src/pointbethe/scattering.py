@@ -105,28 +105,28 @@ def amplitudes(params: CouplingParameters, u: float) -> AmplitudeSet:
     return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus)
 
 
-def amplitudes_bvp_oracle(params: CouplingParameters, k1: float, k2: float) -> AmplitudeSet:
+def amplitudes_bvp_oracle(params: CouplingParameters, u: float) -> AmplitudeSet:
     """Amplitudes from one direct boundary-value solve (validation oracle).
 
     Over (A_P(Q), A_PT(Q), A_P(QT), A_PT(QT)), the contact rows at
-    u = k1 - k2 give (A_PT(Q), A_PT(QT)) = (S_R^+, S_T^+) for the wave
-    incident with A_P(Q) = 1 and (S_T^-, S_R^-) for the one with
+    relative momentum u give (A_PT(Q), A_PT(QT)) = (S_R^+, S_T^+) for the
+    wave incident with A_P(Q) = 1 and (S_T^-, S_R^-) for the one with
     A_P(QT) = 1, the Y-step relations of ``bethe``: one 2 x 2 solve serves
     both.  The rows come from the contact residuals, so the oracle shares
-    no algebra with the closed form.  Requires finite k1 != k2; a solve
+    no algebra with the closed form.  Requires a finite u != 0; a solve
     that fails or gives a non-finite amplitude (couplings so large that
     the rows overflow) raises SingularSystem.
     """
-    finite_array((k1, k2), "oracle momenta (k1, k2)", (2,))
-    if k1 == k2:
-        raise ValueError("oracle needs distinct momenta k1 != k2")
+    u = float(finite_array(u, "relative momentum u"))
+    if u == 0:
+        raise ValueError("oracle needs a relative momentum u != 0")
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _contact_coefficients(params, np.array([k1 - k2]))[0]
+        rows = _contact_coefficients(params, np.array([u]))[0]
         try:
             solved = np.linalg.solve(rows[:, [1, 3]], -rows[:, [0, 2]])
         except np.linalg.LinAlgError:
             solved = None
     if solved is None or not np.isfinite(solved).all():
-        raise SingularSystem(f"boundary system singular at k1={k1}, k2={k2}")
+        raise SingularSystem(f"boundary system singular at u={u}")
     (s_r_plus, s_t_minus), (s_t_plus, s_r_minus) = solved.tolist()
     return AmplitudeSet(s_t_plus, s_r_plus, s_t_minus, s_r_minus)

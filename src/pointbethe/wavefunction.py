@@ -41,7 +41,7 @@ from .errors import OnBoundary, finite_array, whole_number
 from .permutations import rank_of, symmetric_group
 
 COINCIDENCE_TOL = 1e-12
-FD_STEP = 1e-4  # default step of schrodinger_fd_residual
+FD_STEP = 1e-4  # step of schrodinger_fd_residual
 
 Statistics = Literal["boson", "fermion"]
 
@@ -230,39 +230,28 @@ def gauge_transformed_state(state: BetheState) -> BetheState:
     return BetheState(params=CouplingParameters(c=gd.c_tilde), k=state.k, table=table)
 
 
-def schrodinger_fd_residual(state: BetheState, x, h: float = FD_STEP) -> float | np.ndarray:
-    """|FD Laplacian psi + E psi| at an interior point (O(h^2) check).
+def schrodinger_fd_residual(state: BetheState, points) -> np.ndarray:
+    """|FD Laplacian psi + E psi| at each interior point of an (M, N)
+    batch, with step FD_STEP (an O(FD_STEP^2) check).
 
-    ``x`` is one point (N,), which gives a float, or an (M, N) batch, which
-    gives the (M,) residuals.  The 2N + 1 stencil points of all rows go
-    through one ``evaluate_grid`` call, which evaluates each row alone, so
-    a row has the bits of the one-point call.  Raises ValueError unless h
-    is finite and positive and x has one of those shapes and finite
-    coordinates, and OnBoundary when two coordinates of a point are within
-    h: the stencil would then reach across a coincidence plane, where psi
-    has a derivative jump.
+    The 2N + 1 stencil points of all rows go through one ``evaluate_grid``
+    call, which evaluates each row alone.  Raises ValueError unless points
+    is an (M, N) array of finite values, and OnBoundary when two
+    coordinates of a point are within FD_STEP: the stencil would then
+    reach across a coincidence plane, where psi has a derivative jump.
     """
     n = state.n
-    try:
-        one = np.ndim(x) < 2
-    except ValueError:  # ragged: refused below, as a point
-        one = True
-    points = (finite_array(x, "point x", (n,))[np.newaxis] if one
-              else finite_array(x, "points", (None, n)))
-    finite_array(h, "finite-difference step h")
-    if not h > 0:
-        raise ValueError(f"finite-difference step h must be > 0, got {h}")
-    near = closest_gap(points) <= h
+    points = finite_array(points, "points", (None, n))
+    near = closest_gap(points) <= FD_STEP
     if near.any():
         raise OnBoundary(f"coordinates of {points[near.argmax()]} lie within the "
-                         f"finite-difference step h={h}")
-    steps = h * np.eye(n)
+                         f"finite-difference step h={FD_STEP}")
+    steps = FD_STEP * np.eye(n)
     stencils = np.concatenate([points[:, np.newaxis], points[:, np.newaxis] + steps,
                                points[:, np.newaxis] - steps], axis=1)
     vals = evaluate_grid(state, stencils.reshape(-1, n)).reshape(len(points), 2 * n + 1)
     center, plus, minus = vals[:, 0], vals[:, 1:n + 1], vals[:, n + 1:]
-    lap = np.sum((plus - 2 * center[:, np.newaxis] + minus) / h**2, axis=1)
+    lap = np.sum((plus - 2 * center[:, np.newaxis] + minus) / FD_STEP**2, axis=1)
     z = lap + state.energy * center
     # hypot gives the bits of the scalar abs()
-    r = np.hypot(z.real, z.imag)
-    return r[0] if one else r
+    return np.hypot(z.real, z.imag)

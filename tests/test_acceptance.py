@@ -22,9 +22,9 @@ from pointbethe.scattering import amplitudes, amplitudes_bvp_oracle
 from pointbethe.wavefunction import (boundary_residual, boundary_samples,
                                      determinant_bethe_state,
                                      determinant_coefficients,
-                                     gauge_transformed_state,
-                                     schrodinger_fd_residual)
-from reference import regular_rep, transposition, yang_matrix
+                                     gauge_transformed_state)
+from reference import (regular_rep, schrodinger_fd_residual_one_point,
+                       transposition, yang_matrix)
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.5)
 FAMILY2 = CouplingParameters(2.0, 0.5)
@@ -63,7 +63,7 @@ def test_criterion_01_amplitude_oracle_equivalence():
             if abs(u) < 0.05:
                 continue
             closed = amplitudes(params, u)
-            oracle = amplitudes_bvp_oracle(params, u / 2, -u / 2)
+            oracle = amplitudes_bvp_oracle(params, u)
             for attr in ("s_t_plus", "s_r_plus", "s_t_minus", "s_r_minus"):
                 a, b = getattr(closed, attr), getattr(oracle, attr)
                 assert abs(a - b) / max(1.0, abs(a)) <= 1e-10
@@ -199,7 +199,7 @@ def test_criterion_08_eigenfunction_boundary_residuals():
                     x = rng.uniform(-2.5, 2.5, n)
                     if min(abs(np.subtract.outer(x, x))[~np.eye(n, dtype=bool)]) < 0.05:
                         continue
-                    assert schrodinger_fd_residual(state, x, h=h) <= bound
+                    assert schrodinger_fd_residual_one_point(state, x, h) <= bound
 
 
 def test_criterion_09_determinant_eigenfunction():

@@ -134,20 +134,14 @@ def test_scan_deterministic_for_fixed_seed():
     ("lam_values", (), "grid axis lam_values is empty"),
     ("gamma_values", (), "grid axis gamma_values is empty"),
     ("eta_values", (), "grid axis eta_values is empty"),
-    ("panel_size", 0, r"panel_size must be a whole number >= 1, got 0"),
-    ("panel_size", -2, r"panel_size must be a whole number >= 1, got -2"),
-    ("panel_size", 2.5, r"panel_size must be a whole number >= 1, got 2\.5"),
     ("seed", -1, r"seed must be a whole number >= 0, got -1"),
 ], ids=["c_values-value0-grid axis c_values is empty",
         "lam_values-value1-grid axis lam_values is empty",
         "gamma_values-value2-grid axis gamma_values is empty",
         "eta_values-value3-grid axis eta_values is empty",
-        "panel_size-0-panel_size must be >= 1, got 0",
-        "panel_size--2-panel_size must be >= 1, got -2",
-        "panel_size-2.5", "seed--1"])
+        "seed--1"])
 def test_grid_refuses_an_empty_axis_or_panel(field, value, message):
-    # a panel_size of 2.5 failed in the panel draw with a TypeError, and
-    # seed -1 with numpy's "expected non-negative integer"
+    # seed -1 failed with numpy's "expected non-negative integer"
     axes = dict(c_values=(0.0,), lam_values=(0.0,), gamma_values=(0.0,), eta_values=(0.0,))
     with pytest.raises(ValueError, match=f"^{message}$"):
         GridSpec(**{**axes, field: value})

@@ -659,7 +659,7 @@ def test_schrodinger_residual_second_order():
         if min(abs(x[a] - x[b]) for a in range(3) for b in range(a + 1, 3)) < 0.05:
             continue
         h = 1e-4
-        res = schrodinger_fd_residual(state, x, h=h)
+        res = schrodinger_fd_residual_one_point(state, x, h)
         # fourth-derivative bound on the central-difference truncation error
         assert res <= 10 * state.n * h**2 * k_max**4 * scale
 
@@ -669,30 +669,9 @@ def test_schrodinger_residual_refuses_a_stencil_across_a_boundary():
     a = np.zeros(6, complex)
     a[0] = 1.0
     state = bethe_state(FAMILY1, K3, a)
-    assert schrodinger_fd_residual(state, np.array([0.3, 0.301, -1.0])) <= 1e-6
+    assert schrodinger_fd_residual(state, np.array([[0.3, 0.301, -1.0]]))[0] <= 1e-6
     with pytest.raises(OnBoundary):
-        schrodinger_fd_residual(state, np.array([0.3, 0.3 + 3e-5, -1.0]))
-
-
-# the ids keep the names these cases had under the earlier messages
-@pytest.mark.parametrize("x, message", [
-    ([0.3, 1.1], r"have shape \(3,\), got \(2,\)"),
-    ([0.3, np.nan, -1.0], r"be finite, got non-finite entries at 0-based indices \[1\]"),
-    ([[0.3, 1.1], [-1.0]], r"be a numeric array of shape \(3,\): .*"),
-], ids=[r"x0-need 3 coordinates, got shape \(2,\)",
-        r"x2-non-finite coordinates at 0-based indices \[1\]", "ragged"])
-def test_schrodinger_residual_refuses_a_bad_point(x, message):
-    # a short point failed inside numpy broadcasting, naming no input
-    with pytest.raises(ValueError, match="^point x must " + message + "$"):
-        schrodinger_fd_residual(toy_state(), x)
-
-
-@pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf])
-def test_schrodinger_residual_refuses_a_bad_step(h):
-    # h = 0 returned nan; h = nan was blamed on the point's coordinates
-    rule = "> 0" if np.isfinite(h) else "finite"
-    with pytest.raises(ValueError, match=rf"^finite-difference step h must be {rule}, got {h}$"):
-        schrodinger_fd_residual(toy_state(), np.array([0.3, 1.1, -1.0]), h=h)
+        schrodinger_fd_residual(state, np.array([[0.3, 0.3 + 3e-5, -1.0]]))
 
 
 @pytest.mark.parametrize("params", [FAMILY1, FAMILY2], ids=["family1", "family2"])
@@ -703,10 +682,8 @@ def test_fd_residual_batch_equals_the_single_point_calls(params, n):
     points = np.random.default_rng(40 + n).uniform(-3.0, 3.0, (12, n))
     points = points[closest_gap(points) > 1e-3]
     batch = schrodinger_fd_residual(state, points)
-    singles = [schrodinger_fd_residual(state, x) for x in points]
     before = [schrodinger_fd_residual_one_point(state, x, 1e-4) for x in points]
-    assert batch.tobytes() == np.array(singles).tobytes() == np.array(before).tobytes()
-    assert all(isinstance(r, float) for r in singles)
+    assert batch.tobytes() == np.array(before).tobytes()
     # a (1, N) array is a batch of one point, not a point
     one = schrodinger_fd_residual(state, points[:1].tolist())
     assert one.shape == (1,) and one.tobytes() == batch[:1].tobytes()
@@ -719,9 +696,10 @@ def test_fd_residual_batch_equals_the_single_point_calls(params, n):
      r"points must be finite, got non-finite rows at 0-based indices \[0\]"),
     (np.array([[0.3, 1.1, -1.0], [0.3, 0.3 + 3e-5, -1.0]]), OnBoundary,
      r"coordinates of \[ ?0\.3 .*finite-difference step h=0\.0001"),
+    ([[0.3, 1.1], [-1.0]], ValueError, r"points must be a numeric array of shape \(M, 3\): .*"),
 ], ids=[r"points0-ValueError-need points of shape \(M, 3\), got \(2, 2\)",
         "points1-ValueError-non-finite", "points2-OnBoundary-coordinates of \\[ ?0\\.3 "
-        ".*finite-difference step h=0\\.0001"])
+        ".*finite-difference step h=0\\.0001", "ragged"])
 def test_fd_residual_batch_refuses_bad_points(points, error, message):
     with pytest.raises(error, match=message):
         schrodinger_fd_residual(toy_state(), points)
