@@ -24,16 +24,17 @@ for N >= 3 and other couplings ``propagate`` refuses rather than return
 an answer that depends on bookkeeping.
 
 ``coefficients_bc_oracle`` is the brute-force cross-check: it solves the
-contact conditions over all N!^2 unknowns, with the A_P(identity wedge)
-column pinned, by least squares.  It and ``state_relation_residual`` read
-the conditions from tables through one evaluation, ``_site_residuals``,
-and state each once, as (P, Q) and (P T_i, Q) give the same two equations:
+contact conditions over all N!^2 unknowns with row I, the fill's input
+A_I(Q), pinned, which fixes every solution, as each condition at site i
+gives row P T_i from row P.  It and ``state_relation_residual`` read the
+conditions from tables through one evaluation, ``_site_residuals``, and
+state each once, as (P, Q) and (P T_i, Q) give the same two equations:
 the system has (N-1) N!^2 / 2 homogeneous rows.  The transpositions of the
 odd sites 1, 3, ... commute, and their rows fall apart into blocks of rank
 2 per site on the orbits they generate, so the oracle solves them exactly,
-one batched 2 x 4 SVD per site, and runs the least-squares solve and rank
-on the QR factor of the even sites' residuals on a basis of the odd sites'
-common null space, a stack of N!^2 / 2^floor(N/2) tables.
+one batched 2 x 4 SVD per site, and runs the solve and the rank on the QR
+factor of the even sites' residuals on a basis of the odd sites' common
+null space, a stack of N!^2 / 2^floor(N/2) tables.
 """
 
 from __future__ import annotations
@@ -265,32 +266,33 @@ def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTable
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Least-squares solution of the full contact-condition system."""
+    """Solution of the full contact-condition system with row I pinned."""
 
     table: np.ndarray
-    residual: float          # max |equation violation| at the solution
+    residual: float          # max |equation violation| at the solution, pins included
     nullity: int             # solution-space dimension, N! when the ansatz is consistent
 
 
 @_kernels.one_blas_thread()
-def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> OracleResult:
-    """Solve the full boundary system with A_P(identity wedge) pinned.
+def coefficients_bc_oracle(params: CouplingParameters, k, a_identity) -> OracleResult:
+    """Solve the full boundary system with row I, A_I(Q), pinned.
 
     The system holds, for every site i, every wedge Q with Q(i) < Q(i+1)
     and every P with P(i) < P(i+1), the two contact conditions in the four
-    coefficients they couple, plus the N! pins A_P(I) =
-    pinned_column[rank(P)].  Every solution satisfies the rows of the odd
+    coefficients they couple, plus the N! pins A_I(Q) =
+    a_identity[rank(Q)].  Every solution satisfies the rows of the odd
     sites 1, 3, ..., so it is B y for the isometry B of
     ``_odd_site_null_basis``.  The rows of the even sites times B, M, are
     factored once, M = Q R, and as ||M y|| = ||R y|| the pins and R stand
-    in for the pins and M: y is their least-squares solution, from one
-    SVD that also serves one refinement step, and the nullity is the width
-    of B minus the rank of R, which is M's.  Where the system is consistent
-    this is the minimum-norm least-squares solution of the full system, as
-    B preserves norms; where it is not, the odd sites' rows hold exactly
-    and the rest carry the violation.  The residual is the max violation
-    over every row of the full system and the pins, at roundoff exactly
-    when the couplings are integrable (or N = 2).
+    in for the pins and M.  Each contact condition at site i gives row
+    P T_i from row P, so only y = 0 has R y = 0 and B y zero on row I:
+    [R; pins] has full column rank, y is its one least-squares solution,
+    from one QR and one triangular solve, and the nullity is the width of
+    B minus the rank of R, which is M's.  Where the system is consistent
+    y solves it, in both families; where it is not, the odd sites' rows
+    hold exactly and the rest carry the violation.  The residual is the
+    max violation over every row of the full system and the pins, at
+    roundoff exactly when the couplings are integrable (or N = 2).
 
     Why B spans the odd sites' common null space.  One site first: its
     rows at (P, Q) and (P T_1, Q) are the same two equations, so with P
@@ -310,9 +312,9 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     12 for every coupling.  The same holds for any number m of odd sites,
     so B has width N!^2 / 2^m: 1, 2, 18 and 144 at N = 1, 2, 3 and 4.
 
-    Limited to N <= ORACLE_MAX_N = 4: the system has (N-1) N!^2 / 2 + N! rows, and the
-    QR runs on (N!^2 / 2) floor((N-1)/2) of them, 288 x 144 at N = 4, and
-    the least squares on R and the pins, 168 x 144.  The whole call runs
+    Limited to N <= ORACLE_MAX_N = 4: the system has (N-1) N!^2 / 2 + N!
+    rows; the first QR runs on (N!^2 / 2) floor((N-1)/2) of them, 288 x 144
+    at N = 4, the second on R and the pins, 168 x 144.  The whole call runs
     on one OpenBLAS thread (``_kernels.one_blas_thread``): matrices this
     small factor faster so than on several, and the result's bits then do
     not depend on the CPU count.
@@ -321,12 +323,12 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     n = whole_number(k.size, "number of oracle momenta N", 1, ORACLE_MAX_N)
     tables = symmetric_group(n)
     f = tables.order
-    pinned_column = finite_array(pinned_column, "pinned column", (f,), np.complex128)
+    a_identity = finite_array(a_identity, "pinned row", (f,), np.complex128)
 
     basis = _odd_site_null_basis(params, tables, k)
     width = basis.shape[2]
     # the rows of the even sites times B are B's residuals, as (P, Q, e)
-    # rows; the pins read B's identity-wedge column
+    # rows; the pins read B's row I
     reduced = [np.empty((0, width), dtype=np.complex128)]
     for s in range(1, n - 1, 2):
         reduced.append(np.stack(_site_residuals(params, k, tables, basis, s),
@@ -334,21 +336,11 @@ def coefficients_bc_oracle(params: CouplingParameters, k, pinned_column) -> Orac
     reduced = np.concatenate(reduced)
     # numpy < 2 factors no empty matrix: N <= 2 has no even site
     rows = np.linalg.qr(reduced, mode="r") if len(reduced) else reduced
-    system = np.concatenate([rows, basis[:, 0]])
-    rhs = np.concatenate([np.zeros(len(rows)), pinned_column])
-    # the pseudo-inverse at np.linalg.lstsq's cutoff, formed once for two solves
-    inverse = np.linalg.pinv(system, rcond=max(system.shape) * np.finfo(float).eps)
-    y = inverse @ rhs
-    # one refinement step, a no-op in exact arithmetic: the SVD solve alone
-    # leaves up to 4e-14 on the contact rows of a well-conditioned N = 4
-    # system, against 1e-15 after the step
-    y += inverse @ (rhs - system @ y)
+    # [R; row-I pins] has full column rank, so y is its unique least-squares solution
+    q, r = np.linalg.qr(np.concatenate([rows, basis[0]]))
+    y = np.linalg.solve(r, q[len(rows):].conj().T @ a_identity)
     table = basis @ y
     residual = np.max([_contact_residual(params, k, tables, table),
-                       np.abs(table[:, 0] - pinned_column).max()])
+                       np.abs(table[0] - a_identity).max()])
     rank = np.linalg.matrix_rank(rows) if len(rows) else 0
-    return OracleResult(
-        table=table,
-        residual=float(residual),
-        nullity=width - int(rank),
-    )
+    return OracleResult(table=table, residual=float(residual), nullity=width - int(rank))

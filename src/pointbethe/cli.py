@@ -15,12 +15,15 @@ that numpy's LAPACK extension links; where that OpenBLAS lacks the
 setter, its bits follow the CPU count.
 
 Exit status: 0 all residuals within tolerance, 1 configuration error,
-2 residual failure or coeffs dimension not N!, 3 pole or degenerate input.
+2 residual or coeffs oracle deviation above --tol or coeffs dimension
+not N!, 3 pole or degenerate input.
 
 --tol (default 1e-8) bounds the amplitude deviation from the oracle
-relative to max(1, |S_T^+|, |S_R^+|) for scatter, and absolute max-norm
-residuals for yb-check, coeffs, eigen and gauge.  scan echoes it but
-classifies against the fixed PASS_TOL 1e-8 and FAIL_FLOOR 1e-3.
+relative to max(1, |S_T^+|, |S_R^+|) for scatter, absolute max-norm
+residuals for yb-check, coeffs, eigen and gauge, and, for coeffs at
+N <= 4, the oracle table's deviation from the fill relative to max|A|.
+scan echoes it but classifies against the fixed PASS_TOL 1e-8 and
+FAIL_FLOOR 1e-3.
 """
 
 from __future__ import annotations
@@ -352,12 +355,14 @@ def run_coeffs(cfg: RunConfig) -> int:
     cfg.lines.append(f"pairwise relation residual: {relation:.3e}")
     worst, status = relation, EXIT_OK
     if state.n <= ORACLE_MAX_N:
-        oracle = coefficients_bc_oracle(state.params, state.k, state.table[:, 0])
+        oracle = coefficients_bc_oracle(state.params, state.k, state.table[0])
+        deviation = np.abs(oracle.table - state.table).max() / np.abs(state.table).max()
         cfg.lines.append(f"boundary-system residual: {oracle.residual:.3e}")
         cfg.lines.append(f"solution-space dimension: {oracle.nullity} (expected {len(oracle.table)})")
+        cfg.lines.append(f"oracle vs fill: max deviation / max|A| = {deviation:.3e}")
         worst = _worst(worst, oracle.residual)
-        if oracle.nullity != len(oracle.table):  # N!; fails whatever the residuals
-            status = EXIT_RESIDUAL
+        if oracle.nullity != len(oracle.table) or not deviation <= cfg.tolerance:
+            status = EXIT_RESIDUAL  # whatever the residuals
     return max(_close(cfg, worst), status)
 
 

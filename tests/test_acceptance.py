@@ -164,17 +164,18 @@ def test_criterion_07_propagation_vs_brute_force():
         for n, params in ((2, CouplingParameters(1.5, 0.7, 0.2, -0.4)),
                           (2, FAMILY1), (3, FAMILY1)):
             state = _random_state(params, n, seed=700 + n)
-            oracle = coefficients_bc_oracle(params, MOMENTA[n], state.table[:, 0])
+            oracle = coefficients_bc_oracle(params, MOMENTA[n], state.table[0])
             assert oracle.residual <= 1e-9, (n, params)
             assert np.abs(oracle.table - state.table).max() <= 1e-9, (n, params)
-        # family2 transmission vanishes, so the identity-wedge column pins
-        # only a rank-one slice of the N!-dimensional solution space; check
-        # consistency and dimension instead of entrywise recovery
+        # family2 transmission vanishes, and the identity-wedge column would
+        # pin only a rank-one slice of the N!-dimensional solution space;
+        # row I pins all of it, so the table is recovered entrywise here too
         for n in (2, 3):
             state = _random_state(FAMILY2, n, seed=703 + n)
-            oracle = coefficients_bc_oracle(FAMILY2, MOMENTA[n], state.table[:, 0])
+            oracle = coefficients_bc_oracle(FAMILY2, MOMENTA[n], state.table[0])
             assert oracle.residual <= 1e-9
             assert oracle.nullity == math.factorial(n)
+            assert np.abs(oracle.table - state.table).max() <= 1e-9, (n, FAMILY2)
         rng = np.random.default_rng(707)
         pinned = rng.normal(size=6) + 1j * rng.normal(size=6)
         bad = coefficients_bc_oracle(CouplingParameters(1.0, 0.3, 0.2, 0.1),

@@ -60,7 +60,7 @@ def test_non_finite_coefficients_are_refused(bad):
         bethe_state(FAMILY1, K3, a)
     with pytest.raises(ValueError, match="^coefficient vector" + message):
         propagate(FAMILY1, K3, a, rank((3, 1, 2)) - 1)
-    with pytest.raises(ValueError, match="^pinned column" + message):
+    with pytest.raises(ValueError, match="^pinned row" + message):
         coefficients_bc_oracle(FAMILY1, K3, a)
 
 
@@ -324,7 +324,7 @@ def test_odd_site_null_basis_is_an_orthonormal_basis_of_their_null_space(params,
         assert np.abs(_dense_site_rows(params, tables, k, s) @ basis).max() <= 1e-12
 
 
-def _stacked_oracle(params, k, pinned_column):
+def _stacked_oracle(params, k, pinned_row):
     """The dense reference: every contact row and pin in one matrix over
     all N!^2 unknowns, one least-squares solve and one rank.  Returns
     (table, residual, nullity)."""
@@ -338,8 +338,8 @@ def _stacked_oracle(params, k, pinned_column):
         for (p, q), unit in zip([(asc, asc), (t, asc), (asc, t), (t, t)], np.eye(4)):
             cols = p[:, np.newaxis] * f + q
             mat[rows[0], cols], mat[rows[1], cols] = _site_contact(params, u, *unit)
-    mat[homogeneous_rows + np.arange(f), np.arange(f) * f] = 1.0
-    rhs = np.concatenate([np.zeros(homogeneous_rows), pinned_column])
+    mat[homogeneous_rows + np.arange(f), np.arange(f)] = 1.0
+    rhs = np.concatenate([np.zeros(homogeneous_rows), pinned_row])
     solution, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     residual = float(np.abs(mat @ solution - rhs).max())
     nullity = f * f - int(np.linalg.matrix_rank(mat[:homogeneous_rows]))
@@ -353,7 +353,7 @@ def test_oracle_matches_propagation_two_particles(params):
     k = random_k(2, rng)
     a = rng.normal(size=2) + 1j * rng.normal(size=2)
     state = bethe_state(params, k, a)
-    oracle = coefficients_bc_oracle(params, k, state.table[:, 0])
+    oracle = coefficients_bc_oracle(params, k, state.table[0])
     assert oracle.residual <= 1e-9
     assert np.abs(oracle.table - state.table).max() <= 1e-9
     assert oracle.nullity == 2
@@ -363,22 +363,22 @@ def test_oracle_matches_propagation_three_particles_family1():
     rng = np.random.default_rng(5)
     a = rng.normal(size=6) + 1j * rng.normal(size=6)
     state = bethe_state(FAMILY1, K3, a)
-    oracle = coefficients_bc_oracle(FAMILY1, K3, state.table[:, 0])
+    oracle = coefficients_bc_oracle(FAMILY1, K3, state.table[0])
     assert oracle.residual <= 1e-9
     assert np.abs(oracle.table - state.table).max() <= 1e-9
     assert oracle.nullity == 6
 
 
-def test_oracle_family2_consistent_but_column_degenerate():
-    # with vanishing transmission the propagation matrices are diagonal, so
-    # pinning the identity-wedge column fixes only a rank-one slice; the
-    # least-squares table need not match, but the system stays consistent
-    # with the expected N! solution dimensions
+def test_oracle_matches_propagation_three_particles_family2():
+    # with vanishing transmission the propagation matrices are diagonal, and
+    # the identity-wedge column would fix only a rank-one slice of the N!
+    # solutions; row I fixes all of them, so the table is the fill's
     rng = np.random.default_rng(6)
     a = rng.normal(size=6) + 1j * rng.normal(size=6)
     state = bethe_state(FAMILY2, K3, a)
-    oracle = coefficients_bc_oracle(FAMILY2, K3, state.table[:, 0])
+    oracle = coefficients_bc_oracle(FAMILY2, K3, state.table[0])
     assert oracle.residual <= 1e-9
+    assert np.abs(oracle.table - state.table).max() <= 1e-9
     assert oracle.nullity == 6
 
 
@@ -409,9 +409,10 @@ def test_oracle_nullity_rediscovers_the_two_families_on_the_scan_grid():
 
 
 def test_oracle_residual_stays_at_roundoff_at_four_particles():
-    # a single least-squares solve left 3.7e-14 on site 2's rows at the
-    # first input; the rest are drawn as the benchmark's verify ops draw
-    # coeffs --N 4: gaps of 0.3 to 0.7, both families
+    # 1e-14 is the bound an unrefined pseudo-inverse solve failed, at 3.7e-14
+    # on site 2's rows at the first input; the rest are drawn as the
+    # benchmark's verify ops draw coeffs --N 4: gaps of 0.3 to 0.7, both
+    # families
     inputs = [(CouplingParameters(1.12891, 1 / 1.12891),
                np.array([0.604055, -0.604055, 0.301114, -0.018291]))]
     rng = np.random.default_rng(41)
@@ -423,7 +424,7 @@ def test_oracle_residual_stays_at_roundoff_at_four_particles():
         inputs.append((params, rng.permutation(k - k[-1] / 2)))
     for params, k in inputs:
         state = bethe_state(params, k, np.eye(24)[0])
-        oracle = coefficients_bc_oracle(params, k, state.table[:, 0])
+        oracle = coefficients_bc_oracle(params, k, state.table[0])
         assert oracle.nullity == 24
         assert oracle.residual <= 1e-14
 
@@ -485,9 +486,22 @@ def test_integrable_tables_satisfy_the_contact_system(n, data):
     params, k, a = data.draw(integrable_states(n))
     state = bethe_state(params, k, a)
     assert state_relation_residual(state) <= 1e-12 * max(1.0, np.abs(state.table).max())
-    oracle = coefficients_bc_oracle(params, k, state.table[:, 0])
+    oracle = coefficients_bc_oracle(params, k, state.table[0])
     assert oracle.nullity == math.factorial(n)
     assert oracle.residual <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@settings(deadline=None, max_examples=10, phases=NO_SHRINK)
+@given(data=st.data())
+def test_oracle_table_is_the_fill_grown_from_its_row(n, data):
+    # each contact condition gives row P T_i from row P, so the row-I pins
+    # fix the whole table, in both families: it is the fill's to roundoff
+    params, k, a = data.draw(integrable_states(n))
+    state = bethe_state(params, k, a)
+    oracle = coefficients_bc_oracle(params, k, state.table[0])
+    scale = np.abs(state.table).max()
+    assert np.abs(oracle.table - state.table).max() <= 1e-12 * scale
 
 
 @settings(deadline=None, max_examples=25, phases=NO_SHRINK)
@@ -508,8 +522,6 @@ def test_oracle_matches_the_stacked_solve(params, n, data):
     f = math.factorial(n)
     pinned = rng.normal(size=f) + 1j * rng.normal(size=f)
     consistent = n <= 2 or params is not NONINTEGRABLE
-    if consistent:
-        pinned = bethe_state(params, k, pinned).table[:, 0]
     oracle = coefficients_bc_oracle(params, k, pinned)
     table, residual, nullity = _stacked_oracle(params, k, pinned)
     assert oracle.nullity == nullity
@@ -517,8 +529,7 @@ def test_oracle_matches_the_stacked_solve(params, n, data):
         assert oracle.nullity == f
         assert oracle.residual <= 1e-13
         assert residual <= 1e-9
-        # both are the minimum-norm solution, unique even where the pins
-        # leave the table undetermined (family 2)
+        # row I fixes the one solution, in both families
         assert np.abs(oracle.table - table).max() <= 1e-9
     else:
         assert oracle.nullity != f
@@ -533,14 +544,16 @@ def test_oracle_spreads_a_violation_within_family_tol(params, n):
     # bethe_state and the CLI take couplings within FAMILY_TOL of a family;
     # at the last two the rows keep 2 of their N! null directions and lift
     # the rest to singular values near 1e-10, and the least squares keeps
-    # the residual at that violation instead of leaving O(1) on the pins
+    # the residual at that violation instead of leaving O(1) on the pins;
+    # [R; pins] keeps full column rank, so the table stays the fill's
     rng = np.random.default_rng(47 + n)
     k = random_k(n, rng)
     f = math.factorial(n)
-    pinned = bethe_state(params, k, rng.normal(size=f) + 1j * rng.normal(size=f)).table[:, 0]
-    oracle = coefficients_bc_oracle(params, k, pinned)
-    assert oracle.nullity == _stacked_oracle(params, k, pinned)[2]
+    state = bethe_state(params, k, rng.normal(size=f) + 1j * rng.normal(size=f))
+    oracle = coefficients_bc_oracle(params, k, state.table[0])
+    assert oracle.nullity == _stacked_oracle(params, k, state.table[0])[2]
     assert oracle.residual <= 1e-8
+    assert np.abs(oracle.table - state.table).max() <= 1e-8 * np.abs(state.table).max()
 
 
 @settings(deadline=None, max_examples=10, phases=NO_SHRINK)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointbethe import cli, factorization
+from pointbethe import bethe, cli, factorization
 from pointbethe._kernels import sample_panel
 from pointbethe.bethe import bethe_state
 from pointbethe.cli import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK,
@@ -123,10 +124,36 @@ def test_coeffs_gates_the_solution_space_dimension(capsys, args, dimension, expe
     out, err = capsys.readouterr()
     lines = out.splitlines()
     assert (status, err) == (expected, "")
-    assert len(lines) == 8 + 1 + math.factorial(int(args[1])) ** 2 + 4  # header, CSV, 4 lines
+    assert len(lines) == 8 + 1 + math.factorial(int(args[1])) ** 2 + 5  # header, CSV, 5 lines
     assert f"solution-space dimension: {dimension}" in lines
+    assert lines[-2].startswith("oracle vs fill: max deviation / max|A| = ")
+    assert float(lines[-2].split()[-1]) <= 1e-8
     assert lines[-1].startswith("max residual = ") and lines[-1].endswith(" (tol 1e-08)")
     assert float(lines[-1].split()[3]) <= 1e-8
+
+
+def test_coeffs_gates_the_oracle_table_against_the_fill(capsys, monkeypatch):
+    # an oracle table off the fill in one entry outside row I, with every
+    # residual and the dimension as they were, fails the run on the
+    # deviation alone; the closing line stays the largest residual line
+    def moved(params, k, a_identity):
+        oracle = bethe.coefficients_bc_oracle(params, k, a_identity)
+        table = oracle.table.copy()
+        table[5, 7] += 1e-6 * np.abs(table).max()
+        return dataclasses.replace(oracle, table=table)
+
+    monkeypatch.setattr(cli, "coefficients_bc_oracle", moved)
+    status = main(["coeffs", "--N", "4", "--c", "2", "--eta", "1"])
+    out, err = capsys.readouterr()
+    assert (status, err) == (EXIT_RESIDUAL, "")
+    value = {line.split(": ")[0]: line.split(": ")[1] for line in out.splitlines()
+             if line.startswith(("pairwise relation residual", "boundary-system residual",
+                                 "oracle vs fill"))}
+    assert float(value["oracle vs fill"].split(" = ")[1]) == pytest.approx(1e-6, rel=1e-3)
+    closing = out.splitlines()[-1]
+    worst = max(value["pairwise relation residual"], value["boundary-system residual"],
+                key=float)
+    assert closing == f"max residual = {worst} (tol 1e-08)"
 
 
 def test_eigen_csv_block(tmp_path):

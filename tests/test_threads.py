@@ -209,7 +209,7 @@ needs_local_setter = pytest.mark.skipif(
 
 @needs_local_setter
 def test_coeffs_bytes_do_not_depend_on_the_blas_thread_count(run_python):
-    # N = 4 and N = 3 run the oracle's QR, SVD and rank; the process-wide
+    # N = 4 and N = 3 run the oracle's QRs, solve and rank; the process-wide
     # OpenBLAS count is read from the environment when numpy loads it
     code = """
 import hashlib, io, contextlib, os
@@ -280,6 +280,6 @@ else:
 def test_the_oracle_runs_without_a_local_setter(monkeypatch, params):
     monkeypatch.setattr(_kernels, "_blas_thread_setter", lambda: None)
     state = _state(params, 4)
-    oracle = coefficients_bc_oracle(params, state.k, state.table[:, 0])
+    oracle = coefficients_bc_oracle(params, state.k, state.table[0])
     assert oracle.nullity == 24
     assert oracle.residual <= cli.RunConfig(command="coeffs").tolerance
