@@ -17,7 +17,7 @@ from .couplings import (CouplingParameters, GaugeData, gauge_data,
                         integrable_family)
 from .errors import (NotGaugeFamily, NotIntegrable, OnBoundary,
                      PointBetheError, PoleAtU, SingularSystem)
-from .factorization import (FactorizationReport, GridSpec, ScanRow,
+from .factorization import (FactorizationReport, GridSpec, ScanTable,
                             YangBaxterReport, block_reduction_check,
                             check_factorization_panel, scan_couplings,
                             scan_to_csv, yang_baxter_matrix_check)

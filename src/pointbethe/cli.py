@@ -317,10 +317,10 @@ def run_yb_check(cfg: RunConfig) -> int:
 def run_scan(cfg: RunConfig) -> int:
     grid = GridSpec(c_values=cfg.c, lam_values=cfg.lam,
                     gamma_values=cfg.gamma, eta_values=cfg.eta, seed=cfg.seed)
-    rows = scan_couplings(grid)
-    cfg.lines.append(scan_to_csv(rows).rstrip("\n"))
-    bad = [r for r in rows if not r.consistent]
-    cfg.lines.append(f"grid points: {len(rows)}, inconsistent classifications: {len(bad)}")
+    table = scan_couplings(grid)
+    cfg.lines.append(scan_to_csv(table).rstrip("\n"))
+    bad = int(np.count_nonzero(~table.consistent))
+    cfg.lines.append(f"grid points: {table.consistent.size}, inconsistent classifications: {bad}")
     return EXIT_OK if not bad else EXIT_RESIDUAL
 
 

@@ -86,6 +86,14 @@ def _contact_coefficients(params: CouplingParameters, u: np.ndarray) -> np.ndarr
     return coefficients.transpose(2, 1, 0)
 
 
+def _families(c, lam, gamma, eta):
+    """(in family 1, in family 2), each condition to within FAMILY_TOL: bools
+    for Python floats, with no numpy call, and bool arrays for arrays."""
+    flat = abs(gamma) <= FAMILY_TOL
+    return (flat & (abs(lam) <= FAMILY_TOL),
+            flat & (abs(eta) <= FAMILY_TOL) & (abs(c * lam - 1.0) <= FAMILY_TOL))
+
+
 def integrable_family(params: CouplingParameters) -> str | None:
     """Which exactly-solvable coupling family params belong to, if any.
 
@@ -94,12 +102,8 @@ def integrable_family(params: CouplingParameters) -> str | None:
     (delta plus delta-prime combination), each condition to within the
     absolute FAMILY_TOL.  Returns None otherwise.
     """
-    c, lam, gamma, eta = params.astuple()
-    if abs(lam) <= FAMILY_TOL and abs(gamma) <= FAMILY_TOL:
-        return "family1"
-    if abs(gamma) <= FAMILY_TOL and abs(eta) <= FAMILY_TOL and abs(c * lam - 1.0) <= FAMILY_TOL:
-        return "family2"
-    return None
+    family1, family2 = _families(*params.astuple())
+    return "family1" if family1 else "family2" if family2 else None
 
 
 def gauge_data(params: CouplingParameters) -> GaugeData:

@@ -12,8 +12,9 @@ families:
 ``check_factorization_panel`` evaluates all thirteen residuals; identity
 testing is randomized evaluation on a seeded (u, v) panel, which detects
 any violation of these rational identities with overwhelming probability.
-``scan_couplings`` sweeps a coupling grid and cross-checks the verdict of
-``couplings.integrable_family`` against the thresholded residuals.  The
+``scan_couplings`` sweeps a coupling grid as one array, and ``classify``
+cross-checks the family conditions of ``couplings.integrable_family``
+against the thresholded residuals, on the whole grid at once.  The
 matrix-level relations for the N!-dimensional operators Y_i and the
 reduction of their 6x6 invariant blocks to the three-particle matrices
 rest on one exact integer check of how each Y_i acts on the orbits of its
@@ -24,7 +25,6 @@ S_2, S_3 and S_4.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -34,13 +34,14 @@ import numpy as np
 from . import _kernels
 from ._kernels import yang_apply
 from .bethe import MAX_N
-from .couplings import CouplingParameters, integrable_family
+from .couplings import CouplingParameters, _families
 from .errors import PoleAtU, finite_array, whole_number
 from .permutations import rank_of, symmetric_group
 from .scattering import amplitude_columns
 
 PASS_TOL = 1e-8    # below: point counts as satisfying the identities
 FAIL_FLOOR = 1e-3  # above: point counts as violating them
+_CSV_CHUNK_ROWS = 256  # scan CSV rows per % call: bounds the Python objects alive at once
 
 
 @dataclass(frozen=True)
@@ -87,55 +88,47 @@ class GridSpec:
                 raise ValueError(f"grid axis {name} is empty")
         whole_number(self.seed, "seed", 0)
 
-    def points(self):
-        return itertools.product(self.c_values, self.lam_values,
-                                 self.gamma_values, self.eta_values)
-
 
 @dataclass(frozen=True)
-class ScanRow:
-    params: CouplingParameters
-    family: str | None  # integrable_family(params)
-    max_residual: float
+class ScanTable:
+    """A classified coupling grid: row g of each array is grid point g."""
 
-    @property
-    def consistent(self) -> bool:
-        """Does the thresholded residual agree with the family?"""
-        if self.family is None:
-            return self.max_residual >= FAIL_FLOOR
-        return self.max_residual <= PASS_TOL
+    couplings: np.ndarray     # (G, 4): c, lambda, gamma, eta
+    family: np.ndarray        # "family1", "family2" or "not_integrable"
+    max_residual: np.ndarray  # largest panel residual, inf where one is not finite
+    consistent: np.ndarray    # does the thresholded residual agree with the family?
 
 
-def classify(params: CouplingParameters, max_residual: float) -> ScanRow:
-    """The scan row of one grid point: its ``integrable_family`` verdict
-    beside the largest of its panel residuals.  ``perfbench/tracing.py``
-    times the scan's per-row work under this name."""
-    return ScanRow(params, integrable_family(params), max_residual)
+def classify(couplings: np.ndarray, max_residual: np.ndarray) -> ScanTable:
+    """The table of (G, 4) couplings and their panel maxima: each point's
+    family by ``integrable_family``'s conditions, and whether its residual
+    is at most PASS_TOL on a family and at least FAIL_FLOOR off both."""
+    with np.errstate(over="ignore"):  # c lam of huge couplings is inf, as for Python floats
+        family1, family2 = _families(*couplings.T)
+    family = np.where(family1, "family1", np.where(family2, "family2", "not_integrable"))
+    consistent = np.where(family1 | family2, max_residual <= PASS_TOL, max_residual >= FAIL_FLOOR)
+    return ScanTable(couplings, family, max_residual, consistent)
 
 
-def scan_couplings(grid: GridSpec) -> list[ScanRow]:
-    """Classify every grid point and evaluate its panel residuals.
-
-    The panel is drawn once from the grid seed, so identical grids give
-    identical rows.  Rows come back in grid (itertools.product) order.
-    """
+def scan_couplings(grid: GridSpec) -> ScanTable:
+    """Every grid point's panel residuals, on one panel drawn from the grid
+    seed, classified; rows in grid (itertools.product) order."""
     panel = _kernels.sample_panel(grid.seed, grid.panel_size)
-    points = list(grid.points())
-    params_grid = np.array(points, dtype=np.float64)
-    maxima = _kernels.factorization_panel(params_grid, panel[:, 0], panel[:, 1]).max(axis=1)
-    return [classify(CouplingParameters(*point), max_residual)
-            for point, max_residual in zip(points, maxima.tolist())]
+    axes = (grid.c_values, grid.lam_values, grid.gamma_values, grid.eta_values)
+    couplings = np.array(np.meshgrid(*axes, indexing="ij"), dtype=np.float64).reshape(4, -1).T
+    maxima = _kernels.factorization_panel(couplings, panel[:, 0], panel[:, 1]).max(axis=1)
+    return classify(couplings, maxima)
 
 
-def scan_to_csv(rows: list[ScanRow]) -> str:
-    """CSV report: c,lambda,gamma,eta,class,max_residual (17 significant digits)."""
+def scan_to_csv(table: ScanTable) -> str:
+    """CSV report: c,lambda,gamma,eta,class,max_residual (17 significant
+    digits), one ``%`` call per chunk of rows of Python floats and labels."""
     lines = ["c,lambda,gamma,eta,class,max_residual"]
-    for r in rows:
-        c, lam, gamma, eta = r.params.astuple()
-        lines.append(
-            f"{c:.17g},{lam:.17g},{gamma:.17g},{eta:.17g},"
-            f"{r.family or 'not_integrable'},{r.max_residual:.17g}"
-        )
+    columns = (table.couplings, table.family[:, None], table.max_residual[:, None])
+    for start in range(0, len(table.family), _CSV_CHUNK_ROWS):
+        chunk = np.hstack([col[start:start + _CSV_CHUNK_ROWS].astype(object) for col in columns])
+        template = "\n".join(["%.17g,%.17g,%.17g,%.17g,%s,%.17g"] * len(chunk))
+        lines.append(template % tuple(chunk.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

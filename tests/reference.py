@@ -8,17 +8,21 @@ sample at a time, the (u, v) panel drawn one candidate at a time, the
 factorization panel formed one particle order at a time, the plane waves
 gathered point-major, the boundary residuals with their relative momenta
 gathered per call, the finite-difference residual of one point and the
-pointwise step-phase gauge map, and the coefficient CSV of ``coeffs``
-formatted one entry at a time.  No command runs them."""
+pointwise step-phase gauge map, the coefficient CSV of ``coeffs``
+formatted one entry at a time, and the ``scan`` report built one grid
+point at a time.  No command runs them."""
 
+import itertools
 import math
 
 import numpy as np
 
 from pointbethe._kernels import (MAX_DRAWS_PER_SAMPLE, PANEL_BLOCK_ENTRIES,
-                                 step_parts, yang_apply)
-from pointbethe.couplings import contact_residuals, gauge_data
-from pointbethe.factorization import _orbit_structure_holds
+                                 factorization_panel, sample_panel, step_parts,
+                                 yang_apply)
+from pointbethe.couplings import (FAMILY_TOL, CouplingParameters,
+                                  contact_residuals, gauge_data)
+from pointbethe.factorization import FAIL_FLOOR, PASS_TOL, _orbit_structure_holds
 from pointbethe.permutations import rank_of, symmetric_group
 from pointbethe.scattering import amplitudes
 from pointbethe.wavefunction import evaluate, evaluate_grid
@@ -343,3 +347,36 @@ def coefficient_csv_lines(table) -> list[str]:
     entry, P outer and Q inner, both ranks 1-based."""
     return ["%d,%d,%.17g,%.17g" % (p, q, a.real, a.imag)
             for p, row in enumerate(table.tolist(), 1) for q, a in enumerate(row, 1)]
+
+
+def family_per_point(params) -> str | None:
+    """The family rule of ``couplings.integrable_family`` as a chain of
+    scalar tests: family 1 first, each condition to within FAMILY_TOL."""
+    c, lam, gamma, eta = params.astuple()
+    if abs(lam) <= FAMILY_TOL and abs(gamma) <= FAMILY_TOL:
+        return "family1"
+    if abs(gamma) <= FAMILY_TOL and abs(eta) <= FAMILY_TOL and abs(c * lam - 1.0) <= FAMILY_TOL:
+        return "family2"
+    return None
+
+
+def scan_report_per_point(grid) -> tuple[str, str]:
+    """``scan_to_csv`` of ``scan_couplings(grid)`` and the summary line of
+    ``scan``, one grid point at a time: its ``CouplingParameters``, its
+    ``family_per_point`` verdict and one f-string row."""
+    panel = sample_panel(grid.seed, grid.panel_size)
+    points = list(itertools.product(grid.c_values, grid.lam_values,
+                                    grid.gamma_values, grid.eta_values))
+    maxima = factorization_panel(np.array(points, dtype=np.float64),
+                                 panel[:, 0], panel[:, 1]).max(axis=1)
+    lines = ["c,lambda,gamma,eta,class,max_residual"]
+    bad = 0
+    for point, max_residual in zip(points, maxima.tolist()):
+        params = CouplingParameters(*point)
+        family = family_per_point(params)
+        c, lam, gamma, eta = params.astuple()
+        lines.append(f"{c:.17g},{lam:.17g},{gamma:.17g},{eta:.17g},"
+                     f"{family or 'not_integrable'},{max_residual:.17g}")
+        bad += not (max_residual <= PASS_TOL if family else max_residual >= FAIL_FLOOR)
+    return ("\n".join(lines) + "\n",
+            f"grid points: {len(points)}, inconsistent classifications: {bad}")

@@ -89,17 +89,13 @@ def test_criterion_03_coupling_classification_rediscovered():
                         gamma_values=(-1.0, -0.5, 0.0, 0.5, 1.0),
                         eta_values=(-1.0, -0.5, 0.0, 0.5, 1.0),
                         seed=103)
-        rows = scan_couplings(grid)
-        assert len(rows) == 625
-        n_pass = 0
-        for row in rows:
-            if row.family is not None:
-                assert row.max_residual <= PASS_TOL, row
-                n_pass += 1
-            else:
-                assert row.max_residual >= FAIL_FLOOR, row
+        table = scan_couplings(grid)
+        assert table.couplings.shape == (625, 4)
+        on_family = table.family != "not_integrable"
+        assert (table.max_residual[on_family] <= PASS_TOL).all()
+        assert (table.max_residual[~on_family] >= FAIL_FLOOR).all()
         # 25 family1 points (lam = gamma = 0) and 4 family2 points (c*lam = 1)
-        assert n_pass == 29
+        assert on_family.sum() == 29
         assert time.perf_counter() - start < 30.0
 
 

@@ -11,8 +11,9 @@ from pointbethe._kernels import sample_panel
 from pointbethe.bethe import bethe_state
 from pointbethe.cli import (EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK,
                             EXIT_RESIDUAL, main)
-from pointbethe.couplings import CouplingParameters
-from reference import coefficient_csv_lines
+from pointbethe.couplings import FAMILY_TOL, CouplingParameters
+from pointbethe.factorization import GridSpec
+from reference import coefficient_csv_lines, scan_report_per_point
 
 
 def run_cli(args, tmp_path, name="report.txt"):
@@ -205,6 +206,43 @@ def test_n_guard_refuses_before_any_table(tmp_path, capsys, monkeypatch, args, m
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def _scan_body(report):
+    """The CSV block and the summary line of a scan report."""
+    body = [line for line in report.splitlines(keepends=True) if not line.startswith("#")]
+    return "".join(body[:-1]), body[-1].rstrip("\n")
+
+
+def _around(x):
+    """x and the floats on either side of it."""
+    return float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))
+
+
+# signed zeros, FAMILY_TOL and its neighbours, c lam - 1 near the tolerance,
+# points in both families (c = 1e9), a subnormal, and 1e200, whose rows
+# overflow to inf and whose c lam overflows the family test
+EDGE_GRID = GridSpec(c_values=(-0.0, 0.0, 5e-324, 1.0, -1.0, 1e9, 1e200),
+                     lam_values=(-0.0, 0.0, *_around(FAMILY_TOL), *_around(-FAMILY_TOL),
+                                 *_around(1.0 - FAMILY_TOL), *_around(1.0 + FAMILY_TOL), 1e200),
+                     gamma_values=(-0.0, 0.0, *_around(FAMILY_TOL), -FAMILY_TOL, 5e-324),
+                     eta_values=(-0.0, *_around(FAMILY_TOL), -FAMILY_TOL, 1.0), seed=7)
+BENCH_AXES = dict(c_values=(-2.0, -1.0, 0.5, 1.0, 2.0), lam_values=(-0.5, 0.0, 0.5, 1.0, 2.0),
+                  gamma_values=(-1.0, -0.5, 0.0, 0.5, 1.0), eta_values=(-1.0, -0.5, 0.0, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("grid", [GridSpec(**BENCH_AXES, seed=seed) for seed in (0, 1, 2)]
+                         + [EDGE_GRID], ids=["bench-seed0", "bench-seed1", "bench-seed2", "edges"])
+def test_scan_report_matches_the_per_point_reference(tmp_path, grid):
+    axes = (grid.c_values, grid.lam_values, grid.gamma_values, grid.eta_values)
+    args = [f"--{key}={','.join(map(repr, axis))}"
+            for key, axis in zip(("c", "lambda", "gamma", "eta"), axes)]
+    status, report = run_cli(["scan", *args, f"--seed={grid.seed}"], tmp_path)
+    csv, summary = scan_report_per_point(grid)
+    assert _scan_body(report) == (csv, summary)
+    assert status == (EXIT_OK if summary.endswith(": 0") else EXIT_RESIDUAL)
+    if grid is EDGE_GRID:
+        assert "inf" in csv and "-0," in csv and not summary.endswith(": 0")
+
+
 def test_scan_overflow_rows_are_inf(tmp_path):
     # eta = 1e200 overflows the amplitudes into NaN; the row reads inf, as a
     # pole-guarded row does, and the finite rows are untouched
@@ -214,6 +252,16 @@ def test_scan_overflow_rows_are_inf(tmp_path):
     rows = [l for l in report.splitlines() if l[0].isdigit()]
     assert [r.rsplit(",", 1)[1] for r in rows[::2]] == ["inf", "inf"]
     assert rows[1::2] == [l for l in finite.splitlines() if l[0].isdigit()]
+    # the summary counts the inconsistent rows that the per-point reference counts
+    grid = GridSpec((1.0, 2.0), (0.0,), (0.0,), (1e200, 1.0))
+    assert _scan_body(report)[1] == scan_report_per_point(grid)[1]
+    status, report = run_cli(["scan", "--c=-0,0,1,1e200", "--lambda=-0,0,1e-9,-1e-9,1.000000001",
+                              "--gamma=-0,0,1e-9,2e-9", "--eta=-0,0,1,1e-9"], tmp_path, "edges.txt")
+    grid = GridSpec((-0.0, 0.0, 1.0, 1e200), (-0.0, 0.0, 1e-9, -1e-9, 1.000000001),
+                    (-0.0, 0.0, 1e-9, 2e-9), (-0.0, 0.0, 1.0, 1e-9))
+    assert status == EXIT_RESIDUAL
+    assert _scan_body(report)[1] == scan_report_per_point(grid)[1] == \
+        "grid points: 320, inconsistent classifications: 92"
 
 
 def test_coincident_momenta_is_config_error(tmp_path):

@@ -170,6 +170,8 @@ def test_integrable_family_tags():
     assert integrable_family(CouplingParameters(2.0, 0.5)) == "family2"
     assert integrable_family(CouplingParameters(1.0, 1.0, 1.0, 0.0)) is None
     assert integrable_family(CouplingParameters(0.0, 0.5)) is None
+    # in both families to within FAMILY_TOL: family 1 names it
+    assert integrable_family(CouplingParameters(1e9, 1e-9)) == "family1"
 
 
 def test_one_family_tolerance_and_an_exact_gauge_condition():

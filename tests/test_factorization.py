@@ -89,24 +89,25 @@ def test_integrable_family_agrees_with_residual_thresholds_regardless_of_panel()
 def test_scan_lambda_sweep():
     grid = GridSpec(c_values=(1.0,), lam_values=(0.0, 0.25, 0.5, 0.75, 1.0),
                     gamma_values=(0.0,), eta_values=(0.0,))
-    rows = scan_couplings(grid)
-    passed = [r.params.lam for r in rows if r.max_residual <= PASS_TOL]
-    assert passed == [0.0, 1.0]
-    assert all(r.consistent for r in rows)
+    table = scan_couplings(grid)
+    passed = table.couplings[table.max_residual <= PASS_TOL, 1]
+    assert passed.tolist() == [0.0, 1.0]
+    assert table.family.tolist() == ["family1"] + ["not_integrable"] * 3 + ["family2"]
+    assert table.consistent.all()
 
 
 def test_scan_gamma_only_grid_has_empty_pass_set():
     grid = GridSpec(c_values=(1.0, 2.0), lam_values=(0.0, 0.5),
                     gamma_values=(0.5,), eta_values=(0.0, 1.0))
-    rows = scan_couplings(grid)
-    assert all(r.max_residual > PASS_TOL for r in rows)
+    table = scan_couplings(grid)
+    assert (table.max_residual > PASS_TOL).all()
 
 
 def test_scan_lambda_eta_cross_term_fails():
     grid = GridSpec(c_values=(2.0,), lam_values=(0.5,), gamma_values=(0.0,),
                     eta_values=(0.5,))
-    rows = scan_couplings(grid)
-    assert rows[0].max_residual >= FAIL_FLOOR
+    table = scan_couplings(grid)
+    assert table.max_residual[0] >= FAIL_FLOOR
 
 
 def test_scan_csv_format():
