@@ -66,13 +66,19 @@ def validate_momenta(k) -> np.ndarray:
     return k
 
 
-def _check_propagation_allowed(params: CouplingParameters, n: int) -> None:
-    # N = 2 admits no alternative reduced words, so any couplings are safe;
-    # the word-independence question only arises from N = 3 up.
-    if n >= 3 and integrable_family(params) is None:
+def _propagation_inputs(params: CouplingParameters, k, a_identity):
+    """The checked inputs of ``propagate`` and ``bethe_state``: the momenta,
+    ``symmetric_group(N)``, A_I as a complex vector and the pair amplitudes.
+    Raises NotIntegrable for N >= 3 couplings outside both families; N = 2
+    admits no alternative reduced words, so any couplings are safe there."""
+    k = validate_momenta(k)
+    if k.size >= 3 and integrable_family(params) is None:
         raise NotIntegrable(
             f"couplings {params.astuple()} are outside both integrable families"
         )
+    tables = symmetric_group(k.size)
+    a = finite_array(a_identity, "coefficient vector", (tables.order,), np.complex128)
+    return k, tables, a, _kernels.pair_amplitude_tables(params, k)
 
 
 def propagate(params: CouplingParameters, k, a_identity, p: int,
@@ -86,19 +92,15 @@ def propagate(params: CouplingParameters, k, a_identity, p: int,
     couplings.  Raises NotIntegrable for N >= 3 couplings outside the two
     families and PoleAtU if a needed amplitude is singular.
     """
-    k = validate_momenta(k)
+    k, tables, a, amps = _propagation_inputs(params, k, a_identity)
     n = k.size
-    _check_propagation_allowed(params, n)
-    tables = symmetric_group(n)
     p = whole_number(p, "rank index p", 0, tables.order - 1)
-    a = finite_array(a_identity, "coefficient vector", (tables.order,), np.complex128)
     if word is None:
         word, q = [], p
         while q > 0:
             s = int(tables.last_site[q])
             word.insert(0, s + 1)
             q = int(tables.tmaps[s, q])
-    amps = _kernels.pair_amplitude_tables(params, k)
     run = np.arange(n)
     for pos, i in enumerate(word):
         s = whole_number(i, f"word letter at 0-based position {pos}", 1, n - 1) - 1
@@ -117,8 +119,8 @@ class BetheState:
     ``table[p, q]`` is A_P(Q) with both indices 0-based in rank order.
     ``k`` passes ``validate_momenta`` and the table must be N! x N!.  The
     table is a complex, Fortran-ordered, read-only array that owns its
-    data: a ``table`` that is not such an array is checked for finite
-    entries and copied Fortran-ordered, and ``k`` is always a fresh
+    data: every ``table`` is checked for finite entries, one that is not
+    such an array is copied Fortran-ordered, and ``k`` is always a fresh
     frozen copy.  Nothing is written to a state after ``__post_init__``,
     so threads may share one.  ``columns`` is the table's transpose, a
     C-contiguous view, ``columns[q, p]`` = A_P(Q): the wedge column A_.(Q)
@@ -138,7 +140,8 @@ class BetheState:
         table = self.table
         if not (isinstance(table, np.ndarray) and table.shape == (f, f)
                 and table.dtype == np.complex128 and table.flags.f_contiguous
-                and table.flags.owndata and not table.flags.writeable):
+                and table.flags.owndata and not table.flags.writeable
+                and np.isfinite(table.T.view(np.float64)).all()):
             table = np.asfortranarray(finite_array(table, "coefficient table", (f, f),
                                                    np.complex128))
             table.flags.writeable = False
@@ -167,12 +170,8 @@ def bethe_state(params: CouplingParameters, k, a_identity) -> BetheState:
 
     Every row equals ``propagate`` along the canonical word of its P.
     """
-    k = validate_momenta(k)
-    n = k.size
-    _check_propagation_allowed(params, n)
-    tables = symmetric_group(n)
-    a = finite_array(a_identity, "coefficient vector", (tables.order,), np.complex128)
-    table = _kernels.propagate_table(a, tables, _kernels.pair_amplitude_tables(params, k))
+    k, tables, a, amps = _propagation_inputs(params, k, a_identity)
+    table = _kernels.propagate_table(a, tables, amps)
     table.flags.writeable = False
     return BetheState(params=params, k=k, table=table)
 
@@ -246,18 +245,16 @@ def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTable
     g, m = heads.size, len(sites)
     # orbit[i, a]: rank of the i-th base times T^a, the first site's exponent the leading bit
     orbit = heads[:, np.newaxis]
-    block = np.ones((g, 1, 1), dtype=np.complex128)
+    # block[base, a, b, l]: the entry A_{P_0 T^a}(Q_0 T^b) of the l-th column
+    block = np.ones((g, 1, 1, 1), dtype=np.complex128)
     for s in sites:
         orbit = np.stack([orbit, tables.tmaps[s, orbit]], axis=-1).reshape(g, -1)
         u = k[tables.images[heads, s]] - k[tables.images[heads, s + 1]]
         null = np.linalg.svd(_contact_coefficients(params, u))[2][:, 2:].conj()  # (g, 2, 4)
-        block = np.einsum("pjl,pik->pjkli", block, null).reshape(
-            g, 4 * block.shape[1], 2 * block.shape[2])
-    # the block's rows as (b_1, a_1, ..., b_m, a_m), j_s = a_s + 2 b_s; reordered to (a, b)
-    block = block.reshape((g,) + (2,) * (2 * m) + (-1,))
-    block = block.transpose([0, *range(2, 2 * m + 1, 2), *range(1, 2 * m, 2), 2 * m + 1])
+        # null[base, i_s, b_s, a_s], as j_s = a_s + 2 b_s
+        block = np.einsum("pabl,pidc->pacbdli", block, null.reshape(g, 2, 2, 2)).reshape(
+            g, 2 * block.shape[1], 2 * block.shape[2], 2 * block.shape[3])
     r = 2 ** m
-    block = block.reshape(g, r, r, r)
     basis = np.zeros((f, f, g * g * r), dtype=np.complex128)
     squares = r * np.arange(g * g).reshape(g, g, 1, 1, 1) + np.arange(r)
     basis[orbit[:, np.newaxis, :, np.newaxis, np.newaxis],

@@ -7,8 +7,6 @@ out-of-range argument raises a ValueError from ``finite_array`` or
 ``whole_number``, the one place each of those checks is written.
 """
 
-import math
-
 import numpy as np
 
 
@@ -48,14 +46,10 @@ def finite_array(x, what: str, shape=(), dtype=np.float64, empty: str | None = N
     """x as a fresh C-ordered ``dtype`` array of ``shape`` (None: any length)
     with finite entries; the ValueError names ``what`` and the shapes or the
     0-based indices of the non-finite entries (rows, for 2D), or is the
-    message ``empty``, when given, for an x with no entries.  A finite
-    Python float asked for as a float64 scalar, the commonest input, is
-    returned as it is."""
-    if type(x) is float and shape == () and dtype is np.float64 and math.isfinite(x):
-        return x
+    message ``empty``, when given, for an x with no entries.  Shape ()
+    returns a numpy scalar, which is a Python float (or complex) too."""
     try:
-        # shape () gives a numpy scalar, a third of the cost of a 0-d array
-        a = np.array(x, dtype=dtype, order="C") if shape else dtype(x)
+        a = np.array(x, dtype=dtype, order="C")
     except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numeric
         raise ValueError(f"{what} must be a numeric array of shape {_shape_text(shape)}: {exc}")
     if empty and a.size == 0:
@@ -63,15 +57,13 @@ def finite_array(x, what: str, shape=(), dtype=np.float64, empty: str | None = N
     if a.shape != shape and (a.ndim != len(shape)
                              or any(n not in (None, m) for n, m in zip(shape, a.shape))):
         raise ValueError(f"{what} must have shape {_shape_text(shape)}, got {a.shape}")
-    if a.ndim == 0:
-        # a float64 scalar is a Python float: math.isfinite is 15x faster than numpy's
-        if not (math.isfinite(a) if isinstance(a, float) else np.isfinite(a)):
+    if not np.isfinite(a).all():
+        if a.ndim == 0:
             raise ValueError(f"{what} must be finite, got {x}")
-    elif not np.isfinite(a).all():
         bad = np.flatnonzero(~np.isfinite(a).reshape(len(a), -1).all(axis=1)).tolist()
         kind = "entries" if a.ndim == 1 else "rows"
         raise ValueError(f"{what} must be finite, got non-finite {kind} at 0-based indices {bad}")
-    return a
+    return a if a.ndim else a[()]
 
 
 def whole_number(x, what: str, lo: int, hi: int | None = None) -> int:

@@ -182,16 +182,20 @@ def determinant_coefficients(k, c: float) -> np.ndarray:
     """Expansion coefficients of the determinant eigenfunction, rank order.
 
     Coefficient of exp(i k_P . x) is sgn(P) prod_{j>k} (i(k_{P(j)} - k_{P(k)}) + c).
-    A non-finite c raises ValueError.
+    A non-finite c, or a coefficient past the float range, raises ValueError.
     """
     k = validate_momenta(k)
     finite_array(c, "determinant coupling c")
     tables = symmetric_group(k.size)
     k_at = k[tables.images]  # k_at[p, j] = k_{P(j+1)}
     out = tables.signs.astype(np.complex128)
-    for jj in range(k.size):
-        for kk in range(jj):
-            out *= 1j * (k_at[:, jj] - k_at[:, kk]) + c
+    with np.errstate(over="ignore", invalid="ignore"):  # huge inputs read inf or NaN
+        for jj in range(k.size):
+            for kk in range(jj):
+                out *= 1j * (k_at[:, jj] - k_at[:, kk]) + c
+    if not np.isfinite(out).all():
+        raise ValueError(f"determinant coefficients at momenta {k.tolist()} and c = {c} "
+                         "are not finite")
     return out
 
 
@@ -203,14 +207,13 @@ def determinant_bethe_state(k, c: float, statistics: Statistics) -> BetheState:
     and sgn(Q) for fermions (Girardeau's Bose/Fermi mapping).  So psi is
     even or odd under an exchange, and the fermion psi is 0 at a tie.
     """
-    k = validate_momenta(k)
     if statistics not in ("boson", "fermion"):
         raise ValueError(f"unknown statistics {statistics!r}")
-    coeff = determinant_coefficients(k, c)  # refuses a non-finite c
+    coeff = determinant_coefficients(k, c)  # refuses bad momenta and a non-finite c
     # 1/c overflows for a tiny c; float division then gives inf without numpy's warning
     if c == 0 or not math.isfinite(1.0 / float(c)):
         raise ValueError(f"determinant coupling c = {c} has no finite lambda = 1/c")
-    tables = symmetric_group(k.size)
+    tables = symmetric_group(np.size(k))
     sigma = np.ones(tables.order) if statistics == "boson" else tables.signs.astype(float)
     table = np.multiply(coeff[:, np.newaxis], sigma[np.newaxis, :], order="F")
     table.flags.writeable = False

@@ -48,6 +48,8 @@ def test_validate_momenta_rejects_non_finite(bad):
         validate_momenta([1.0, bad, 0.3])
     with pytest.raises(ValueError, match=message):
         bethe_state(FAMILY1, [1.0, bad, 0.3], np.eye(6)[0])
+    with pytest.raises(ValueError, match=message):
+        propagate(FAMILY1, [1.0, bad, 0.3], np.eye(6)[0], 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -186,6 +188,8 @@ def test_propagate_rejects_letters_outside_the_sites(word, message):
 def test_propagate_refuses_noninteg_for_three_particles():
     with pytest.raises(NotIntegrable):
         propagate(NONINTEGRABLE, K3, np.zeros(6, complex), rank((2, 1, 3)) - 1)
+    with pytest.raises(NotIntegrable):
+        bethe_state(NONINTEGRABLE, K3, np.zeros(6, complex))
     # two particles have no alternative reduced words: any couplings allowed
     out = propagate(NONINTEGRABLE, np.array([1.0, -0.5]), np.array([1.0, 0.5j]), 1)
     assert out.shape == (2,)

@@ -38,8 +38,8 @@ def test_finite_array_names_the_argument_and_the_fault(x, shape, message):
 ], ids=["float", "-0.0", "+0.0", "subnormal", "huge", "float64", "float64-0.0", "0-d",
         "int", "negative-int", "True", "False"])
 def test_finite_array_returns_an_equal_scalar(x, value):
-    # a Python float takes the fast path; numpy scalars, ints and bools the
-    # general one.  Both give the value, and the sign of a zero, of np.float64(x)
+    # every scalar takes the one path and comes back as a numpy scalar, a
+    # float with the value, and the sign of a zero, of np.float64(x)
     out = finite_array(x, "x")
     assert isinstance(out, float) and out == value
     assert np.signbit(out) == np.signbit(value)

@@ -324,6 +324,20 @@ def test_a_state_refuses_fields_it_cannot_use(field, value, message):
         BetheState(**fields)
 
 
+def test_a_state_checks_the_table_it_keeps_without_a_copy():
+    # a read-only, owned, Fortran-ordered complex table skips the copy, not
+    # the finiteness check: this one, with a NaN imaginary part in row 2 and
+    # an infinite one in row 5, made a state that evaluated to NaN
+    table = np.ones((6, 6), dtype=complex)
+    table[2, 4], table[5, 1] = complex(0.0, np.nan), complex(0.0, np.inf)
+    table = _frozen_fortran(table)
+    assert table.flags.owndata and table.flags.f_contiguous and not table.flags.writeable
+    ref = toy_state()
+    with pytest.raises(ValueError, match=r"^coefficient table must be finite, got non-finite "
+                                         r"rows at 0-based indices \[2, 5\]$"):
+        BetheState(params=ref.params, k=ref.k, table=table)
+
+
 def test_a_real_table_gives_the_residuals_of_its_complex_cast():
     ref = toy_state()
     real = ref.table.real.copy()
@@ -511,6 +525,17 @@ def test_determinant_form_refuses_a_non_finite_c(c):
         determinant_coefficients([0.3, -0.4, 1.1], c)
     with pytest.raises(ValueError, match=message):
         determinant_bethe_state([0.3, -0.4], c, "fermion")
+
+
+def test_determinant_form_refuses_coefficients_past_the_float_range():
+    # the products overflowed with a RuntimeWarning, and with warnings off
+    # the state's table read NaN
+    with pytest.raises(ValueError, match=r"^determinant coefficients at momenta "
+                                         r"\[1e\+200, -1e\+200, 3\.0\] and c = 1\.0 are not finite$"):
+        determinant_bethe_state([1e200, -1e200, 3.0], 1.0, "boson")
+    with pytest.raises(ValueError, match=r"^determinant coefficients at momenta "
+                                         r"\[1\.0, 2\.0, 3\.0\] and c = 1e\+300 are not finite$"):
+        determinant_coefficients([1.0, 2.0, 3.0], 1e300)
 
 
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
