@@ -34,8 +34,9 @@ class CouplingParameters:
     eta: float = 0.0
 
     def __post_init__(self):
-        for name in ("c", "lam", "gamma", "eta"):
-            finite_array(getattr(self, name), f"coupling {name}")
+        for name in ("c", "lam", "gamma", "eta"):  # stored as the gate's float64 value
+            value = finite_array(getattr(self, name), f"coupling {name}")
+            object.__setattr__(self, name, float(value))
 
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.c, self.lam, self.gamma, self.eta)

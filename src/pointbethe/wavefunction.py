@@ -185,7 +185,7 @@ def determinant_coefficients(k, c: float) -> np.ndarray:
     A non-finite c, or a coefficient past the float range, raises ValueError.
     """
     k = validate_momenta(k)
-    finite_array(c, "determinant coupling c")
+    c = float(finite_array(c, "determinant coupling c"))
     tables = symmetric_group(k.size)
     k_at = k[tables.images]  # k_at[p, j] = k_{P(j+1)}
     out = tables.signs.astype(np.complex128)
@@ -209,9 +209,10 @@ def determinant_bethe_state(k, c: float, statistics: Statistics) -> BetheState:
     """
     if statistics not in ("boson", "fermion"):
         raise ValueError(f"unknown statistics {statistics!r}")
-    coeff = determinant_coefficients(k, c)  # refuses bad momenta and a non-finite c
+    c = float(finite_array(c, "determinant coupling c"))  # lambda = 1/c in float64
+    coeff = determinant_coefficients(k, c)  # refuses bad momenta
     # 1/c overflows for a tiny c; float division then gives inf without numpy's warning
-    if c == 0 or not math.isfinite(1.0 / float(c)):
+    if c == 0 or not math.isfinite(1.0 / c):
         raise ValueError(f"determinant coupling c = {c} has no finite lambda = 1/c")
     tables = symmetric_group(np.size(k))
     sigma = np.ones(tables.order) if statistics == "boson" else tables.signs.astype(float)

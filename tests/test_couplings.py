@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pointbethe.bethe import bethe_state
 from pointbethe.couplings import (CouplingParameters, contact_residuals,
                                   gauge_data, integrable_family)
 from pointbethe.errors import NotGaugeFamily, NotIntegrable
+from pointbethe.scattering import amplitudes
 from reference import symplectic_residual, u_pm
 
 
@@ -24,6 +26,20 @@ def test_params_must_be_finite():
 def test_params_accept_numpy_scalars_and_ints():
     params = CouplingParameters(np.float64(2.0), np.int64(0), 1, np.float32(0.5))
     assert params.astuple() == (2.0, 0, 1, 0.5)
+
+
+def test_params_store_python_floats():
+    # float32 couplings were stored as passed, and the amplitudes, tables and
+    # gauge data came out at float32 precision, 3e-8 off
+    narrow = CouplingParameters(np.float32(2.1), eta=np.float32(0.7))
+    wide = CouplingParameters(float(np.float32(2.1)), eta=float(np.float32(0.7)))
+    assert [type(v) for v in narrow.astuple()] == [float] * 4
+    assert narrow.astuple() == wide.astuple()
+    assert amplitudes(narrow, 0.9) == amplitudes(wide, 0.9)
+    # a string or a Decimal passed the gate, then raised a TypeError inside
+    # amplitudes that named no argument
+    for c in ("2", Decimal("2")):
+        assert amplitudes(CouplingParameters(c=c), 0.9) == amplitudes(CouplingParameters(c=2.0), 0.9)
 
 
 def test_u_pm_free_case():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pointbethe import _kernels, bethe
 from pointbethe._kernels import MAX_DRAWS_PER_SAMPLE, plane_waves
 from pointbethe.bethe import BetheState, bethe_state, state_relation_residual
-from pointbethe.couplings import CouplingParameters
+from pointbethe.couplings import CouplingParameters, integrable_family
 from pointbethe.errors import NotGaugeFamily, OnBoundary
 from pointbethe.permutations import rank_of, symmetric_group
 from pointbethe.wavefunction import (boundary_residual, boundary_samples,
@@ -515,6 +515,19 @@ def test_determinant_state_needs_nonzero_c():
         with pytest.raises(ValueError, match=rf"^determinant coupling c = {c} has no finite "
                                              r"lambda = 1/c$"):
             determinant_bethe_state(K3, c, "boson")
+
+
+@pytest.mark.parametrize("c", ["2.1", np.float32(2.1)], ids=["str", "float32"])
+def test_determinant_state_forms_lambda_in_float64(c):
+    # a string c raised numpy's UFuncTypeError, and a float32 c formed
+    # lambda = 1/c in float32, 2e-8 off c lambda = 1
+    want = determinant_bethe_state([0.1, 0.5], float(c), "boson")
+    got = determinant_bethe_state([0.1, 0.5], c, "boson")
+    assert got.params == want.params
+    assert [type(v) for v in got.params.astuple()] == [float] * 4
+    assert np.array_equal(got.table, want.table)
+    assert abs(got.params.c * got.params.lam - 1.0) <= np.spacing(1.0)
+    assert integrable_family(got.params) == "family2"
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
