@@ -19,15 +19,17 @@ expect() { [ "$status" -eq "$1" ] || fail "exit $status, expected $1: ${*:2}"; }
 # same STATUS ARGS...: two fresh interpreters exit STATUS and write the same report
 same() {
   local want=$1 run; shift
+  rm -f "$RUNNER_TEMP/same-1" "$RUNNER_TEMP/same-2"  # so a run that writes no report fails cmp
   for run in 1 2; do cli "$@" --out "$RUNNER_TEMP/same-$run"; expect "$want" "$@"; done
-  cmp "$RUNNER_TEMP/same-1" "$RUNNER_TEMP/same-2" || fail "reports differ: $*"
+  cmp "$RUNNER_TEMP/same-1" "$RUNNER_TEMP/same-2" || fail "reports differ or are missing: $*"
 }
 
 # one_cpu ARGS...: a run pinned to CPU 0 writes what a run on every CPU writes; both exit 0
 one_cpu() {
+  rm -f "$RUNNER_TEMP/all-cpus" "$RUNNER_TEMP/one-cpu"  # as in same
   cli "$@" --out "$RUNNER_TEMP/all-cpus"; expect 0 "$@"
   pin="taskset -c 0" cli "$@" --out "$RUNNER_TEMP/one-cpu"; expect 0 taskset -c 0 "$@"
-  cmp "$RUNNER_TEMP/all-cpus" "$RUNNER_TEMP/one-cpu" || fail "one CPU differs: $*"
+  cmp "$RUNNER_TEMP/all-cpus" "$RUNNER_TEMP/one-cpu" || fail "one CPU differs or a report is missing: $*"
 }
 
 # refuses STATUS PREFIX ARGS...: exit STATUS, no report, and one stderr line

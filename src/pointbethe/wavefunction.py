@@ -209,8 +209,8 @@ def determinant_bethe_state(k, c: float, statistics: Statistics) -> BetheState:
     """
     if statistics not in ("boson", "fermion"):
         raise ValueError(f"unknown statistics {statistics!r}")
-    c = float(finite_array(c, "determinant coupling c"))  # lambda = 1/c in float64
-    coeff = determinant_coefficients(k, c)  # refuses bad momenta
+    coeff = determinant_coefficients(k, c)  # refuses bad momenta and a non-finite c
+    c = float(c)  # lambda = 1/c in float64
     # 1/c overflows for a tiny c; float division then gives inf without numpy's warning
     if c == 0 or not math.isfinite(1.0 / c):
         raise ValueError(f"determinant coupling c = {c} has no finite lambda = 1/c")

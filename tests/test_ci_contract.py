@@ -54,3 +54,22 @@ def test_a_wrong_exit_status_fails(contract, check, breach):
     result = contract(check)
     assert result.returncode == 1
     assert f"contract broken: {breach}" in result.stderr
+
+
+@pytest.mark.parametrize("check, breach", [
+    # the second run of each pair writes no report: a refused input, and a
+    # subcommand that exits 0 without honouring --out; the first run's
+    # matching reports must not stand in for it
+    ("same 0 coeffs --N 2 --c 2 --eta 1; same 1 eigen --N 0 --c 2",
+     "reports differ or are missing"),
+    ("same 0 coeffs --N 2 --c 2 --eta 1; same 0 coeffs --help",
+     "reports differ or are missing"),
+    pytest.param("one_cpu coeffs --N 2 --c 2 --eta 1; one_cpu coeffs --help",
+                 "one CPU differs or a report is missing",
+                 marks=pytest.mark.skipif(shutil.which("taskset") is None,
+                                          reason="needs taskset")),
+])
+def test_a_missing_report_fails(contract, check, breach):
+    result = contract(check)
+    assert result.returncode == 1
+    assert f"contract broken: {breach}" in result.stderr
