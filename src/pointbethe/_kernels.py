@@ -67,6 +67,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import os
 
 import numpy as np
@@ -93,6 +94,14 @@ BOUNDARY_MIN_GAP = 0.2
 # amplitude arrays of a block at 1 MB and the seven shared identity
 # products at 448 kB, whatever the grid size.
 PANEL_BLOCK_ENTRIES = 4096
+
+# The table fill writes its rows into a C-ordered block of FILL_BLOCK_ROWS
+# rows and copies each full block into the Fortran-ordered table at once.
+# A row written straight into that table lands at a stride of N! * 16 B
+# (11.5 kB at N = 6); in the block it is one contiguous run, and 93 % of
+# the rows at N = 6 find their parent there.  64 was the fastest of 32, 64
+# and 128 (BENCH_pr41_fill.json); the block takes 737 kB at N = 6.
+FILL_BLOCK_ROWS = 64
 
 
 def _identities(stp_u, srp_u, stm_u, srm_u, stp_mu, srp_mu, stm_mu, srm_mu,
@@ -163,8 +172,15 @@ def plane_waves(k, images, xq) -> np.ndarray:
     [position, momentum, point], so each gather copies whole rows of M
     points into an (F, M) product, and one transposing copy returns the
     waves C-contiguous: every product with a stack of wedge rows then
-    runs at unit stride.
+    runs at unit stride.  A phase k[a] xq[m, j] past the float range has
+    no value and raises ValueError.  The test is on Python floats, so it
+    needs no np.errstate, which would not reach a ``thread_map`` worker.
     """
+    a = np.abs(k).argmax()
+    x = np.abs(xq).max(initial=0.0)
+    if math.isinf(abs(float(k[a])) * float(x)):
+        raise ValueError(f"plane-wave phase past the float range: momentum k[{a}]={k[a]} "
+                         f"at a coordinate of modulus {x}")
     factors = np.exp(1j * (k[np.newaxis, :, np.newaxis] * xq.T[:, np.newaxis, :]))
     waves = factors[0].take(images[:, 0], axis=0)
     for j in range(1, images.shape[1]):
@@ -222,6 +238,11 @@ def propagate_table(a_identity, tables: SymmetricGroupTables, amps) -> np.ndarra
     of stepping along its whole word.  The plan of the pass (each row's
     parent, site and momentum pair) is read from the tables as Python
     ints first; the parts of each distinct step are built on first use.
+    Rows are written to a C-ordered block of FILL_BLOCK_ROWS rows, which
+    goes into the Fortran-ordered result in one slice copy when it is full
+    and after the pass; a parent is read from the block when it is still
+    there and from the result otherwise.  The same operations meet the
+    same values, so the table has the bits of a row-by-row fill.
     """
     rows = np.arange(1, tables.order)
     sites = tables.last_site[1:]
@@ -230,9 +251,16 @@ def propagate_table(a_identity, tables: SymmetricGroupTables, amps) -> np.ndarra
                      tables.images[parents, sites + 1]], axis=1).tolist()
     parts = functools.cache(lambda s, a, b: step_parts(tables, s, amps[:, a, b]))
     out = np.empty((tables.order, tables.order), dtype=np.complex128, order="F")
-    out[0] = a_identity
+    block = np.empty((FILL_BLOCK_ROWS, tables.order), dtype=np.complex128)
+    block[0] = a_identity
+    start = 0  # rank of block's first row
     for p, parent, s, a, b in plan:
-        out[p] = yang_apply(parts(s, a, b), out[parent])
+        if p - start == FILL_BLOCK_ROWS:
+            out[start:p] = block
+            start = p
+        source = block[parent - start] if parent >= start else out[parent]
+        block[p - start] = yang_apply(parts(s, a, b), source)
+    out[start:] = block[:tables.order - start]
     return out
 
 

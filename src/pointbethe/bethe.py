@@ -47,7 +47,7 @@ import numpy as np
 from . import _kernels
 from .couplings import (CouplingParameters, _contact_coefficients, _site_contact,
                         integrable_family)
-from .errors import NotIntegrable, finite_array, whole_number
+from .errors import NotIntegrable, finite_array, nan_to_inf, whole_number
 from .permutations import SymmetricGroupTables, rank_of, symmetric_group
 
 MIN_MOMENTUM_GAP = 1e-12
@@ -56,13 +56,19 @@ MAX_N = 6  # largest N of the N! x N! tables the commands and the matrix check b
 
 
 def validate_momenta(k) -> np.ndarray:
-    """Momenta as a fresh float array: at least one, finite, pairwise gaps above 1e-12."""
+    """Momenta as a fresh float array: at least one, finite, pairwise gaps
+    above 1e-12 and inside the float range."""
     k = finite_array(k, "momenta", (None,))
     n = whole_number(k.size, "number of momenta", 1)
+    values = k.tolist()  # Python floats: a gap past the float range is inf, not a warning
     for a in range(n):
         for b in range(a + 1, n):
-            if abs(k[a] - k[b]) <= MIN_MOMENTUM_GAP:
+            gap = abs(values[a] - values[b])
+            if gap <= MIN_MOMENTUM_GAP:
                 raise ValueError(f"momenta k[{a}]={k[a]} and k[{b}]={k[b]} coincide")
+            if gap == math.inf:
+                raise ValueError(f"momenta k[{a}]={k[a]} and k[{b}]={k[b]} differ by "
+                                 "more than the float range")
     return k
 
 
@@ -199,12 +205,13 @@ def _site_residuals(params: CouplingParameters, k: np.ndarray, tables: Symmetric
 def _contact_residual(params: CouplingParameters, k: np.ndarray,
                       tables: SymmetricGroupTables, table: np.ndarray) -> float:
     """Max |r1|, |r2| of the contact conditions over every site, every P
-    and every Q ascending at the site, read from the table entries."""
+    and every Q ascending at the site, read from the table entries; inf
+    where a residual cannot be formed in floating point."""
     residuals = [0.0]
     for s in range(k.size - 1):
         r1, r2 = _site_residuals(params, k, tables, table, s)
         residuals += [np.abs(r1).max(), np.abs(r2).max()]
-    return float(np.max(residuals))
+    return nan_to_inf(np.max(residuals))
 
 
 def state_relation_residual(state: BetheState) -> float:
@@ -290,7 +297,9 @@ def coefficients_bc_oracle(params: CouplingParameters, k, a_identity) -> OracleR
     y solves it, in both families; where it is not, the odd sites' rows
     hold exactly and the rest carry the violation.  The residual is the
     max violation over every row of the full system and the pins, at
-    roundoff exactly when the couplings are integrable (or N = 2).
+    roundoff exactly when the couplings are integrable (or N = 2), and inf
+    where it cannot be formed in floating point.  A system whose rows or
+    solution leave the float range raises ValueError.
 
     Why B spans the odd sites' common null space.  One site first: its
     rows at (P, Q) and (P T_1, Q) are the same two equations, so with P
@@ -338,6 +347,9 @@ def coefficients_bc_oracle(params: CouplingParameters, k, a_identity) -> OracleR
     q, r = np.linalg.qr(np.concatenate([rows, basis[0]]))
     y = np.linalg.solve(r, q[len(rows):].conj().T @ a_identity)
     table = basis @ y
+    if not (np.isfinite(rows).all() and np.isfinite(table).all()):
+        raise ValueError(f"oracle system at couplings {params.astuple()} and momenta "
+                         f"{k.tolist()} is past the float range")
     residual = np.max([_contact_residual(params, k, tables, table),
                        np.abs(table[0] - a_identity).max()])
     rank = np.linalg.matrix_rank(rows) if len(rows) else 0

@@ -376,7 +376,7 @@ def run_eigen(cfg: RunConfig) -> int:
     worst = _pair_lines(cfg, state, "boundary", rng)
     # the stencil must not reach across a coincidence plane
     fd_points = points[closest_gap(points) > FD_STEP][:5]
-    fd = _worst(*schrodinger_fd_residual(state, fd_points)) if len(fd_points) else math.nan
+    fd = _worst(*schrodinger_fd_residual(state, fd_points)) if len(fd_points) else math.inf
     cfg.lines.append(f"free-equation finite-difference residual: {fd:.3e}")
     return _close(cfg, worst, "boundary residual")
 

@@ -75,8 +75,9 @@ def _site_contact(params: CouplingParameters, u, a_p, a_pt, a_p_t, a_pt_t):
     that gives particle Q(i) the momentum k_{P(i)} has relative derivative iu.
     """
     du = 1j * u
-    return contact_residuals(params, a_p + a_pt, du * (a_p - a_pt),
-                             a_p_t + a_pt_t, du * (a_pt_t - a_p_t))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the float range
+        return contact_residuals(params, a_p + a_pt, du * (a_p - a_pt),
+                                 a_p_t + a_pt_t, du * (a_pt_t - a_p_t))
 
 
 def _contact_coefficients(params: CouplingParameters, u: np.ndarray) -> np.ndarray:

@@ -4,8 +4,12 @@ Every public entry point answers or raises an error naming the bad input.
 Domain failures derive from PointBetheError, so callers can catch the
 whole family at once.  A non-finite, mis-shaped, non-integer or
 out-of-range argument raises a ValueError from ``finite_array`` or
-``whole_number``, the one place each of those checks is written.
+``whole_number``, the one place each of those checks is written.  A
+residual that cannot be formed in floating point reads inf through
+``nan_to_inf``, so it fails every tolerance and no report prints NaN.
 """
+
+import math
 
 import numpy as np
 
@@ -64,6 +68,13 @@ def finite_array(x, what: str, shape=(), dtype=np.float64, empty: str | None = N
         kind = "entries" if a.ndim == 1 else "rows"
         raise ValueError(f"{what} must be finite, got non-finite {kind} at 0-based indices {bad}")
     return a if a.ndim else a[()]
+
+
+def nan_to_inf(residual) -> float:
+    """A residual as a Python float, inf where it is NaN: an intermediate
+    that left the float range (inf - inf, inf * 0) could not be formed."""
+    residual = float(residual)
+    return math.inf if math.isnan(residual) else residual
 
 
 def whole_number(x, what: str, lo: int, hi: int | None = None) -> int:

@@ -180,13 +180,20 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
     evaluated for every sample, as one ``amplitude_columns`` stack that
     ``step_parts`` takes whole, on first use by a relation that runs, so a
     pole raises PoleAtU at the first sample of the first such argument
-    that meets it.  Empty or non-finite samples raise ValueError.
+    that meets it.  Empty or non-finite samples, and a sample whose u + v
+    is past the float range, raise ValueError.
     """
     n = whole_number(n, "N", 2, MAX_N)
     us, vs = finite_array(samples, "samples", (None, 2),
                           empty="need at least one (u, v) sample").T
+    with np.errstate(over="ignore"):
+        ws = us + vs
+    overflowed = np.flatnonzero(np.isinf(ws))
+    if overflowed.size:
+        s = overflowed[0]
+        raise ValueError(f"sample {s}: u + v of (u, v) = ({us[s]}, {vs[s]}) is past the float range")
     tables = symmetric_group(n)
-    arguments = {"u": us, "-u": -us, "v": vs, "u+v": us + vs}
+    arguments = {"u": us, "-u": -us, "v": vs, "u+v": ws}
 
     @functools.cache
     def columns(w):  # the four amplitudes at argument w of every sample, (4, S, 1)

@@ -37,7 +37,7 @@ import numpy as np
 from . import _kernels
 from .bethe import BetheState, validate_momenta
 from .couplings import CouplingParameters, contact_residuals, gauge_data
-from .errors import OnBoundary, finite_array, whole_number
+from .errors import OnBoundary, finite_array, nan_to_inf, whole_number
 from .permutations import rank_of, symmetric_group
 
 COINCIDENCE_TOL = 1e-12
@@ -161,21 +161,24 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     # below the boundary (x_j = x_kk - 0+) the state is the wedge-Q sum;
     # above it the wedge-QT_i sum; at coincidence the exponents agree.
     # The gathered rows are fresh copies, so the products run in place.
-    below = state.columns[q_idx]
-    below *= waves
-    v_minus = below.sum(axis=1)
-    below *= du
-    d_minus = below.sum(axis=1)
-    above = state.columns[qt_idx]
-    above *= waves
-    v_plus = above.sum(axis=1)
-    above *= du
-    d_plus = -above.sum(axis=1)
-
-    r1, r2 = contact_residuals(state.params, v_minus, d_minus, v_plus, d_plus)
+    # past the float range the sums read inf or NaN and the residuals inf;
+    # the np.errstate is this call's, also on a ``thread_map`` worker
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = state.columns[q_idx]
+        below *= waves
+        v_minus = below.sum(axis=1)
+        below *= du
+        d_minus = below.sum(axis=1)
+        above = state.columns[qt_idx]
+        above *= waves
+        v_plus = above.sum(axis=1)
+        above *= du
+        d_plus = -above.sum(axis=1)
+        r1, r2 = contact_residuals(state.params, v_minus, d_minus, v_plus, d_plus)
     # hypot gives the bits of the scalar abs(); np.abs on complex arrays
     # can differ from it in the last place
-    return float(np.hypot(r1.real, r1.imag).max()), float(np.hypot(r2.real, r2.imag).max())
+    return (nan_to_inf(np.hypot(r1.real, r1.imag).max()),
+            nan_to_inf(np.hypot(r2.real, r2.imag).max()))
 
 
 def determinant_coefficients(k, c: float) -> np.ndarray:
@@ -236,7 +239,8 @@ def gauge_transformed_state(state: BetheState) -> BetheState:
 
 def schrodinger_fd_residual(state: BetheState, points) -> np.ndarray:
     """|FD Laplacian psi + E psi| at each interior point of an (M, N)
-    batch, with step FD_STEP (an O(FD_STEP^2) check).
+    batch, with step FD_STEP (an O(FD_STEP^2) check); inf at a point where
+    it cannot be formed in floating point.
 
     The 2N + 1 stencil points of all rows go through one ``evaluate_grid``
     call, which evaluates each row alone.  Raises ValueError unless points
@@ -259,4 +263,6 @@ def schrodinger_fd_residual(state: BetheState, points) -> np.ndarray:
         lap = np.sum((plus - 2 * center[:, np.newaxis] + minus) / FD_STEP**2, axis=1)
         z = lap + state.energy * center
         # hypot gives the bits of the scalar abs()
-        return np.hypot(z.real, z.imag)
+        residual = np.hypot(z.real, z.imag)
+    residual[np.isnan(residual)] = np.inf  # an inf energy times psi = 0: not formed
+    return residual

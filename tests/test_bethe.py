@@ -39,6 +39,29 @@ def test_validate_momenta_rejects_coincident():
     assert validate_momenta([0.5]).shape == (1,)
 
 
+def test_validate_momenta_rejects_a_gap_past_the_float_range():
+    big = np.finfo(np.float64).max
+    with pytest.raises(ValueError, match=r"^momenta k\[0\]=1.7976931348623157e\+308 and "
+                                         r"k\[2\]=-1e\+300 differ by more than the float range$"):
+        validate_momenta([big, 0.0, -1e300])
+    assert validate_momenta([big, 0.0]).tolist() == [big, 0.0]
+
+
+def test_residuals_past_the_float_range_read_inf():
+    # u = -1.8e308: every derivative term is finite, their sum is not
+    state = bethe_state(CouplingParameters(0.0), [0.0, np.finfo(np.float64).max], [1.0, 0.0])
+    assert state_relation_residual(state) == math.inf
+    oracle = coefficients_bc_oracle(state.params, state.k, state.table[0])
+    assert oracle.residual == math.inf
+    assert np.abs(oracle.table - state.table).max() < 1e-15
+
+
+def test_oracle_refuses_a_system_past_the_float_range():
+    with pytest.raises(ValueError, match=r"^oracle system at couplings \(1.7976931348623157e\+308, "
+                                         r"0.0, 0.0, 0.0\) and momenta \[0.0, 1.0\] is past the float range$"):
+        coefficients_bc_oracle(CouplingParameters(np.finfo(np.float64).max), [0.0, 1.0], [1.0, 0.0])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validate_momenta_rejects_non_finite(bad):
     # a NaN gap compares False with the coincidence threshold, so only an

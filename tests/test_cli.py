@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,6 +313,69 @@ def test_non_finite_input_never_exits_zero(tmp_path_factory, command, flag, valu
     args = [command] + [f"--{key}={','.join(vals)}" for key, vals in values.items()]
     status, _ = run_cli(args, tmp_path_factory.mktemp("run"))
     assert status != EXIT_OK
+
+
+# the float range's edges: signed zeros, the least subnormal, tiny and
+# huge values and the largest finite float
+EDGE_VALUES = ["0", "-0", "1", "-1", "5e-324", "1e-300", "1e150", "-1e150", "1e300",
+               "1.7976931348623157e308"]
+
+
+@st.composite
+def edge_argv(draw):
+    """argv of any command with couplings and momenta drawn from EDGE_VALUES;
+    scan gets two-point axes, the others N <= 3, so each run is short."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+    values = st.lists(st.sampled_from(EDGE_VALUES), min_size=1,
+                      max_size=2 if command == "scan" else 1)
+    argv = [command]
+    for flag in ("c", "lambda", "gamma", "eta"):
+        if draw(st.booleans()):
+            argv.append(f"--{flag}=" + ",".join(draw(values)))
+    if command == "yb-check":
+        argv += ["--N", draw(st.sampled_from(["2", "3"]))]
+    elif command != "scan":
+        momenta = st.lists(st.sampled_from(EDGE_VALUES), min_size=1, max_size=3)
+        argv.append("--k=" + ",".join(draw(momenta)))
+    return argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(argv=edge_argv())
+def test_float_range_edges_keep_the_exit_contract(argv):
+    # in process, as CI runs the CLI: a numpy warning is an error, no
+    # report line reads nan, and a refusal is one stderr line and no report
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    report, errors = out.getvalue(), err.getvalue()
+    assert status in (EXIT_OK, EXIT_CONFIG, EXIT_RESIDUAL, EXIT_DEGENERATE)
+    assert not re.search(r"\bnan\b", report, re.IGNORECASE)
+    if status in (EXIT_CONFIG, EXIT_DEGENERATE):
+        assert report == "" and errors.endswith("\n") and errors.count("\n") == 1
+    else:
+        assert errors == ""
+
+
+@pytest.mark.parametrize("args, status, line", [
+    # every term of the contact residuals is finite, their sums are not
+    (["coeffs", "--k=0,1.7976931348623157e308", "--c", "0"], EXIT_RESIDUAL,
+     "boundary-system residual: inf"),
+    (["eigen", "--k=0,1.7976931348623157e308", "--c", "0"], EXIT_CONFIG,
+     "config error: plane-wave phase past the float range: momentum k[1]=1.7976931348623157e+308"),
+    (["coeffs", "--k=0,1", "--c", "1.7976931348623157e308"], EXIT_CONFIG,
+     "config error: oracle system at couplings (1.7976931348623157e+308, 0.0, 0.0, 0.0) and "
+     "momenta [0.0, 1.0] is past the float range"),
+])
+def test_float_range_edges_read_inf_or_are_refused(tmp_path, capsys, args, status, line):
+    got, report = run_cli(args, tmp_path)
+    assert got == status
+    if status == EXIT_RESIDUAL:
+        assert line in report.splitlines()
+        assert report.splitlines()[-1] == "max residual = inf (tol 1e-08)"
+    else:
+        assert report == "" and capsys.readouterr().err.startswith(line)
 
 
 @pytest.mark.parametrize("command", ["coeffs", "eigen", "gauge"])

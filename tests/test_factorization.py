@@ -161,6 +161,13 @@ def test_yang_baxter_matrix_upper_size_limit():
         yang_baxter_matrix_check(FAMILY1, 7, sample_panel(7, 2))
 
 
+def test_yang_baxter_matrix_check_names_a_sample_whose_sum_leaves_the_float_range():
+    samples = [[1.0, 2.0], [1e300, np.finfo(np.float64).max]]
+    with pytest.raises(ValueError, match=r"^sample 1: u \+ v of \(u, v\) = "
+                                         r"\(1e\+300, 1.7976931348623157e\+308\) is past the float range$"):
+        yang_baxter_matrix_check(CouplingParameters(1.0), 3, samples)
+
+
 def test_yang_baxter_matrix_noninteg():
     report = yang_baxter_matrix_check(NONINTEGRABLE, 3, sample_panel(6, 20))
     assert report.braid >= 1e-3

@@ -326,3 +326,32 @@ def test_prebuilt_step_parts_fill_equals_row_by_row_fill(params, n, unit):
     amps = _kernels.pair_amplitude_tables(params, k)
     assert _kernels.propagate_table(a, tables, amps).tobytes() == \
         _row_by_row_table(a, tables, amps).tobytes()
+
+
+@pytest.mark.parametrize("params", [CouplingParameters(2.0, 0.0, 0.0, 1.3),
+                                    CouplingParameters(1.7, 1.0 / 1.7)],
+                         ids=["family1", "family2"])
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("rows", [1, 2, 7, 720, 1000])
+def test_fill_block_edges_give_the_row_by_row_bits(monkeypatch, params, n, rows):
+    # one row per block flushes after every row, 2 and 7 leave parents in
+    # earlier blocks, 720 and 1000 fill one block (partial below N = 6)
+    monkeypatch.setattr(_kernels, "FILL_BLOCK_ROWS", rows)
+    rng = np.random.default_rng(n + rows)
+    tables = symmetric_group(n)
+    k = np.linspace(1.5, -1.5, n) + rng.uniform(-0.05, 0.05, n)
+    a = rng.normal(size=tables.order) + 1j * rng.normal(size=tables.order)
+    amps = _kernels.pair_amplitude_tables(params, k)
+    table = _kernels.propagate_table(a, tables, amps)
+    assert table.flags.f_contiguous and table.flags.owndata
+    assert table.tobytes() == _row_by_row_table(a, tables, amps).tobytes()
+
+
+def test_plane_waves_refuse_a_phase_past_the_float_range():
+    images = symmetric_group(2).images
+    big = np.finfo(np.float64).max
+    # the largest finite phase is a wave; twice it is none
+    assert np.isfinite(_kernels.plane_waves(np.array([0.0, big]), images, np.array([[1.0, -1.0]]))).all()
+    with pytest.raises(ValueError, match=r"^plane-wave phase past the float range: momentum "
+                                         r"k\[1\]=1.7976931348623157e\+308 at a coordinate of modulus 2.0$"):
+        _kernels.plane_waves(np.array([0.0, big]), images, np.array([[1.0, -2.0]]))
