@@ -26,15 +26,18 @@ an answer that depends on bookkeeping.
 ``coefficients_bc_oracle`` is the brute-force cross-check: it solves the
 contact conditions over all N!^2 unknowns with row I, the fill's input
 A_I(Q), pinned, which fixes every solution, as each condition at site i
-gives row P T_i from row P.  It and ``state_relation_residual`` read the
-conditions from tables through one evaluation, ``_site_residuals``, and
-state each once, as (P, Q) and (P T_i, Q) give the same two equations:
-the system has (N-1) N!^2 / 2 homogeneous rows.  The transpositions of the
-odd sites 1, 3, ... commute, and their rows fall apart into blocks of rank
-2 per site on the orbits they generate, so the oracle solves them exactly,
-one batched 2 x 4 SVD per site, and runs the solve and the rank on the QR
-factor of the even sites' residuals on a basis of the odd sites' common
-null space, a stack of N!^2 / 2^floor(N/2) tables.
+gives row P T_i from row P.  Each condition is stated once, as (P, Q) and
+(P T_i, Q) give the same two equations: the system has (N-1) N!^2 / 2
+homogeneous rows.  The transpositions of the odd sites 1, 3, ... commute,
+and their rows fall apart into blocks of rank 2 per site on the orbits
+they generate, so the oracle solves them exactly, one batched 2 x 4 SVD
+per site, into a basis of their common null space that it keeps in
+compact form: one 2^m x 2^m x 2^m block per orbit, m = floor(N/2).  The
+even sites' rows on that basis are assigned from the same 2 x 4 rows,
+``couplings._contact_coefficients``, and the solve and the rank run on
+their QR factor, stacked on the pins.  The solution table is checked as
+any table is, by ``_site_residuals``, the one evaluation of the
+conditions on table entries that ``state_relation_residual`` reads too.
 """
 
 from __future__ import annotations
@@ -194,10 +197,8 @@ def _ascending(tables: SymmetricGroupTables, k: np.ndarray, s: int):
 def _site_residuals(params: CouplingParameters, k: np.ndarray, tables: SymmetricGroupTables,
                     table: np.ndarray, s: int):
     """Residuals (r1, r2) of site s + 1's contact conditions at every P (rows)
-    and Q (columns) ascending at the site, read from one N! x N! table or
-    from a stack of them along trailing axes, and stacked the same way."""
+    and Q (columns) ascending at the site, read from one N! x N! table."""
     asc, t, u = _ascending(tables, k, s)
-    u = u.reshape(u.shape + (1,) * (table.ndim - 2))
     return _site_contact(params, u, table[np.ix_(asc, asc)], table[np.ix_(t, asc)],
                          table[np.ix_(asc, t)], table[np.ix_(t, t)])
 
@@ -226,10 +227,15 @@ def state_relation_residual(state: BetheState) -> float:
 
 
 def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTables,
-                         k: np.ndarray) -> np.ndarray:
-    """Orthonormal basis B, shape (N!, N!, N!^2 / 2^m), of the common null
-    space of the rows of the m = floor(N/2) odd sites 1, 3, ...: a stack of
-    tables, B[P, Q, l] the entry A_P(Q) of the l-th basis vector.
+                         k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis B of the common null space of the rows of the
+    m = floor(N/2) odd sites 1, 3, ..., in the compact form (orbit, block):
+    ``orbit`` (g, 2^m) and ``block`` (g, 2^m, 2^m, 2^m), with
+
+        B[orbit[i, a], orbit[j, b], (i g + j) 2^m + l] = block[i, a, b, l],
+
+    B[P, Q, l] the entry A_P(Q) of the l-th of its N!^2 / 2^m columns and
+    every other entry zero.
 
     The transpositions of the odd sites commute, so right products with
     them split S_N into orbits of 2^m.  A base P_0 ascending at every odd
@@ -240,16 +246,16 @@ def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTable
     unknowns of the square (P_0 orbit) x (Q_0 orbit) the site acts as its
     block in the slot j_s = a_s + 2 b_s times the identity on the other
     slots.  The null vectors of each block, the last two right singular
-    vectors, tensor into the 2^m columns of B the square owns:
+    vectors, tensor into the 2^m columns the square owns:
     n_1[i_1][j_1] ... n_m[i_m][j_m] at the unknown A_{P_0 T^a}(Q_0 T^b).
-    With P_0 and Q_0 the i-th and j-th of the g = N!/2^m bases, they are
-    B[..., (i g + j) 2^m + l], l the binary number i_1 ... i_m.  N = 1 has
-    no odd site, and B is the 1 x 1 x 1 identity.
+    With P_0 and Q_0 the i-th and j-th of the g = N!/2^m bases, that is
+    block[i, a, b, l], l the binary number i_1 ... i_m: it depends on the
+    square through P_0 alone.  N = 1 has no odd site, and B is the
+    1 x 1 x 1 identity.
     """
     sites = range(0, k.size - 1, 2)
-    f = tables.order
     heads = np.flatnonzero(tables.asc[list(sites)].all(axis=0))
-    g, m = heads.size, len(sites)
+    g = heads.size
     # orbit[i, a]: rank of the i-th base times T^a, the first site's exponent the leading bit
     orbit = heads[:, np.newaxis]
     # block[base, a, b, l]: the entry A_{P_0 T^a}(Q_0 T^b) of the l-th column
@@ -261,12 +267,49 @@ def _odd_site_null_basis(params: CouplingParameters, tables: SymmetricGroupTable
         # null[base, i_s, b_s, a_s], as j_s = a_s + 2 b_s
         block = np.einsum("pabl,pidc->pacbdli", block, null.reshape(g, 2, 2, 2)).reshape(
             g, 2 * block.shape[1], 2 * block.shape[2], 2 * block.shape[3])
-    r = 2 ** m
-    basis = np.zeros((f, f, g * g * r), dtype=np.complex128)
-    squares = r * np.arange(g * g).reshape(g, g, 1, 1, 1) + np.arange(r)
-    basis[orbit[:, np.newaxis, :, np.newaxis, np.newaxis],
-          orbit[np.newaxis, :, np.newaxis, :, np.newaxis], squares] = block[:, np.newaxis]
-    return basis
+    return orbit, block
+
+
+def _orbit_coordinates(orbit: np.ndarray):
+    """The inverse of ``orbit``: base(P) = i and pos(P) = a where orbit[i, a] = P."""
+    base, pos = np.empty((2, orbit.size), dtype=np.intp)
+    base[orbit] = np.arange(orbit.shape[0])[:, np.newaxis]
+    pos[orbit] = np.arange(orbit.shape[1])
+    return base, pos
+
+
+def _even_site_rows(params: CouplingParameters, k: np.ndarray, tables: SymmetricGroupTables,
+                    orbit: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The rows of the even sites 2, 4, ... times the basis B of
+    ``_odd_site_null_basis``, read off its (orbit, block): for each even
+    site, one row per P and Q ascending there and each of the two
+    conditions, in (P, Q, e) order.
+
+    The row couples A_X(Y) at (P, Q), (P T, Q), (P, Q T) and (P T, Q T),
+    T = T_i, with the four coefficients of ``_contact_coefficients``.
+    T_i of an even site is not in the group the odd sites generate, so P
+    and P T, and Q and Q T, lie in different orbits: the four unknowns lie
+    in four distinct squares, and each meets the 2^m columns of its square
+    at block[base X, pos X, pos Y, :].  So each row has 4 2^m non-zeros,
+    assigned, not summed.
+    """
+    g, r = orbit.shape
+    base, pos = _orbit_coordinates(orbit)
+    sites = range(1, k.size - 1, 2)
+    half = tables.order // 2  # the permutations ascending at a site
+    rows = np.zeros((len(sites), half, half, 2, g * g * r), dtype=np.complex128)
+    for site, s in zip(rows, sites):
+        asc, t, u = _ascending(tables, k, s)
+        # the unknowns in _contact_coefficients' order: (P, Q), (P T, Q), (P, Q T), (P T, Q T)
+        x = np.stack([asc, t, asc, t], axis=-1)[:, np.newaxis]
+        y = np.stack([asc, asc, t, t], axis=-1)[np.newaxis]
+        columns = ((base[x] * g + base[y]) * r)[..., np.newaxis] + np.arange(r)  # (P, Q, unknown, l)
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracle refuses non-finite rows
+            values = (_contact_coefficients(params, u[:, 0])[:, np.newaxis, :, :, np.newaxis]
+                      * block[base[x], pos[x], pos[y]][:, :, np.newaxis])  # (P, Q, e, unknown, l)
+        np.put_along_axis(site, columns.reshape(half, half, 1, -1),
+                          values.reshape(half, half, 2, -1), axis=3)
+    return rows.reshape(-1, g * g * r)
 
 
 @dataclass(frozen=True)
@@ -287,19 +330,24 @@ def coefficients_bc_oracle(params: CouplingParameters, k, a_identity) -> OracleR
     coefficients they couple, plus the N! pins A_I(Q) =
     a_identity[rank(Q)].  Every solution satisfies the rows of the odd
     sites 1, 3, ..., so it is B y for the isometry B of
-    ``_odd_site_null_basis``.  The rows of the even sites times B, M, are
-    factored once, M = Q R, and as ||M y|| = ||R y|| the pins and R stand
-    in for the pins and M.  Each contact condition at site i gives row
-    P T_i from row P, so only y = 0 has R y = 0 and B y zero on row I:
-    [R; pins] has full column rank, y is its one least-squares solution,
-    from one QR and one triangular solve, and the nullity is the width of
-    B minus the rank of R, which is M's.  Where the system is consistent
-    y solves it, in both families; where it is not, the odd sites' rows
-    hold exactly and the rest carry the violation.  The residual is the
-    max violation over every row of the full system and the pins, at
-    roundoff exactly when the couplings are integrable (or N = 2), and inf
-    where it cannot be formed in floating point.  A system whose rows or
-    solution leave the float range raises ValueError.
+    ``_odd_site_null_basis``, which stays in its compact form: the rows of
+    the even sites times B, M (``_even_site_rows``), the pins B_I (B's
+    row I) and the table B y are each read off its blocks.  M is factored
+    once, M = Q R, and as ||M y|| = ||R y|| the pins and R stand in for the
+    pins and M.  Each contact condition at site i gives row P T_i from row
+    P, so only y = 0 has R y = 0 and B y zero on row I: [R; B_I] has full
+    column rank, y is its one least-squares solution, and the nullity is
+    the width of B minus the rank of R, which is M's.  The R factor of
+    the augmented system [[R, 0], [B_I, a_identity]] is [R; B_I]'s R
+    factor with Q^H (0; a_identity) beside it, so y is one triangular
+    solve away and no Q is formed.  Where the system is
+    consistent y solves it, in both families; where it is not, the odd
+    sites' rows hold exactly and the rest carry the violation.  The
+    residual is the max violation over every row of the full system and
+    the pins, read from the table by ``_contact_residual``, at roundoff
+    exactly when the couplings are integrable (or N = 2), and inf where it
+    cannot be formed in floating point.  A system whose rows or solution
+    leave the float range raises ValueError.
 
     Why B spans the odd sites' common null space.  One site first: its
     rows at (P, Q) and (P T_1, Q) are the same two equations, so with P
@@ -321,10 +369,10 @@ def coefficients_bc_oracle(params: CouplingParameters, k, a_identity) -> OracleR
 
     Limited to N <= ORACLE_MAX_N = 4: the system has (N-1) N!^2 / 2 + N!
     rows; the first QR runs on (N!^2 / 2) floor((N-1)/2) of them, 288 x 144
-    at N = 4, the second on R and the pins, 168 x 144.  The whole call runs
-    on one OpenBLAS thread (``_kernels.one_blas_thread``): matrices this
-    small factor faster so than on several, and the result's bits then do
-    not depend on the CPU count.
+    at N = 4, the second on R and the pins, 168 x 145.  The whole call
+    runs on one OpenBLAS thread (``_kernels.one_blas_thread``): matrices
+    this small factor faster so than on several, and the result's bits
+    then do not depend on the CPU count.
     """
     k = validate_momenta(k)
     n = whole_number(k.size, "number of oracle momenta N", 1, ORACLE_MAX_N)
@@ -332,21 +380,27 @@ def coefficients_bc_oracle(params: CouplingParameters, k, a_identity) -> OracleR
     f = tables.order
     a_identity = finite_array(a_identity, "pinned row", (f,), np.complex128)
 
-    basis = _odd_site_null_basis(params, tables, k)
-    width = basis.shape[2]
-    # the rows of the even sites times B are B's residuals, as (P, Q, e)
-    # rows; the pins read B's row I
-    reduced = [np.empty((0, width), dtype=np.complex128)]
-    for s in range(1, n - 1, 2):
-        reduced.append(np.stack(_site_residuals(params, k, tables, basis, s),
-                                axis=2).reshape(-1, width))
-    reduced = np.concatenate(reduced)
+    orbit, block = _odd_site_null_basis(params, tables, k)
+    g, r = orbit.shape
+    width = g * g * r
+    base, pos = _orbit_coordinates(orbit)
+    reduced = _even_site_rows(params, k, tables, orbit, block)
     # numpy < 2 factors no empty matrix: N <= 2 has no even site
     rows = np.linalg.qr(reduced, mode="r") if len(reduced) else reduced
-    # [R; row-I pins] has full column rank, so y is its unique least-squares solution
-    q, r = np.linalg.qr(np.concatenate([rows, basis[0]]))
-    y = np.linalg.solve(r, q[len(rows):].conj().T @ a_identity)
-    table = basis @ y
+    # [[R, 0], [B_I, a_identity]]: row I = orbit[base I, pos I] meets the
+    # square (base I, base Q) at block[base I, pos I, pos Q]
+    top = len(rows)
+    augmented = np.zeros((top + f, width + 1), dtype=np.complex128)
+    augmented[:top, :width] = rows
+    augmented[top + np.arange(f)[:, np.newaxis],
+              (base[0] * g + base)[:, np.newaxis] * r + np.arange(r)] = block[base[0], pos[0], pos]
+    augmented[top:, width] = a_identity
+    # [R; B_I] has full column rank, so y is its unique least-squares solution
+    triangle = np.linalg.qr(augmented, mode="r")
+    y = np.linalg.solve(triangle[:width, :width], triangle[:width, width]).reshape(g, g, r)
+    # table[P, Q] = sum_l block[base P, pos P, pos Q, l] y[base P, base Q, l]
+    bp = base[:, np.newaxis]
+    table = np.einsum("pql,pql->pq", block[bp, pos[:, np.newaxis], pos], y[bp, base])
     if not (np.isfinite(rows).all() and np.isfinite(table).all()):
         raise ValueError(f"oracle system at couplings {params.astuple()} and momenta "
                          f"{k.tolist()} is past the float range")

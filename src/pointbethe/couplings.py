@@ -8,13 +8,15 @@ of momentum, ``lam`` inverse momentum, and ``gamma``, ``eta`` are
 dimensionless.
 
 The couplings enter through two linear contact conditions across the
-contact point; ``contact_residuals`` is their one encoding.  ``_site_contact``
-states them on the four coefficients one site couples, and
-``_contact_coefficients`` as the 2 x 4 rows the two oracles solve.
+contact point, written once, in ``_residuals``.  ``contact_residuals``
+evaluates them with inf for a residual that cannot be formed,
+``_site_contact`` states them on the four coefficients one site couples,
+and ``_contact_coefficients`` as the 2 x 4 rows the two oracles solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +61,20 @@ def contact_residuals(params: CouplingParameters, v_minus, d_minus, v_plus, d_pl
     coordinate x_j - x_k.  On family 2 (gamma = eta = 0, c lam = 1) both
     vanish exactly when d_plus = c v_plus and d_minus = -c v_minus: two
     Robin conditions, so the two sides of the contact decouple.
+
+    No input is refused.  A residual that cannot be formed in floating
+    point, because a term leaves the float range and meets another inf or
+    a zero (inf - inf, 0 * inf), or because an input is NaN, reads inf,
+    and no numpy operation warns; every other residual keeps its bits.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1, r2 = _residuals(params, v_minus, d_minus, v_plus, d_plus)
+    return _inf_where_nan(r1), _inf_where_nan(r2)
+
+
+def _residuals(params: CouplingParameters, v_minus, d_minus, v_plus, d_plus):
+    """The two contact residuals as written, on numbers or on symbols; NaN
+    where they cannot be formed, for callers that map their max to inf."""
     c, lam, gamma, eta = params.astuple()
     v_avg = 0.5 * (v_plus + v_minus)
     d_avg = 0.5 * (d_plus + d_minus)
@@ -68,24 +83,34 @@ def contact_residuals(params: CouplingParameters, v_minus, d_minus, v_plus, d_pl
     return r1, r2
 
 
+def _inf_where_nan(residual):
+    """A residual, scalar or array, with inf where it has a NaN part; one
+    NaN test and no copy when there is none."""
+    nan = np.isnan(residual)
+    if np.ndim(residual) == 0:
+        return complex(math.inf) if nan else residual
+    return np.where(nan, math.inf, residual) if nan.any() else residual
+
+
 def _site_contact(params: CouplingParameters, u, a_p, a_pt, a_p_t, a_pt_t):
     """Residuals (r1, r2) of the contact conditions on A_P(Q), A_{PT}(Q),
     A_P(QT) and A_{PT}(QT), T = T_i, for Q ascending at site i and
     u = k_{P(i)} - k_{P(i+1)}.  Wedge Q lies below the plane, and the wave
     that gives particle Q(i) the momentum k_{P(i)} has relative derivative iu.
+    NaN where they cannot be formed: ``bethe._contact_residual`` reads its
+    max as inf, and the oracles refuse a system with non-finite rows.
     """
     du = 1j * u
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the float range
-        return contact_residuals(params, a_p + a_pt, du * (a_p - a_pt),
-                                 a_p_t + a_pt_t, du * (a_pt_t - a_p_t))
+        return _residuals(params, a_p + a_pt, du * (a_p - a_pt),
+                          a_p_t + a_pt_t, du * (a_pt_t - a_p_t))
 
 
 def _contact_coefficients(params: CouplingParameters, u: np.ndarray) -> np.ndarray:
     """The two contact conditions as rows over A_P(Q), A_PT(Q), A_P(QT),
     A_PT(QT), one 2 x 4 block for each u: shape (len(u), 2, 4)."""
-    # the conditions are linear: the coefficient of each coupled unknown
-    coefficients = np.array([_site_contact(params, u, *unit) for unit in np.eye(4)])
-    return coefficients.transpose(2, 1, 0)
+    # the conditions are linear: a unit vector reads off each coupled unknown's coefficients
+    return np.stack(_site_contact(params, u[:, np.newaxis], *np.eye(4)[:, np.newaxis]), axis=1)
 
 
 def _families(c, lam, gamma, eta):

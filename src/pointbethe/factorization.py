@@ -145,7 +145,8 @@ class YangBaxterReport:
         return float(np.max((self.unitarity, self.braid, self.commute)))
 
 
-def _orbit_structure_holds(tables, positions) -> bool:
+@functools.cache
+def _orbit_structure_holds(tables, positions: tuple[int, ...]) -> bool:
     """Exact check that each Y_s with s, s+1 among the 0-based ``positions``
     (at S_m positions t, t+1, m = len(positions)) acts on the orbits of the
     transpositions there as S_m's Y_t does.  With ``labels`` the S_m ranks
@@ -153,6 +154,8 @@ def _orbit_structure_holds(tables, positions) -> bool:
     so steps stay in their orbit; (2) ``asc[s] == S_m.asc[t][labels]``;
     (3) ``labels[tmaps[s]] == S_m.tmaps[t][labels]``.  Then row Q of their
     products on the orbit-packed identity is row labels[Q] on S_m's, bitwise.
+    The verdict depends on the tables and the positions alone, so it is
+    formed once per tables object and position tuple.
     """
     group = symmetric_group(len(positions))
     labels = rank_of(tables.images[:, positions])
@@ -208,12 +211,12 @@ def yang_baxter_matrix_check(params: CouplingParameters, n: int,
         return out
 
     relations = (
-        ([[i - 1, i] for i in range(1, n)],
+        ([(i - 1, i) for i in range(1, n)],
          lambda: product(2, (1, "u"), (1, "-u")) - product(2)),
-        ([[i - 1, i, i + 1] for i in range(1, n - 1)],
+        ([(i - 1, i, i + 1) for i in range(1, n - 1)],
          lambda: product(3, (1, "u"), (2, "u+v"), (1, "v"))
          - product(3, (2, "v"), (1, "u+v"), (2, "u"))),
-        ([[i - 1, i, j - 1, j] for i in range(1, n) for j in range(i + 2, n)],
+        ([(i - 1, i, j - 1, j) for i in range(1, n) for j in range(i + 2, n)],
          lambda: product(4, (3, "v"), (1, "u")) - product(4, (1, "u"), (3, "v"))),
     )
     maxima = []
@@ -234,4 +237,4 @@ def block_reduction_check(n: int, i: int) -> float:
     """
     n = whole_number(n, "N", 4)
     i = whole_number(i, "site i", 1, n - 2)
-    return 0.0 if _orbit_structure_holds(symmetric_group(n), [i - 1, i, i + 1]) else math.inf
+    return 0.0 if _orbit_structure_holds(symmetric_group(n), (i - 1, i, i + 1)) else math.inf

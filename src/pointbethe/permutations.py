@@ -33,7 +33,7 @@ import numpy as np
 from .errors import whole_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricGroupTables:
     """Precomputed per-N lookup tables shared by the Bethe machinery.
 
@@ -43,7 +43,9 @@ class SymmetricGroupTables:
     the rank index of Q*T_i.  ``asc[i-1][q]`` is True when Q(i) < Q(i+1).
     ``last_site[q]`` is i-1 for the last letter i of Q's canonical word;
     the words are prefix-closed, so Q*T_i has the word of Q minus that
-    letter and a smaller rank.
+    letter and a smaller rank.  The arrays of ``symmetric_group``'s tables
+    are read-only, and tables compare and hash by identity, so a result
+    memoized per tables object cannot go stale.
     """
 
     n: int
@@ -91,7 +93,8 @@ def symmetric_group(n: int) -> SymmetricGroupTables:
     last_site = asc.cumprod(axis=0).sum(axis=0)
     last_site[0] = -1
 
-    return SymmetricGroupTables(
-        n=n, order=order, images=images, tmaps=tmaps, asc=asc, signs=signs,
-        inversion_counts=inv_counts, last_site=last_site,
-    )
+    arrays = dict(images=images, tmaps=tmaps, asc=asc, signs=signs,
+                  inversion_counts=inv_counts, last_site=last_site)
+    for array in arrays.values():
+        array.flags.writeable = False
+    return SymmetricGroupTables(n=n, order=order, **arrays)

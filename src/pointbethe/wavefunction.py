@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .bethe import BetheState, validate_momenta
-from .couplings import CouplingParameters, contact_residuals, gauge_data
+from .couplings import CouplingParameters, _residuals, gauge_data
 from .errors import OnBoundary, finite_array, nan_to_inf, whole_number
 from .permutations import rank_of, symmetric_group
 
@@ -161,8 +161,9 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
     # below the boundary (x_j = x_kk - 0+) the state is the wedge-Q sum;
     # above it the wedge-QT_i sum; at coincidence the exponents agree.
     # The gathered rows are fresh copies, so the products run in place.
-    # past the float range the sums read inf or NaN and the residuals inf;
-    # the np.errstate is this call's, also on a ``thread_map`` worker
+    # past the float range the sums read inf or NaN and the residuals inf
+    # (nan_to_inf below, so the residuals skip contact_residuals' own
+    # guard); the np.errstate is this call's, also on a ``thread_map`` worker
     with np.errstate(over="ignore", invalid="ignore"):
         below = state.columns[q_idx]
         below *= waves
@@ -174,7 +175,7 @@ def boundary_residual(state: BetheState, j: int, kk: int, samples) -> tuple[floa
         v_plus = above.sum(axis=1)
         above *= du
         d_plus = -above.sum(axis=1)
-        r1, r2 = contact_residuals(state.params, v_minus, d_minus, v_plus, d_plus)
+        r1, r2 = _residuals(state.params, v_minus, d_minus, v_plus, d_plus)
     # hypot gives the bits of the scalar abs(); np.abs on complex arrays
     # can differ from it in the last place
     return (nan_to_inf(np.hypot(r1.real, r1.imag).max()),

@@ -8,7 +8,8 @@ sample at a time, the (u, v) panel drawn one candidate at a time, the
 factorization panel formed one particle order at a time, the plane waves
 gathered point-major, the boundary residuals with their relative momenta
 gathered per call, the finite-difference residual of one point and the
-pointwise step-phase gauge map, the coefficient CSV of ``coeffs``
+pointwise step-phase gauge map, the oracle's odd-site null basis
+scattered into a dense stack of tables, the coefficient CSV of ``coeffs``
 formatted one entry at a time, and the ``scan`` report built one grid
 point at a time.  No command runs them."""
 
@@ -181,12 +182,12 @@ def yang_baxter_per_sample(params, n: int, samples) -> tuple[float, float, float
         return out
 
     relations = (
-        ([[i - 1, i] for i in range(1, n)],
+        ([(i - 1, i) for i in range(1, n)],
          lambda u, v: product(2, (1, u), (1, -u)) - product(2)),
-        ([[i - 1, i, i + 1] for i in range(1, n - 1)],
+        ([(i - 1, i, i + 1) for i in range(1, n - 1)],
          lambda u, v: product(3, (1, u), (2, u + v), (1, v))
          - product(3, (2, v), (1, u + v), (2, u))),
-        ([[i - 1, i, j - 1, j] for i in range(1, n) for j in range(i + 2, n)],
+        ([(i - 1, i, j - 1, j) for i in range(1, n) for j in range(i + 2, n)],
          lambda u, v: product(4, (3, v), (1, u)) - product(4, (1, u), (3, v))),
     )
     maxima = []
@@ -340,6 +341,19 @@ def schrodinger_fd_residual_one_point(state, x, h: float) -> float:
     center, plus, minus = vals[0], vals[1:state.n + 1], vals[state.n + 1:]
     lap = np.sum((plus - 2 * center + minus) / h**2)
     return abs(lap + state.energy * center)
+
+
+def dense_null_basis(orbit, block) -> np.ndarray:
+    """The basis of ``bethe._odd_site_null_basis`` as a dense stack of
+    tables, shape (N!, N!, g^2 2^m): B[orbit[i, a], orbit[j, b],
+    (i g + j) 2^m + l] = block[i, a, b, l] and zero elsewhere."""
+    g, r = orbit.shape
+    f = orbit.size
+    basis = np.zeros((f, f, g * g * r), dtype=np.complex128)
+    squares = r * np.arange(g * g).reshape(g, g, 1, 1, 1) + np.arange(r)
+    basis[orbit[:, np.newaxis, :, np.newaxis, np.newaxis],
+          orbit[np.newaxis, :, np.newaxis, :, np.newaxis], squares] = block[:, np.newaxis]
+    return basis
 
 
 def coefficient_csv_lines(table) -> list[str]:

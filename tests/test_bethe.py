@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +8,16 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from pointbethe import scattering
-from pointbethe.bethe import (_ascending, _odd_site_null_basis,
-                              _site_residuals, bethe_state,
+from pointbethe.bethe import (_ascending, _even_site_rows,
+                              _odd_site_null_basis, bethe_state,
                               coefficients_bc_oracle, propagate,
                               state_relation_residual, validate_momenta)
 from pointbethe.couplings import CouplingParameters, _site_contact, integrable_family
 from pointbethe.errors import NotIntegrable
 from pointbethe.permutations import symmetric_group
 from pointbethe.scattering import amplitudes
-from reference import (build_s_diagonals_periodic, identity, rank,
-                       regular_rep, right_t, transposition, yang_matrix)
+from reference import (build_s_diagonals_periodic, dense_null_basis, identity,
+                       rank, regular_rep, right_t, transposition, yang_matrix)
 
 FAMILY1 = CouplingParameters(2.0, 0.0, 0.0, 1.3)
 FAMILY2 = CouplingParameters(2.0, 0.5)
@@ -314,11 +315,17 @@ def test_site_contact_on_unit_inputs_is_the_hand_expanded_system(params, n):
 
 
 def _dense_site_rows(params, tables, k, s):
-    """Site s + 1's (P, Q, e) rows over the N!^2 unknowns, formed as the
-    oracle forms them on its basis, here the stack of unit tables."""
+    """Site s + 1's (P, Q, e) rows over the N!^2 unknowns, each coefficient
+    read from ``_site_contact`` on a unit vector, as ``_stacked_oracle``
+    reads them."""
     f = tables.order
-    units = np.eye(f * f).reshape(f, f, f * f)
-    return np.stack(_site_residuals(params, k, tables, units, s), axis=2).reshape(-1, f * f)
+    asc, t, u = _ascending(tables, k, s)
+    rows = np.zeros((asc.size, asc.size, 2, f, f), dtype=np.complex128)
+    p, q = np.ix_(np.arange(asc.size), np.arange(asc.size))
+    for (x, y), unit in zip([(asc, asc), (t, asc), (asc, t), (t, t)], np.eye(4)):
+        rows[p, q, 0, x[:, np.newaxis], y], rows[p, q, 1, x[:, np.newaxis], y] = (
+            _site_contact(params, u, *unit))
+    return rows.reshape(-1, f * f)
 
 
 @pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
@@ -343,12 +350,29 @@ def test_odd_site_null_basis_is_an_orthonormal_basis_of_their_null_space(params,
     k = random_k(n, np.random.default_rng(19 + n))
     tables = symmetric_group(n)
     f = tables.order
-    basis = _odd_site_null_basis(params, tables, k)
+    basis = dense_null_basis(*_odd_site_null_basis(params, tables, k))
     assert basis.shape == (f, f, f * f // 2 ** (n // 2))
     basis = basis.reshape(f * f, -1)
     assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() <= 1e-12
     for s in range(0, n - 1, 2):
         assert np.abs(_dense_site_rows(params, tables, k, s) @ basis).max() <= 1e-12
+
+
+@pytest.mark.parametrize("params", [FAMILY1, FAMILY2, NONINTEGRABLE])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_even_site_rows_on_the_compact_basis_are_the_dense_rows_times_the_basis(params, n):
+    # assigned from the blocks, they are the even sites' rows on the dense
+    # basis; N = 2 has no even site and no row
+    k = random_k(n, np.random.default_rng(29 + n))
+    tables = symmetric_group(n)
+    f = tables.order
+    orbit, block = _odd_site_null_basis(params, tables, k)
+    basis = dense_null_basis(orbit, block).reshape(f * f, -1)
+    dense = np.concatenate([np.empty((0, f * f))] + [_dense_site_rows(params, tables, k, s)
+                                                     for s in range(1, n - 1, 2)]) @ basis
+    compact = _even_site_rows(params, k, tables, orbit, block)
+    assert compact.shape == dense.shape == ((n - 1) // 2 * f * f // 2, basis.shape[1])
+    assert np.abs(compact - dense).max(initial=0.0) <= 1e-14 * np.abs(dense).max(initial=0.0)
 
 
 def _stacked_oracle(params, k, pinned_row):
@@ -462,6 +486,20 @@ def test_oracle_of_one_particle_is_its_pin():
     assert oracle.table.tolist() == [[0.3 - 0.4j]]
     assert oracle.residual == 0.0
     assert oracle.nullity == 1
+
+
+def test_four_particle_oracle_peaks_under_4_mb():
+    # the basis stays in its compact blocks: about 2.8 MB, against 5.5 MB
+    # with the dense 1.33 MB basis and its residuals
+    k = np.array([-1.1, 0.3, 1.7, -2.6])
+    coefficients_bc_oracle(FAMILY1, k, np.ones(24))  # builds symmetric_group(4) once
+    tracemalloc.start()
+    try:
+        coefficients_bc_oracle(FAMILY1, k, np.ones(24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_oracle_size_guard():
@@ -604,23 +642,3 @@ def test_sites_1_and_3_have_rank_432_at_four_particles(data):
     tables = symmetric_group(4)
     rows = np.concatenate([_dense_site_rows(params, tables, k, s) for s in (0, 2)])
     assert np.linalg.matrix_rank(rows) == 576 - 144
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-@settings(deadline=None, max_examples=10, phases=NO_SHRINK)
-@given(data=st.data())
-def test_site_residuals_of_a_stack_are_those_of_each_table(n, data):
-    # the oracle's rows on its basis and the check on one table are the
-    # same evaluation, bit for bit
-    params = data.draw(st.one_of(integrable_couplings(), any_couplings))
-    k = data.draw(momenta(n))
-    tables = symmetric_group(n)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    f = tables.order
-    stack = rng.normal(size=(f, f, 3, 2)) + 1j * rng.normal(size=(f, f, 3, 2))
-    for s in range(n - 1):
-        stacked = _site_residuals(params, k, tables, stack, s)
-        for i, j in np.ndindex(3, 2):
-            alone = _site_residuals(params, k, tables, stack[..., i, j], s)
-            for r_stacked, r_alone in zip(stacked, alone):
-                assert r_stacked[..., i, j].tobytes() == r_alone.tobytes()

@@ -2,17 +2,25 @@
 public entry points whose bad arguments once escaped as an IndexError, a
 TypeError or a numpy message that named no argument."""
 
+import cmath
+import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pointbethe.bethe import bethe_state
-from pointbethe.couplings import CouplingParameters
-from pointbethe.errors import finite_array, whole_number
+from pointbethe.bethe import bethe_state, coefficients_bc_oracle, state_relation_residual
+from pointbethe.couplings import CouplingParameters, contact_residuals, gauge_data
+from pointbethe.errors import PointBetheError, finite_array, whole_number
 from pointbethe.factorization import GridSpec, check_factorization_panel, yang_baxter_matrix_check
 from pointbethe.permutations import symmetric_group
-from pointbethe.wavefunction import boundary_residual, boundary_samples, evaluate_grid
+from pointbethe.scattering import amplitudes, amplitudes_bvp_oracle
+from pointbethe.wavefunction import (boundary_residual, boundary_samples,
+                                     determinant_bethe_state, evaluate, evaluate_grid,
+                                     gauge_transformed_state)
 
 
 @pytest.mark.parametrize("x, shape, message", [
@@ -123,3 +131,78 @@ def test_entry_points_name_the_bad_argument(call, message):
         call()
 
 
+
+
+# the float range's edges, as in the CLI's edge test: signed zeros, the
+# least subnormal, tiny and huge values and the largest finite float
+EDGE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e150, -1e150, 1e300,
+                        1.7976931348623157e308])
+EDGE_COUPLINGS = st.builds(CouplingParameters, EDGE, EDGE, EDGE, EDGE)
+
+
+def _edge_momenta(draw, sizes=(1, 3)):
+    return draw(st.lists(EDGE, min_size=sizes[0], max_size=sizes[1]))
+
+
+def _edge_state(draw, sizes=(1, 3)):
+    k = _edge_momenta(draw, sizes)
+    return bethe_state(draw(EDGE_COUPLINGS), k, np.eye(math.factorial(len(k)))[0])
+
+
+def _edge_oracle(draw):
+    k = _edge_momenta(draw)
+    f = math.factorial(len(k))
+    return coefficients_bc_oracle(draw(EDGE_COUPLINGS), k, _edge_momenta(draw, (f, f)))
+
+
+def _edge_point(draw):
+    state = _edge_state(draw)
+    return evaluate(state, _edge_momenta(draw, (state.n, state.n)))
+
+
+def _edge_boundary(draw):
+    x = draw(EDGE)
+    return boundary_residual(_edge_state(draw, (2, 2)), 1, 2, [[x, x]])
+
+
+EDGE_CALLS = {
+    "contact_residuals": lambda draw: contact_residuals(draw(EDGE_COUPLINGS),
+                                                        *[draw(EDGE) for _ in range(4)]),
+    "amplitudes": lambda draw: amplitudes(draw(EDGE_COUPLINGS), draw(EDGE)),
+    "amplitudes_bvp_oracle": lambda draw: amplitudes_bvp_oracle(draw(EDGE_COUPLINGS), draw(EDGE)),
+    "gauge_data": lambda draw: gauge_data(draw(EDGE_COUPLINGS)),
+    "check_factorization_panel": lambda draw: check_factorization_panel(
+        draw(EDGE_COUPLINGS), [(draw(EDGE), draw(EDGE))]),
+    "yang_baxter_matrix_check": lambda draw: yang_baxter_matrix_check(
+        draw(EDGE_COUPLINGS), draw(st.sampled_from([2, 3])), [(draw(EDGE), draw(EDGE))]),
+    "state_relation_residual": lambda draw: state_relation_residual(_edge_state(draw)),
+    "coefficients_bc_oracle": _edge_oracle,
+    "evaluate": _edge_point,
+    "boundary_residual": _edge_boundary,
+    "gauge_transformed_state": lambda draw: gauge_transformed_state(_edge_state(draw)),
+    "determinant_bethe_state": lambda draw: determinant_bethe_state(
+        _edge_momenta(draw), draw(EDGE), draw(st.sampled_from(["boson", "fermion"]))),
+}
+
+
+def _has_nan(x) -> bool:
+    if dataclasses.is_dataclass(x):
+        return any(_has_nan(getattr(x, field.name)) for field in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return any(_has_nan(item) for item in x)
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "fc" and bool(np.isnan(x).any())
+    return isinstance(x, (float, complex, np.inexact)) and cmath.isnan(x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(name=st.sampled_from(sorted(EDGE_CALLS)), data=st.data())
+def test_float_range_edges_keep_the_input_contract(name, data):
+    # a public entry point answers without NaN or refuses with an error that
+    # names the input, and no numpy operation warns
+    try:
+        result = EDGE_CALLS[name](data.draw)
+    except (ValueError, PointBetheError):
+        return
+    assert not _has_nan(result)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -233,3 +234,13 @@ def test_rank_unrank_bijection(data):
     assert rank(unrank(n, j)) == j
     p = tuple(data.draw(st.permutations(range(1, n + 1))))
     assert unrank(n, rank(p)) == p
+
+
+def test_tables_are_read_only_and_compare_by_identity():
+    # the orbit-structure check is memoized per tables object, so tables
+    # must not change under it, and a corrupted copy must be a new key
+    tables = symmetric_group(4)
+    arrays = [getattr(tables, field.name) for field in dataclasses.fields(tables)]
+    assert all(not a.flags.writeable for a in arrays if isinstance(a, np.ndarray))
+    copy = dataclasses.replace(tables)
+    assert copy != tables and len({tables, copy}) == 2
